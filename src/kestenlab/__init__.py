@@ -38,7 +38,6 @@ from .rng import substream
 from .spectral import (
     SphereGrid,
     SpectralSolution,
-    apply_T,
     build_grid,
     goldie_constant,
     solve_kappa,

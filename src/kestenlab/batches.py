@@ -2,11 +2,32 @@
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 _HEADER_TAG = "# kestenlab-batch "
+
+
+@contextmanager
+def atomic_write(path):
+    """Text file handle on a temporary file beside ``path`` that replaces
+    ``path`` only when the block completes.
+
+    A failure partway leaves the previous file intact and removes the
+    temporary, so no reader ever sees a truncated artifact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -47,7 +68,7 @@ class SampleBatch:
                 "dim": self.dim, **self.info}
         header = _HEADER_TAG + json.dumps(meta, sort_keys=True, default=str)
         cols = ",".join(f"x{i}" for i in range(self.dim))
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(header + "\n")
             fh.write("# " + cols + "\n")
             np.savetxt(fh, self.data, fmt="%.17g", delimiter=",")

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import recursion, spectral, stable_limit, tails
-from .batches import SampleBatch
+from .batches import SampleBatch, atomic_write
 from .env_models import (ConfigurationError, ConstantMatrix, ConstantVector,
                          DiagonalTimesRotation, Environment, GaussianMatrix,
                          GaussianVector, MatrixMixture, ScalarTwoPoint,
@@ -113,7 +113,8 @@ def canonical_json(obj) -> str:
 
 
 def write_canonical_json(obj, path: Path) -> None:
-    path.write_text(canonical_json(obj) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(canonical_json(obj) + "\n")
 
 
 def env_hash(env_block: dict) -> str:
@@ -401,55 +402,33 @@ def need_stationary(ctx: RunContext) -> SampleBatch:
     return ctx.cache["stationary"]
 
 
+def _read_artifact(ctx: RunContext, stage: str) -> dict:
+    """The parsed JSON artifact of an upstream stage, refused when it was
+    written for a different environment."""
+    path = _require_artifact(ctx, stage)
+    doc = json.loads(path.read_text())
+    _check_env_hash(ctx, doc.get("env_hash"), str(path))
+    return doc
+
+
 def need_solution(ctx: RunContext) -> spectral.SpectralSolution:
     if "solution" not in ctx.cache:
-        path = _require_artifact(ctx, "kappa")
-        doc = json.loads(path.read_text())
-        _check_env_hash(ctx, doc.get("env_hash"), str(path))
-        g = doc["grid"]
-        grid = spectral.SphereGrid(points=np.asarray(g["points"], dtype=float),
-                                   weights=np.asarray(g["weights"], dtype=float),
-                                   kernel_bandwidth=g.get("kernel_bandwidth"))
-        ctx.cache["solution"] = spectral.SpectralSolution(
-            kappa=doc["kappa"], rho_at_kappa=doc["rho_at_kappa"],
-            rho_history=[tuple(x) for x in doc["rho_history"]],
-            r=spectral.GridFunction(grid, np.asarray(doc["r"], dtype=float)),
-            eta=spectral.GridMeasure(grid, np.asarray(doc["eta"], dtype=float)),
-            pi=spectral.GridMeasure(grid, np.asarray(doc["pi"], dtype=float)),
-            alpha=doc["alpha"], mc_per_point=doc["mc_per_point"],
-            reducible_directions=doc["reducible_directions"])
+        ctx.cache["solution"] = spectral.SpectralSolution.from_json_dict(
+            _read_artifact(ctx, "kappa"))
     return ctx.cache["solution"]
 
 
 def need_sigma(ctx: RunContext) -> tails.SpectralMeasure:
     if "sigma" not in ctx.cache:
-        path = _require_artifact(ctx, "sigma")
-        doc = json.loads(path.read_text())
-        _check_env_hash(ctx, doc.get("env_hash"), str(path))
-        g = doc["grid"]
-        grid = spectral.SphereGrid(points=np.asarray(g["points"], dtype=float),
-                                   weights=np.asarray(g["weights"], dtype=float),
-                                   kernel_bandwidth=g.get("kernel_bandwidth"))
-        ctx.cache["sigma"] = tails.SpectralMeasure(
-            grid=grid, mass=np.asarray(doc["mass"], dtype=float),
-            threshold_used=doc["threshold_used"], total_mass=doc["total_mass"],
-            kappa=doc["kappa"], sample_count=doc["sample_count"],
-            exceedances=doc["exceedances"])
+        ctx.cache["sigma"] = tails.SpectralMeasure.from_json_dict(
+            _read_artifact(ctx, "sigma"))
     return ctx.cache["sigma"]
 
 
 def need_stable_law(ctx: RunContext) -> stable_limit.StableLaw:
     if "stable_law" not in ctx.cache:
-        path = _require_artifact(ctx, "limit")
-        doc = json.loads(path.read_text())
-        _check_env_hash(ctx, doc.get("env_hash"), str(path))
-        ctx.cache["stable_law"] = stable_limit.StableLaw(
-            kappa=doc["kappa"],
-            directions=np.asarray(doc["directions"], dtype=float),
-            c_values=np.asarray([complex(re, im) for re, im in doc["c_values"]]),
-            centering_kind=doc["centering_kind"],
-            m_kappa=None if doc["m_kappa"] is None else np.asarray(doc["m_kappa"]),
-            error_budget=doc["error_budget"], provenance=doc.get("provenance"))
+        ctx.cache["stable_law"] = stable_limit.StableLaw.from_json_dict(
+            _read_artifact(ctx, "limit"))
     return ctx.cache["stable_law"]
 
 
@@ -690,10 +669,19 @@ class _Lock:
         return False
 
 
-def _write_fragment(ctx: RunContext, stage: str, fragment: dict) -> None:
+def _run_stage(ctx: RunContext, stage: str) -> dict:
+    """Run one stage and write its fragment, with the check verdicts the
+    stage set beside its result so that `report` can rebuild them."""
+    earlier, ctx.checks = ctx.checks, {}
+    t0 = time.perf_counter()
+    fragment = STAGE_FUNCS[stage](ctx)
+    ctx.timing[stage] = time.perf_counter() - t0
+    verdicts, ctx.checks = ctx.checks, {**earlier, **ctx.checks}
+    ctx.fragments[stage] = fragment
     write_canonical_json({"stage": stage, "env_hash": ctx.config.env_hash,
-                          "result": fragment},
+                          "result": fragment, "checks": verdicts},
                          ctx.outdir / f"stage_{stage}.json")
+    return fragment
 
 
 def _assemble_report(ctx: RunContext) -> dict:
@@ -720,25 +708,25 @@ def run(config_path, out_override: str | None = None,
     todo = stages if stages is not None else config.pipeline
     with _Lock(outdir):
         for stage in todo:
-            t0 = time.perf_counter()
-            fragment = STAGE_FUNCS[stage](ctx)
-            ctx.timing[stage] = time.perf_counter() - t0
-            ctx.fragments[stage] = fragment
-            _write_fragment(ctx, stage, fragment)
+            _run_stage(ctx, stage)
         report = _assemble_report(ctx)
         write_canonical_json(report, outdir / "report.json")
     return report
 
 
 def aggregate_report(outdir: Path) -> dict:
-    """Rebuild report.json from the stage fragments present on disk."""
-    fragments = {}
+    """Rebuild report.json, verdicts included, from the stage fragments
+    present on disk."""
+    if not outdir.is_dir():
+        raise MissingArtifactError(f"output directory '{outdir}' does not exist")
+    fragments, checks = {}, {}
     env_hashes = set()
     for stage in STAGES:
         path = outdir / f"stage_{stage}.json"
         if path.exists():
             doc = json.loads(path.read_text())
             fragments[stage] = doc["result"]
+            checks.update(doc.get("checks", {}))
             env_hashes.add(doc["env_hash"])
     if len(env_hashes) > 1:
         raise StageCheckFailure(
@@ -746,6 +734,7 @@ def aggregate_report(outdir: Path) -> dict:
     report = {
         "env_hash": env_hashes.pop() if env_hashes else None,
         "stages": fragments,
+        "checks": checks,
         "aggregated": True,
     }
     write_canonical_json(report, outdir / "report.json")
@@ -812,8 +801,7 @@ def main(argv=None) -> int:
             ctx = RunContext(config=config, outdir=outdir,
                              threads=_threads_from(args))
             with _Lock(outdir):
-                fragment = stage_simulate(ctx)
-                _write_fragment(ctx, "simulate", fragment)
+                fragment = _run_stage(ctx, "simulate")
             print(canonical_json(fragment))
             return 0
         stages = None if args.command == "run" else [args.command]

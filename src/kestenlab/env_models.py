@@ -319,10 +319,6 @@ class Environment:
         return replace(self, matrix_law=TransposedMatrixLaw(self.matrix_law))
 
 
-def sample_matrices(env: Environment, rng, count: int) -> np.ndarray:
-    return env.matrix_law.sample(as_generator(rng), count)
-
-
 def sample_q(env: Environment, rng, count: int) -> np.ndarray:
     """Draws of Q; with q_symmetric each raw draw gets an independent sign."""
     rng = as_generator(rng)
@@ -426,7 +422,7 @@ def check_assumptions(env: Environment, mc_n: int, rng,
     if mc_n < 1000:
         raise ConfigurationError("check_assumptions: need mc_n >= 1000")
     rng = as_generator(rng)
-    m = sample_matrices(env, rng, mc_n)
+    m = env.matrix_law.sample(rng, mc_n)
     q = sample_q(env, rng, mc_n)
     m_norms = operator_norm(m)
     q_norms = np.linalg.norm(q, axis=1)

@@ -23,14 +23,6 @@ ROW_ACTION = "T_kappa"        # direction of vM, weight |vM|^kappa
 COLUMN_ACTION = "T_kappa_star"  # direction of Mv, weight |Mv|^kappa
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to stabilize; carries the recent estimates."""
-
-    def __init__(self, message: str, history):
-        super().__init__(f"{message}; last estimates {list(history)}")
-        self.history = list(history)
-
-
 class SpectralBracketError(ConfigurationError):
     """The kappa bracket does not straddle rho = 1."""
 
@@ -79,6 +71,20 @@ class SphereGrid:
             hi = min(lo + 65536, dirs.shape[0])
             out[lo:hi] = np.argmax(dirs[lo:hi] @ self.points.T, axis=1)
         return out
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "points": self.points.tolist(),
+            "weights": self.weights.tolist(),
+            "kernel_bandwidth": self.kernel_bandwidth,
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "SphereGrid":
+        return cls(points=np.asarray(doc["points"], dtype=float),
+                   weights=np.asarray(doc["weights"], dtype=float),
+                   kernel_bandwidth=doc.get("kernel_bandwidth"))
 
     def _one_d_positive_last(self) -> bool:
         return bool(self.points[1, 0] > 0)
@@ -201,21 +207,6 @@ class OperatorDraws:
         return out
 
 
-@dataclass(eq=False)
-class OperatorMatrix:
-    entries: np.ndarray
-    mc_count: int
-    kappa: float
-    kind: str
-    grid: SphereGrid
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(values, dtype=float)
-
-    def push_measure(self, masses: np.ndarray) -> np.ndarray:
-        return self.entries.T @ np.asarray(masses, dtype=float)
-
-
 def _mapped(kind: str, points: np.ndarray, m: np.ndarray) -> np.ndarray:
     if kind == ROW_ACTION:
         return np.einsum("gj,njk->gnk", points, m)
@@ -270,44 +261,9 @@ def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
                          dirs=dirs, mc_count=mc_n, resampled_fraction=frac)
 
 
-def build_operator(env: Environment, grid: SphereGrid, kind: str, kappa: float,
-                   mc_n: int, rng) -> OperatorMatrix:
-    draws = build_operator_draws(env, grid, kind, mc_n, rng)
-    return OperatorMatrix(entries=draws.matrix(kappa), mc_count=mc_n,
-                          kappa=kappa, kind=kind, grid=grid)
-
-
-def apply_T(op_kind: str, f: GridFunction, kappa: float, env: Environment,
-            mc_n: int, rng) -> GridFunction:
-    """Fresh Monte-Carlo application of the chosen operator to a grid function."""
-    op = build_operator(env, f.grid, op_kind, kappa, mc_n, rng)
-    return GridFunction(grid=f.grid, values=op.apply(f.values))
-
-
 # ---------------------------------------------------------------------------
 # spectral radius and the tail index
 # ---------------------------------------------------------------------------
-
-def _power_iteration(a: np.ndarray, tol: float = 1e-8, max_iter: int = 1000,
-                     start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    n = a.shape[0]
-    x = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float).copy()
-    lam_prev = math.inf
-    history = []
-    for _ in range(max_iter):
-        ax = a @ x
-        norm = np.linalg.norm(ax)
-        if norm == 0.0:
-            return 0.0, np.full(n, 1.0)
-        lam = float(x @ ax / (x @ x))
-        history.append(lam)
-        x = ax / norm
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            x = np.abs(x)
-            return lam, x / np.max(x)
-        lam_prev = lam
-    raise PowerIterationError("power iteration did not stabilize", history[-6:])
-
 
 def _is_direction_reducible(a: np.ndarray) -> bool:
     """True when the discretized direction chain never mixes cells (the
@@ -317,16 +273,28 @@ def _is_direction_reducible(a: np.ndarray) -> bool:
     return off <= 1e-12 * max(diag, 1.0)
 
 
-def _rho_of_matrix(a: np.ndarray, grid: SphereGrid,
-                   start: np.ndarray | None) -> tuple[float, np.ndarray]:
+def _perron(a: np.ndarray, grid: SphereGrid) -> tuple[float, np.ndarray, np.ndarray, bool]:
+    """Perron root, right vector r (max 1), left probability eta and the
+    reducibility flag of a nonnegative operator matrix.
+
+    The eigenvalue of largest real part of a nonnegative matrix is its
+    Perron root, also when the direction chain is periodic and other
+    eigenvalues share its modulus.
+    """
     if _is_direction_reducible(a):
         # rows are independent estimates of one growth factor (the true
         # eigenfunction is continuous, hence constant across disconnected
-        # cells of equal law); pooling avoids the upward bias of a max.
+        # cells of equal law); pooling avoids the upward bias of a max, and
+        # the eigenspace left open by a diagonal matrix gets the continuous
+        # symmetric representative
         rho = float(grid.weights @ a.sum(axis=1))
-        return rho, np.ones(grid.n)
-    lam, vec = _power_iteration(a, start=start)
-    return lam, vec
+        return rho, np.ones(grid.n), grid.weights.copy(), True
+    vals, vecs = np.linalg.eig(a)
+    lead = int(np.argmax(vals.real))
+    r = np.abs(vecs[:, lead].real)
+    vals_t, vecs_t = np.linalg.eig(a.T)
+    eta = np.abs(vecs_t[:, int(np.argmax(vals_t.real))].real)
+    return float(vals[lead].real), r / r.max(), eta / eta.sum(), False
 
 
 def spectral_radius(kappa: float, env: Environment, grid: SphereGrid,
@@ -335,8 +303,7 @@ def spectral_radius(kappa: float, env: Environment, grid: SphereGrid,
     """Leading eigenvalue and positive leading vector of the discretized operator."""
     if draws is None:
         draws = build_operator_draws(env, grid, ROW_ACTION, mc_n, rng)
-    a = draws.matrix(kappa)
-    rho, vec = _rho_of_matrix(a, grid, None)
+    rho, vec, _, _ = _perron(draws.matrix(kappa), grid)
     return rho, GridFunction(grid=grid, values=vec)
 
 
@@ -359,17 +326,11 @@ class SpectralSolution:
         return self.r.grid
 
     def to_json_dict(self) -> dict:
-        g = self.grid
         return {
             "kappa": self.kappa,
             "rho_at_kappa": self.rho_at_kappa,
             "alpha": self.alpha,
-            "grid": {
-                "dim": g.dim,
-                "points": g.points.tolist(),
-                "weights": g.weights.tolist(),
-                "kernel_bandwidth": g.kernel_bandwidth,
-            },
+            "grid": self.grid.to_json_dict(),
             "r": self.r.values.tolist(),
             "eta": self.eta.masses.tolist(),
             "pi": self.pi.masses.tolist(),
@@ -377,6 +338,18 @@ class SpectralSolution:
             "mc_per_point": self.mc_per_point,
             "reducible_directions": self.reducible_directions,
         }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "SpectralSolution":
+        grid = SphereGrid.from_json_dict(doc["grid"])
+        return cls(
+            kappa=doc["kappa"], rho_at_kappa=doc["rho_at_kappa"],
+            rho_history=[tuple(x) for x in doc["rho_history"]],
+            r=GridFunction(grid, np.asarray(doc["r"], dtype=float)),
+            eta=GridMeasure(grid, np.asarray(doc["eta"], dtype=float)),
+            pi=GridMeasure(grid, np.asarray(doc["pi"], dtype=float)),
+            alpha=doc["alpha"], mc_per_point=doc["mc_per_point"],
+            reducible_directions=doc["reducible_directions"])
 
 
 def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float],
@@ -395,12 +368,9 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
         raise ConfigurationError("bracket must satisfy 0 < lo < hi")
     draws = build_operator_draws(env, grid, ROW_ACTION, mc_n, rng)
     history: list[tuple[float, float]] = []
-    warm: dict[str, np.ndarray | None] = {"vec": None}
 
     def rho_at(k: float) -> float:
-        a = draws.matrix(k)
-        rho, vec = _rho_of_matrix(a, grid, warm["vec"])
-        warm["vec"] = vec
+        rho = _perron(draws.matrix(k), grid)[0]
         history.append((k, rho))
         return rho
 
@@ -426,22 +396,10 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
     else:
         kappa = 0.5 * (lo + hi)
 
-    a = draws.matrix(kappa)
-    reducible = _is_direction_reducible(a)
-    rho_final, _ = _rho_of_matrix(a, grid, warm["vec"])
+    rho_final, r_vals, eta, reducible = _perron(draws.matrix(kappa), grid)
     if abs(rho_final - 1.0) > accept_band:
         warnings.warn(f"rho at the solved kappa is {rho_final:.4f}; "
                       "the fixed point is outside the acceptance band")
-    if reducible:
-        # eigenspace not identified by a diagonal matrix; take the
-        # continuous symmetric representative
-        r_vals = np.ones(grid.n)
-        eta = grid.weights.copy()
-    else:
-        _, r_vals = _power_iteration(a)
-        _, eta = _power_iteration(a.T)
-        eta = np.abs(eta)
-        eta /= eta.sum()
     r_vals = r_vals / float(r_vals @ eta)
     pi = r_vals * eta
     pi = pi / pi.sum()
@@ -480,10 +438,10 @@ def fixed_point_residuals(sol: SpectralSolution, env: Environment,
                           mc_n: int, rng) -> tuple[float, float]:
     """Residuals of r and eta under a fresh Monte-Carlo operator build:
     sup-norm for the function, total-variation mass for the measure."""
-    op = build_operator(env, sol.grid, ROW_ACTION, sol.kappa, mc_n, rng)
-    tr = op.apply(sol.r.values)
+    a = build_operator_draws(env, sol.grid, ROW_ACTION, mc_n, rng).matrix(sol.kappa)
+    tr = a @ sol.r.values
     r_res = float(np.max(np.abs(tr - sol.r.values)) / np.max(np.abs(sol.r.values)))
-    pushed = op.push_measure(sol.eta.masses)
+    pushed = a.T @ sol.eta.masses
     eta_res = float(np.sum(np.abs(pushed - sol.eta.masses)))
     return r_res, eta_res
 
@@ -502,11 +460,6 @@ class GoldieEstimate:
     aggregate_se: float
     kappa: float
     alpha: float
-
-    def value_at(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        idx = int(np.argmax(self.directions @ v))
-        return float(self.values[idx])
 
 
 def goldie_constant(sol: SpectralSolution, env: Environment,

@@ -449,6 +449,15 @@ class StableLaw:
             "provenance": self.provenance or {},
         }
 
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "StableLaw":
+        return cls(kappa=doc["kappa"],
+                   directions=np.asarray(doc["directions"], dtype=float),
+                   c_values=np.asarray([complex(re, im) for re, im in doc["c_values"]]),
+                   centering_kind=doc["centering_kind"],
+                   m_kappa=None if doc["m_kappa"] is None else np.asarray(doc["m_kappa"]),
+                   error_budget=doc["error_budget"], provenance=doc.get("provenance"))
+
 
 def compute_stable_law(env: Environment, kappa: float, sigma: SpectralMeasure,
                        directions, mc: int, rng,

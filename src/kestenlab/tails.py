@@ -154,13 +154,16 @@ class SpectralMeasure:
             "mass": self.mass.tolist(),
             "sample_count": self.sample_count,
             "exceedances": self.exceedances,
-            "grid": {
-                "dim": self.grid.dim,
-                "points": self.grid.points.tolist(),
-                "weights": self.grid.weights.tolist(),
-                "kernel_bandwidth": self.grid.kernel_bandwidth,
-            },
+            "grid": self.grid.to_json_dict(),
         }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "SpectralMeasure":
+        return cls(grid=SphereGrid.from_json_dict(doc["grid"]),
+                   mass=np.asarray(doc["mass"], dtype=float),
+                   threshold_used=doc["threshold_used"], total_mass=doc["total_mass"],
+                   kappa=doc["kappa"], sample_count=doc["sample_count"],
+                   exceedances=doc["exceedances"])
 
 
 def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,

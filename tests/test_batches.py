@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,3 +34,19 @@ def test_csv_round_trip_exact_floats(tmp_path_factory, values):
 def test_norms_are_euclidean():
     batch = SampleBatch(data=np.array([[3.0, 4.0], [0.0, -2.0]]), kind="x")
     assert np.array_equal(batch.norms(), np.array([5.0, 2.0]))
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "batch.csv"
+    SampleBatch(data=np.array([[1.0], [2.0]]), kind="old").to_csv(path)
+    before = path.read_bytes()
+
+    def savetxt_then_fail(fh, *args, **kwargs):
+        fh.write("3.0\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", savetxt_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        SampleBatch(data=np.array([[3.0], [4.0]]), kind="new").to_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["batch.csv"]

@@ -65,6 +65,16 @@ def test_canonical_json_is_sorted_and_precise():
     assert json.loads(text)["b"] == 1.0 / 3.0
 
 
+def test_failed_json_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "doc.json"
+    cli.write_canonical_json({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli.write_canonical_json({"a": 2, "b": object()}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 def test_env_hash_ignores_key_order():
     a = {"dim": 1, "matrix_law": {"family": "x", "values": [1, 2]}}
     b = {"matrix_law": {"values": [1, 2], "family": "x"}, "dim": 1}
@@ -154,6 +164,16 @@ def test_kappa_subcommand(tmp_path, capsys):
     assert doc["env_hash"] == load_config(path).env_hash
 
 
+def test_kappa_subcommand_sign_flip(tmp_path, capsys):
+    # M in {-2, -1/2} flips the sign every step: a periodic direction chain
+    path, outdir = write_config(tmp_path, **{"env.matrix_law.values": [-2.0, -0.5]})
+    rc = cli.main(["kappa", "--config", str(path)])
+    assert rc == 0
+    doc = json.loads((outdir / "spectral_solution.json").read_text())
+    assert abs(doc["kappa"] - 1.0) <= 0.1
+    assert doc["reducible_directions"] is False
+
+
 def test_stagewise_run_matches_full_run(tmp_path):
     path, outdir = write_config(tmp_path, pipeline=["simulate", "kappa", "sigma"])
     assert cli.main(["run", "--config", str(path)]) == 0
@@ -205,11 +225,33 @@ def test_lock_refuses_concurrent_runs(tmp_path, capsys):
 def test_report_subcommand_aggregates(tmp_path, capsys):
     path, outdir = write_config(tmp_path, pipeline=["lyapunov", "kappa"])
     assert cli.main(["run", "--config", str(path)]) == 0
+    full = json.loads((outdir / "report.json").read_text())
+    assert set(full["checks"]) == {"lyapunov_contractive", "kappa_rho_band",
+                                   "kappa_eigen_residuals"}
     (outdir / "report.json").unlink()
     rc = cli.main(["report", "--out", str(outdir)])
     assert rc == 0
     report = json.loads((outdir / "report.json").read_text())
     assert set(report["stages"]) == {"lyapunov", "kappa"}
+    assert report["checks"] == full["checks"]
+    # one process per stage: each run overwrites report.json with its own
+    # verdicts, and report rebuilds all of them from the stage fragments
+    staged = tmp_path / "staged"
+    for stage in ("lyapunov", "kappa"):
+        assert cli.main([stage, "--config", str(path), "--out", str(staged)]) == 0
+    assert cli.main(["report", "--out", str(staged)]) == 0
+    report = json.loads((staged / "report.json").read_text())
+    assert report["checks"] == full["checks"]
+
+
+def test_report_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    rc = cli.main(["report", "--out", str(missing)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+    assert err.count("\n") == 1
+    assert not missing.exists()
 
 
 def test_threads_env_var(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kestenlab as kl
+from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError, operator_norm
 from kestenlab.rng import substream
-from kestenlab.spectral import (COLUMN_ACTION, ROW_ACTION, GridFunction,
-                                SpectralBracketError, build_operator,
+from kestenlab.spectral import (COLUMN_ACTION, ROW_ACTION, SpectralBracketError,
+                                SpectralSolution, SphereGrid, _perron,
                                 build_operator_draws, fixed_point_residuals)
 
 ALPHA_SCALAR = math.log(2.0) / 3.0  # two-atom mean of M^kappa log M at kappa = 1
@@ -69,33 +71,36 @@ def test_cell_index_nearest_point():
 # operator application
 # ---------------------------------------------------------------------------
 
-def test_apply_T_similarity_constant(similarity_env, grid2):
+def test_operator_similarity_constant(similarity_env, grid2):
     # (T 1)(v) = E c^kappa, independent of v; at kappa = 1 this is exactly 1
-    ones = GridFunction(grid2, np.ones(grid2.n))
-    out = kl.apply_T(ROW_ACTION, ones, 1.0, similarity_env, 4000, substream(30))
+    draws = build_operator_draws(similarity_env, grid2, ROW_ACTION, 4000, substream(30))
+    out = draws.matrix(1.0) @ np.ones(grid2.n)
     expected = (1 / 3) * 2.0 + (2 / 3) * 0.5
-    assert np.allclose(out.values, expected, atol=0.05)
-    assert out.values.std() < 0.03
+    assert np.allclose(out, expected, atol=0.05)
+    assert out.std() < 0.03
 
 
-def test_apply_T_positive_scalar_preserves_direction(scalar_env, grid1):
-    f = GridFunction(grid1, np.array([0.25, 4.0]))
+def test_operator_positive_scalar_preserves_direction(scalar_env, grid1):
+    f = np.array([0.25, 4.0])
     kappa = 0.7
-    out = kl.apply_T(ROW_ACTION, f, kappa, scalar_env, 20_000, substream(31))
+    draws = build_operator_draws(scalar_env, grid1, ROW_ACTION, 20_000, substream(31))
+    out = draws.matrix(kappa) @ f
     moment = (1 / 3) * 2.0 ** kappa + (2 / 3) * 0.5 ** kappa
-    assert np.allclose(out.values, f.values * moment, rtol=0.03)
+    assert np.allclose(out, f * moment, rtol=0.03)
 
 
-def test_apply_T_kappa_zero_is_exact_mean(similarity_env, grid2):
-    ones = GridFunction(grid2, np.ones(grid2.n))
-    out = kl.apply_T(ROW_ACTION, ones, 0.0, similarity_env, 500, substream(32))
-    assert np.array_equal(out.values, np.ones(grid2.n))
+def test_operator_kappa_zero_is_exact_mean(similarity_env, grid2):
+    draws = build_operator_draws(similarity_env, grid2, ROW_ACTION, 500, substream(32))
+    out = draws.matrix(0.0) @ np.ones(grid2.n)
+    assert np.array_equal(out, np.ones(grid2.n))
 
 
 def test_operator_matrix_nonnegative(similarity_env, grid2):
-    op = build_operator(similarity_env, grid2, COLUMN_ACTION, 1.3, 500, substream(33))
-    assert np.all(op.entries >= 0.0)
-    assert op.kappa == 1.3
+    draws = build_operator_draws(similarity_env, grid2, COLUMN_ACTION, 500, substream(33))
+    a = draws.matrix(1.3)
+    assert draws.kind == COLUMN_ACTION
+    assert a.shape == (grid2.n, grid2.n)
+    assert np.all(a >= 0.0)
 
 
 def test_operator_matrix_reproduces_indicator_estimate(scalar_env, grid1):
@@ -133,6 +138,19 @@ def test_rho_deterministic_similarity():
         assert np.all(lead.values > 0)
 
 
+def test_perron_periodic_matrix():
+    # a cyclic chain of period 3: the eigenvalues 24^(1/3) * (cube roots of
+    # unity) all share the Perron root's modulus
+    a = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
+    rho, r, eta, reducible = _perron(a, kl.build_grid(2, 3))
+    assert rho == pytest.approx(24.0 ** (1 / 3), rel=1e-12)
+    assert not reducible
+    assert np.all(r > 0) and np.all(eta > 0)
+    assert np.allclose(a @ r, rho * r, rtol=1e-12)
+    assert np.allclose(eta @ a, rho * eta, rtol=1e-12)
+    assert r.max() == 1.0 and eta.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_rho_log_convexity_with_shared_draws(scalar_env, grid1):
     draws = build_operator_draws(scalar_env, grid1, ROW_ACTION, 20_000, substream(38))
     rhos = {}
@@ -156,6 +174,23 @@ def test_solve_kappa_scalar(scalar_solution):
     assert np.all(sol.r.values > 0)
     assert abs(float(sol.r.values @ sol.eta.masses) - 1.0) <= 1e-8
     assert np.allclose(sol.pi.masses, sol.r.values * sol.eta.masses, atol=1e-12)
+
+
+def test_solve_kappa_sign_flip():
+    # M in {-2, -1/2}: every step flips the sign, so the direction chain is
+    # periodic; |M| has the law of the scalar benchmark, hence kappa = 1 and
+    # alpha = (1/3) log 2
+    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((-2.0, -0.5), (1 / 3, 2 / 3)),
+                         vector_law=kl.ConstantVector((1.0,)), q_symmetric=True,
+                         kappa0_hint=1.5)
+    sol = kl.solve_kappa(env, kl.build_grid(1, 2), (0.2, 3.0), 50_000, substream(48))
+    assert abs(sol.kappa - 1.0) <= 0.03
+    assert abs(sol.rho_at_kappa - 1.0) <= 0.01
+    assert abs(sol.alpha - ALPHA_SCALAR) <= 0.1 * ALPHA_SCALAR
+    assert sol.reducible_directions is False
+    assert np.all(sol.r.values > 0)
+    assert np.all(sol.eta.masses > 0)
+    assert abs(float(sol.r.values @ sol.eta.masses) - 1.0) <= 1e-8
 
 
 def test_solve_kappa_similarity(similarity_env, grid2):
@@ -207,6 +242,20 @@ def test_rho_consistent_with_products_similarity(similarity_env, grid2):
     norms = np.linalg.norm(prod, ord=2, axis=(1, 2))
     rho_mc = float(np.mean(norms ** sol.kappa)) ** (1.0 / n)
     assert abs(rho_mc - sol.rho_at_kappa) <= 0.05
+
+
+def test_solution_json_round_trip(scalar_solution):
+    text = canonical_json(scalar_solution.to_json_dict())
+    back = SpectralSolution.from_json_dict(json.loads(text))
+    assert canonical_json(back.to_json_dict()) == text
+
+
+def test_grid_json_round_trip():
+    grid = kl.build_grid(3, 20)
+    back = SphereGrid.from_json_dict(json.loads(canonical_json(grid.to_json_dict())))
+    assert np.array_equal(back.points, grid.points)
+    assert np.array_equal(back.weights, grid.weights)
+    assert back.kernel_bandwidth == grid.kernel_bandwidth
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import integrate
 
 import kestenlab as kl
 from kestenlab.batches import SampleBatch
+from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
 from kestenlab.stable_limit import (CenteringResult, RadialQuadrature,
@@ -303,6 +305,20 @@ def test_stable_law_validates_damping():
     with pytest.raises(ConfigurationError):
         StableLaw(kappa=1.0, directions=np.array([[1.0]]),
                   c_values=np.array([0.5 + 0.0j]), centering_kind="none")
+
+
+@pytest.mark.parametrize("law", [
+    StableLaw(kappa=0.7, directions=np.array([[1.0], [-1.0]]),
+              c_values=np.array([-1.0 + 0.25j, -1.0 - 0.25j]), centering_kind="none"),
+    StableLaw(kappa=1.3, directions=np.array([[0.6, 0.8], [-0.8, 0.6]]),
+              c_values=np.array([-0.5 + 0.1j, -1 / 3 + 0.0j]), centering_kind="mean",
+              m_kappa=np.array([0.25, -1 / 7]), error_budget=0.01,
+              provenance={"w_draws": 2000, "w_depth": 41}),
+])
+def test_stable_law_json_round_trip(law):
+    text = canonical_json(law.to_json_dict())
+    back = StableLaw.from_json_dict(json.loads(text))
+    assert canonical_json(back.to_json_dict()) == text
 
 
 @given(st.floats(min_value=0.2, max_value=1.9),

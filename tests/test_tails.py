@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 import kestenlab as kl
 from kestenlab.batches import SampleBatch
+from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
-from kestenlab.tails import (RegularVariationError, TailRegimeError,
+from kestenlab.tails import (RegularVariationError, SpectralMeasure, TailRegimeError,
                              annulus_cone, half_space, hill_stability,
                              power_log_damped, smooth_bump, summarize_tails)
 
@@ -119,6 +121,14 @@ def test_sigma_isotropic_is_uniform(sim_batch):
     sigma = kl.estimate_sigma(sim_batch, u, grid, 1.0, True)
     mean_mass = sigma.mass.mean()
     assert np.all(np.abs(sigma.mass - mean_mass) <= 0.2 * mean_mass)
+
+
+def test_sigma_json_round_trip(scalar_batch, grid1):
+    u = float(np.quantile(scalar_batch.norms(), 0.99))
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1, 1.0, True)
+    text = canonical_json(sigma.to_json_dict())
+    back = SpectralMeasure.from_json_dict(json.loads(text))
+    assert canonical_json(back.to_json_dict()) == text
 
 
 def test_sigma_requires_enough_exceedances(scalar_batch, grid1):
