@@ -53,7 +53,6 @@ from .stable_limit import (
     empirical_cf,
     h_v,
     nondegeneracy,
-    sample_W,
     stable_fit_check,
     transposed_positivity_check,
 )

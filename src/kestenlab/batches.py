@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 _HEADER_TAG = "# kestenlab-batch "
+_CSV_BLOCK_ROWS = 4096
 
 
 @contextmanager
@@ -28,6 +29,15 @@ def atomic_write(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_rows(fh, data: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``,
+    formatted with one ``%`` operation per block of rows."""
+    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
+        rows = data[start:start + _CSV_BLOCK_ROWS]
+        fh.write((row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 @dataclass
@@ -71,7 +81,7 @@ class SampleBatch:
         with atomic_write(path) as fh:
             fh.write(header + "\n")
             fh.write("# " + cols + "\n")
-            np.savetxt(fh, self.data, fmt="%.17g", delimiter=",")
+            _write_rows(fh, self.data)
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":

@@ -464,9 +464,11 @@ def stage_simulate(ctx: RunContext) -> dict:
     batch.info["env_hash"] = ctx.config.env_hash
     batch.to_csv(_artifact_path(ctx, "simulate"))  # the samples are the artifact
     ctx.cache["stationary"] = batch
+    # quantiles, not a mean: at kappa <= 1 the law of R has no mean
     return {"count": batch.count, "truncation": batch.info["truncation"],
             "mean_depth": batch.info["mean_depth"],
-            "mean": batch.data.mean(axis=0).tolist(),
+            "depth_quantiles": batch.info["depth_quantiles"],
+            "norm_quantiles": recursion.quantiles(batch.norms()),
             "beta_precheck": pre.beta, "seed": cfg.seed}
 
 

@@ -31,19 +31,23 @@ def operator_norm(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, ord=2, axis=(-2, -1))
 
 
+def _planar(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The matrices (cos, -sin; sin, cos), shape (count, 2, 2)."""
+    out = np.empty((cos.shape[0], 2, 2))
+    out[:, 0, 0] = cos
+    out[:, 0, 1] = -sin
+    out[:, 1, 0] = sin
+    out[:, 1, 1] = cos
+    return out
+
+
 def random_rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Haar-uniform rotations on SO(dim), shape (count, dim, dim)."""
     if dim == 1:
         return np.ones((count, 1, 1))
     if dim == 2:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        c, s = np.cos(theta), np.sin(theta)
-        out = np.empty((count, 2, 2))
-        out[:, 0, 0] = c
-        out[:, 0, 1] = -s
-        out[:, 1, 0] = s
-        out[:, 1, 1] = c
-        return out
+        return _planar(np.cos(theta), np.sin(theta))
     g = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(g)
     # fix the QR gauge so q is Haar on O(dim), then push onto SO(dim)
@@ -53,6 +57,24 @@ def random_rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarr
     det = np.linalg.det(q)
     q[det < 0, :, -1] *= -1.0
     return q
+
+
+def _choose(rng: np.random.Generator, values, probs, count: int) -> np.ndarray:
+    """count draws from the atoms ``values`` with weights ``probs``.
+
+    The same stream and values as ``rng.choice(values, count, p=probs)``,
+    without its per-call argument checks: one uniform u per draw, and the
+    atom is the number of normalized cdf values <= u, found by comparing u
+    with each cdf value in turn.
+    """
+    values = np.asarray(values)
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    out = np.full(count, values[0])
+    for c, v in zip(cdf[:-1], values[1:]):
+        out = np.where(u >= c, v, out)
+    return out
 
 
 def _check_probs(probs: Sequence[float], what: str) -> tuple[float, ...]:
@@ -85,8 +107,7 @@ class ScalarTwoPoint:
         return 1
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        vals = rng.choice(np.asarray(self.values, dtype=float), size=count, p=self.probs)
-        return vals.reshape(count, 1, 1)
+        return _choose(rng, self.values, self.probs, count).reshape(count, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -112,9 +133,12 @@ class Similarity:
         object.__setattr__(self, "scale_probs", _check_probs(self.scale_probs, "similarity"))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        c = rng.choice(np.asarray(self.scale_values), size=count, p=self.scale_probs)
-        rot = random_rotations(rng, count, self.dim)
-        return c[:, None, None] * rot
+        c = _choose(rng, self.scale_values, self.scale_probs, count)
+        if self.dim != 2:
+            return c[:, None, None] * random_rotations(rng, count, self.dim)
+        # planar case: scale the entries before the fill, not the filled matrices
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        return _planar(c * np.cos(theta), c * np.sin(theta))
 
 
 @dataclass(frozen=True)
@@ -196,7 +220,7 @@ class MatrixMixture:
         object.__setattr__(self, "weights", _check_probs(self.weights, "mixture"))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        idx = rng.choice(len(self.components), size=count, p=self.weights)
+        idx = _choose(rng, range(len(self.components)), self.weights, count)
         dim = _law_dim(self.components[0])
         out = np.empty((count, dim, dim))
         for j, law in enumerate(self.components):
@@ -255,7 +279,9 @@ class GaussianVector:
             raise ConfigurationError("gaussian vector: scale must be positive")
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.scale * rng.standard_normal((count, self.dim))
+        out = rng.standard_normal((count, self.dim))
+        out *= self.scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -324,8 +350,8 @@ def sample_q(env: Environment, rng, count: int) -> np.ndarray:
     rng = as_generator(rng)
     q = env.vector_law.sample(rng, count)
     if env.q_symmetric:
-        signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-        q = q * signs[:, None]
+        # every vector law returns a fresh array, so the sign goes in place
+        q *= np.where(rng.random(count) < 0.5, 1.0, -1.0)[:, None]
     return q
 
 

@@ -19,7 +19,7 @@ from .rng import as_generator, substream
 
 _RENORM_EVERY = 50
 _OVERFLOW_LIMIT = 1e300
-_STATIONARY_CHUNK = 250_000
+_STATIONARY_CHUNK = 16_384
 
 
 class TrajectoryOverflowError(RuntimeError):
@@ -92,101 +92,142 @@ def _check_finite(r: np.ndarray, step: int) -> None:
             "the chain looks non-contractive or the parameters are bad")
 
 
-def iterate_forward(env: Environment, cfg: PathConfig) -> ForwardPaths:
-    """All replicas of (R_k, S_k), k = 0..n_steps, from the configured seed."""
+def _forward_steps(env: Environment, cfg: PathConfig):
+    """Yield (k, R_k, S_k) for k = 1..n_steps, all replicas at once.
+
+    The state is component-major, shape (d, replicas), and M is read through
+    views of the (replicas, d, d) draw, so each step is d^2 multiply-adds over
+    contiguous rows.  The yielded arrays are reused by the next step.
+    """
     rng = substream(cfg.seed)
     d = env.dim
     reps = cfg.replicas
-    x = np.asarray(cfg.start_x, dtype=float)
-    states = np.empty((reps, cfg.n_steps + 1, d))
-    sums = np.empty((reps, cfg.n_steps + 1, d))
-    r = np.broadcast_to(x, (reps, d)).copy()
-    s = np.zeros((reps, d))
-    states[:, 0] = r
-    sums[:, 0] = s
-    with np.errstate(over="ignore"):  # overflow is detected and raised below
+    r = np.empty((d, reps))
+    r[:] = np.asarray(cfg.start_x, dtype=float)[:, None]
+    s = np.zeros((d, reps))
+    nxt = np.empty((d, reps))
+    # overflow (and the inf * 0 it leads to) is detected and raised below
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.n_steps + 1):
             m, q = sample_pairs(env, rng, reps)
-            r = np.einsum("nij,nj->ni", m, r) + q
-            s = s + r
-            states[:, k] = r
-            sums[:, k] = s
+            for i in range(d):
+                row = np.multiply(m[:, i, 0], r[0], out=nxt[i])
+                for j in range(1, d):
+                    row += m[:, i, j] * r[j]
+                row += q[:, i]
+            r, nxt = nxt, r
+            s += r
+            yield k, r, s
             if k % 64 == 0:
                 _check_finite(r, k)
     _check_finite(r, cfg.n_steps)
+
+
+def iterate_forward(env: Environment, cfg: PathConfig) -> ForwardPaths:
+    """All replicas of (R_k, S_k), k = 0..n_steps, from the configured seed."""
+    states = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
+    sums = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
+    states[:, 0] = cfg.start_x
+    sums[:, 0] = 0.0
+    for k, r, s in _forward_steps(env, cfg):
+        states[:, k] = r.T
+        sums[:, k] = s.T
     return ForwardPaths(states=states, sums=sums)
 
 
 def birkhoff_sums(env: Environment, cfg: PathConfig) -> SampleBatch:
     """Final partial sums S_n per replica, without storing the paths."""
-    rng = substream(cfg.seed)
-    d = env.dim
-    reps = cfg.replicas
-    r = np.broadcast_to(np.asarray(cfg.start_x, dtype=float), (reps, d)).copy()
-    s = np.zeros((reps, d))
-    with np.errstate(over="ignore"):  # overflow is detected and raised below
-        for k in range(1, cfg.n_steps + 1):
-            m, q = sample_pairs(env, rng, reps)
-            r = np.einsum("nij,nj->ni", m, r) + q
-            s += r
-            if k % 64 == 0:
-                _check_finite(r, k)
-    _check_finite(r, cfg.n_steps)
-    return SampleBatch(data=s, kind="birkhoff", seed=cfg.seed,
+    for _, _, s in _forward_steps(env, cfg):
+        pass
+    return SampleBatch(data=s.T.copy(), kind="birkhoff", seed=cfg.seed,
                        info={"n_steps": cfg.n_steps, "start_x": list(cfg.start_x)})
 
 
 def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-series draws for one chunk; returns (values, realized depths).
+    """Backward-series draws for one tile; returns (values, realized depths).
 
-    Finished draws are compacted out of the working arrays, so the cost per
-    step tracks the number of still-active series.
+    The per-lane state is packed component-major into one array whose
+    columns are the still-active series: rows R, the running product
+    (row-major), log_scale, exp(log_scale), the squared-norm threshold under
+    which a lane retires, and the lane index.  Products are d^2 or d^3
+    multiply-adds over contiguous rows, reading M and Q through views of
+    the law's draws.  Finished lanes are compacted out with one take per
+    step, so the cost per step tracks the number of still-active series.
     """
     d = env.dim
+    dd = d * d
+    log_row, scale_row, thr_row, lane_row = dd + d, dd + d + 1, dd + d + 2, dd + d + 3
+    state = np.zeros((dd + d + 4, count))
+    state[d:d + dd:d + 1] = 1.0           # the product starts at the identity
+    state[scale_row] = 1.0
+    state[lane_row] = np.arange(count)
     out = np.zeros((count, d))
     depths = np.zeros(count, dtype=np.int64)
-    r = np.zeros((count, d))
-    prod = np.broadcast_to(np.eye(d), (count, d, d)).copy()
-    log_scale = np.zeros(count)
-    idx = np.arange(count)
+    nxt = np.empty((dd, count))
+    acc_buf, tmp_buf = np.empty(count), np.empty(count)
     adaptive = cfg.tolerance is not None
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
     log_q99 = None
+
+    def refresh_threshold(state):
+        # a lane retires once log_scale + log|prod| + log_q99 < log_tol,
+        # that is |prod|^2 < exp(2 (log_tol - log_q99 - log_scale))
+        with np.errstate(over="ignore"):
+            np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
+
     n = 0
-    while idx.size:
-        n += 1
-        if adaptive and n > cfg.max_terms:
-            raise NonContractionError(
-                f"adaptive series exceeded {cfg.max_terms} terms; "
-                "the products are not contracting")
-        m, q = sample_pairs(env, rng, idx.size)
-        if log_q99 is None:
-            q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
-            log_q99 = math.log(q99) if q99 > 0 else -math.inf
-        with np.errstate(under="ignore"):
-            r += np.exp(log_scale)[:, None] * np.einsum("nij,nj->ni", prod, q)
-        prod = np.matmul(prod, m)
-        retire = None
-        if adaptive:
-            with np.errstate(divide="ignore"):
-                log_norm = np.log(np.linalg.norm(prod, axis=(1, 2)))
-            retire = log_scale + log_norm + log_q99 < log_tol
-        elif n >= cfg.truncation:
-            retire = np.ones(idx.size, dtype=bool)
-        if retire is not None and retire.any():
-            done = idx[retire]
-            out[done] = r[retire]
-            depths[done] = n
-            keep = ~retire
-            idx, r, prod, log_scale = idx[keep], r[keep], prod[keep], log_scale[keep]
-        if n % _RENORM_EVERY == 0 and idx.size:
-            # pull the product norm into a log accumulator so strongly
-            # contractive chains do not underflow the matrix entries
-            norms = np.linalg.norm(prod, axis=(1, 2))
-            safe = np.maximum(norms, 1e-290)
-            prod /= safe[:, None, None]
-            log_scale += np.log(safe)
+    with np.errstate(under="ignore"):
+        while state.shape[1]:
+            n += 1
+            if adaptive and n > cfg.max_terms:
+                raise NonContractionError(
+                    f"adaptive series exceeded {cfg.max_terms} terms; "
+                    "the products are not contracting")
+            lanes = state.shape[1]
+            m, q = sample_pairs(env, rng, lanes)
+            if log_q99 is None:
+                q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
+                log_q99 = math.log(q99) if q99 > 0 else -math.inf
+                if adaptive:
+                    refresh_threshold(state)
+            # R += exp(log_scale) * prod @ Q, then prod <- prod @ M
+            r, prod = state[:d], state[d:d + dd]
+            m_rows = m.reshape(lanes, dd).T
+            tmp = tmp_buf[:lanes]
+            for i in range(d):
+                row = prod[i * d:(i + 1) * d]
+                acc = np.multiply(row[0], q[:, 0], out=acc_buf[:lanes])
+                for j in range(1, d):
+                    acc += np.multiply(row[j], q[:, j], out=tmp)
+                acc *= state[scale_row]
+                r[i] += acc
+                for k in range(d):
+                    cell = np.multiply(row[0], m_rows[k], out=nxt[i * d + k, :lanes])
+                    for j in range(1, d):
+                        cell += np.multiply(row[j], m_rows[j * d + k], out=tmp)
+            prod[...] = nxt[:, :lanes]
+            retire = None
+            if adaptive:
+                retire = np.einsum("ij,ij->j", prod, prod) < state[thr_row]
+            elif n >= cfg.truncation:
+                retire = np.ones(lanes, dtype=bool)
+            if retire is not None and retire.any():
+                done = np.flatnonzero(retire)
+                lane = state[lane_row, done].astype(np.intp)
+                out[lane] = state[:d, done].T
+                depths[lane] = n
+                state = state.take(np.flatnonzero(~retire), axis=1)
+            if n % _RENORM_EVERY == 0 and state.shape[1]:
+                # pull the product norm into a log accumulator so strongly
+                # contractive chains do not underflow the matrix entries
+                prod = state[d:d + dd]
+                safe = np.maximum(np.sqrt(np.einsum("ij,ij->j", prod, prod)), 1e-290)
+                prod /= safe
+                state[log_row] += np.log(safe)
+                np.exp(state[log_row], out=state[scale_row])
+                if adaptive:
+                    refresh_threshold(state)
     return out, depths
 
 
@@ -194,19 +235,14 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
                       threads: int = 1) -> SampleBatch:
     """count i.i.d. draws of the truncated backward series.
 
-    Work is split into fixed-size chunks with per-chunk substreams, so the
+    Work is split into fixed-size tiles, small enough for a tile's state and
+    draws to stay in a core's cache, each with its own substream, so the
     result is identical for any thread count.
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    chunks = []
-    start = 0
-    idx = 0
-    while start < count:
-        size = min(_STATIONARY_CHUNK, count - start)
-        chunks.append((idx, size))
-        start += size
-        idx += 1
+    chunks = [(i, min(_STATIONARY_CHUNK, count - start))
+              for i, start in enumerate(range(0, count, _STATIONARY_CHUNK))]
 
     def run_chunk(args):
         chunk_idx, size = args
@@ -222,10 +258,17 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
     info = {
         "truncation": int(depths.max()),
         "mean_depth": float(depths.mean()),
+        "depth_quantiles": quantiles(depths),
         "tolerance": cfg.tolerance,
         "fixed_truncation": cfg.truncation,
     }
     return SampleBatch(data=data, kind="stationary", seed=cfg.seed, info=info)
+
+
+def quantiles(x: np.ndarray) -> dict:
+    """The 0.5, 0.9 and 0.99 quantiles of x, keyed by level."""
+    levels = (0.5, 0.9, 0.99)
+    return {str(p): float(v) for p, v in zip(levels, np.quantile(x, levels))}
 
 
 def lyapunov(env: Environment, n_steps: int, replicas: int, rng) -> LyapunovEstimate:

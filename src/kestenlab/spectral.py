@@ -21,6 +21,7 @@ from .rng import as_generator
 
 ROW_ACTION = "T_kappa"        # direction of vM, weight |vM|^kappa
 COLUMN_ACTION = "T_kappa_star"  # direction of Mv, weight |Mv|^kappa
+_GOLDIE_BLOCK = 8192          # stationary samples per block of the K(v) brackets
 
 
 class SpectralBracketError(ConfigurationError):
@@ -484,22 +485,28 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     r_one_step = mr + q
     v_dirs = np.atleast_2d(np.asarray(v_dirs, dtype=float))
 
-    def bracket_diff(points: np.ndarray) -> np.ndarray:
-        """((y R')^+)^k - ((y MR)^+)^k per row y and sample, shape (rows, n_pairs)"""
-        g_plus = np.maximum(points @ r_one_step.T, 0.0) ** kappa
-        g_minus = np.maximum(points @ mr.T, 0.0) ** kappa
-        return g_plus - g_minus
-
-    if sol.reducible_directions:
-        # absorbing direction chain: the invariant law seen from v is the
-        # point mass at v, so the grid mixing collapses and r cancels
-        diff = bracket_diff(v_dirs)
-        values = diff.mean(axis=1) / (alpha * kappa)
-        per_sample = diff.mean(axis=0)
+    reducible = sol.reducible_directions
+    # absorbing direction chain: the invariant law seen from v is the point
+    # mass at v, so the grid mixing collapses and r cancels
+    points = v_dirs if reducible else sol.grid.points
+    coeff = None if reducible else sol.pi.masses / sol.r.values
+    per_sample = np.empty(n_pairs)
+    row_sums = np.zeros(points.shape[0])
+    # one block of samples at a time, so the (rows, samples) brackets take
+    # rows x _GOLDIE_BLOCK floats whatever n_pairs is
+    for start in range(0, n_pairs, _GOLDIE_BLOCK):
+        part = slice(start, start + _GOLDIE_BLOCK)
+        # ((y R')^+)^kappa - ((y MR)^+)^kappa per row y and sample
+        diff = (np.maximum(points @ r_one_step[part].T, 0.0) ** kappa
+                - np.maximum(points @ mr[part].T, 0.0) ** kappa)
+        if reducible:
+            row_sums += diff.sum(axis=1)
+            per_sample[part] = diff.mean(axis=0)
+        else:
+            per_sample[part] = coeff @ diff
+    if reducible:
+        values = row_sums / n_pairs / (alpha * kappa)
     else:
-        coeff = sol.pi.masses / sol.r.values
-        diff = bracket_diff(sol.grid.points)
-        per_sample = coeff @ diff
         r_at_v = sol.grid.interpolate(sol.r.values, v_dirs)
         values = r_at_v * float(per_sample.mean()) / (alpha * kappa)
     agg = float(per_sample.mean())

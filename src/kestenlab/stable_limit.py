@@ -72,13 +72,6 @@ class WMatrixCache:
         return np.swapaxes(self.matrices, 1, 2) @ np.asarray(v, dtype=float)
 
 
-@dataclass(eq=False)
-class WSeries:
-    x: np.ndarray
-    truncation: int
-    draws: np.ndarray             # (count, d)
-
-
 def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
                       rng) -> WMatrixCache:
     """Monte-Carlo draws of the summed left-product series.
@@ -114,15 +107,6 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
                         mean_depth=float(depths.mean()))
 
 
-def sample_W(env: Environment, x, truncation_cfg: SeriesConfig, count: int,
-             rng, cache: WMatrixCache | None = None) -> WSeries:
-    """Draws of W(x); exactly linear in x when the same cache is reused."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if cache is None:
-        cache = sample_w_matrices(env, truncation_cfg, count, rng)
-    return WSeries(x=x, truncation=cache.max_depth, draws=cache.apply(x))
-
-
 def h_v(v, x, env: Environment, mc: int, rng,
         cache: WMatrixCache | None = None,
         cfg: SeriesConfig | None = None) -> complex:
@@ -130,9 +114,9 @@ def h_v(v, x, env: Environment, mc: int, rng,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ConfigurationError("h_v needs a unit direction v")
-    cfg = cfg or SeriesConfig(tolerance=1e-10)
-    series = sample_W(env, x, cfg, mc, rng, cache=cache)
-    phases = series.draws @ v
+    if cache is None:
+        cache = sample_w_matrices(env, cfg or SeriesConfig(tolerance=1e-10), mc, rng)
+    phases = cache.apply(np.atleast_1d(x)) @ v
     return complex(np.mean(np.exp(1j * phases)))
 
 

@@ -213,6 +213,19 @@ def test_simulate_count_override_and_validation(tmp_path, capsys):
     assert SampleBatch.from_csv(outdir / "stationary_samples.csv").count == 2000
 
 
+def test_simulate_fragment_reports_quantiles_not_mean(tmp_path):
+    path, outdir = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path), "--n", "4000"]) == 0
+    result = json.loads((outdir / "stage_simulate.json").read_text())["result"]
+    # kappa = 1 here: the law of R has no mean to report
+    assert "mean" not in result
+    for key in ("norm_quantiles", "depth_quantiles"):
+        q = result[key]
+        assert list(q) == ["0.5", "0.9", "0.99"]
+        assert 0.0 < q["0.5"] <= q["0.9"] <= q["0.99"]
+    assert result["depth_quantiles"]["0.99"] <= result["truncation"]
+
+
 def test_lock_refuses_concurrent_runs(tmp_path, capsys):
     path, outdir = write_config(tmp_path, pipeline=["lyapunov"])
     outdir.mkdir(parents=True)

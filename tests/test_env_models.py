@@ -145,3 +145,27 @@ def test_assumptions_detect_fixed_point():
 def test_assumptions_require_enough_samples(scalar_env):
     with pytest.raises(ConfigurationError):
         kl.check_assumptions(scalar_env, 10, substream(12))
+
+
+@pytest.mark.parametrize("dim, values, probs", [
+    (2, (2.0, 0.5), (1 / 3, 2 / 3)),
+    (3, (2.0, 0.5), (1 / 3, 2 / 3)),
+    (2, (0.3, 0.9, 1.7), (0.2, 0.5, 0.3)),
+])
+def test_similarity_draws_match_choice_times_rotation(dim, values, probs):
+    law = kl.Similarity(dim, values, probs)
+    rng = substream(100)
+    c = rng.choice(np.asarray(values), size=5000, p=probs)
+    expected = c[:, None, None] * random_rotations(rng, 5000, dim)
+    assert np.array_equal(law.sample(substream(100), 5000), expected)
+
+
+def test_atom_draws_match_choice():
+    scalar = kl.ScalarTwoPoint((-2.0, -0.5), (1 / 3, 2 / 3))
+    expected = substream(101).choice(np.array([-2.0, -0.5]), size=5000, p=scalar.probs)
+    assert np.array_equal(scalar.sample(substream(101), 5000)[:, 0, 0], expected)
+    # a zero-weight atom is never drawn, as with rng.choice
+    mixture = kl.MatrixMixture((kl.ConstantMatrix(((1.0,),)), kl.ConstantMatrix(((2.0,),)),
+                                kl.ConstantMatrix(((3.0,),))), (0.5, 0.0, 0.5))
+    picks = substream(102).choice(3, size=5000, p=mixture.weights)
+    assert np.array_equal(mixture.sample(substream(102), 5000)[:, 0, 0], picks + 1.0)

@@ -8,8 +8,9 @@ from scipy import stats
 
 import kestenlab as kl
 from kestenlab.env_models import ConfigurationError
+from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
-                                 forward_burn_in)
+                                 _stationary_chunk, forward_burn_in)
 from kestenlab.rng import substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
@@ -120,6 +121,77 @@ def test_series_thread_count_does_not_change_draws(scalar_env):
     a = kl.sample_stationary(scalar_env, cfg, 300_000, threads=1)
     b = kl.sample_stationary(scalar_env, cfg, 300_000, threads=4)
     assert np.array_equal(a.data, b.data)
+
+
+def per_lane_series(env, count, cfg, rng):
+    """Reference backward series: one (d,) vector and one (d, d) product per
+    lane, renormalized every 50 steps, each lane retired by its log-norm."""
+    d = env.dim
+    out = np.zeros((count, d))
+    depths = np.zeros(count, dtype=np.int64)
+    r = np.zeros((count, d))
+    prod = np.broadcast_to(np.eye(d), (count, d, d)).copy()
+    log_scale = np.zeros(count)
+    idx = np.arange(count)
+    adaptive = cfg.tolerance is not None
+    log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
+    log_q99 = None
+    n = 0
+    while idx.size:
+        n += 1
+        m, q = sample_pairs(env, rng, idx.size)
+        if log_q99 is None:
+            q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
+            log_q99 = math.log(q99) if q99 > 0 else -math.inf
+        r += np.exp(log_scale)[:, None] * np.einsum("nij,nj->ni", prod, q)
+        prod = np.matmul(prod, m)
+        if adaptive:
+            with np.errstate(divide="ignore"):
+                log_norm = np.log(np.linalg.norm(prod, axis=(1, 2)))
+            retire = log_scale + log_norm + log_q99 < log_tol
+        else:
+            retire = np.full(idx.size, n >= cfg.truncation)
+        out[idx[retire]] = r[retire]
+        depths[idx[retire]] = n
+        keep = ~retire
+        idx, r, prod, log_scale = idx[keep], r[keep], prod[keep], log_scale[keep]
+        if n % 50 == 0 and idx.size:
+            norms = np.maximum(np.linalg.norm(prod, axis=(1, 2)), 1e-290)
+            prod /= norms[:, None, None]
+            log_scale += np.log(norms)
+    return out, depths
+
+
+def similarity_env(dim):
+    return kl.Environment(dim=dim, matrix_law=kl.Similarity(dim, (2.0, 0.5), (1 / 3, 2 / 3)),
+                          vector_law=kl.GaussianVector(dim), q_symmetric=True)
+
+
+@pytest.mark.parametrize("env_name", ["scalar", "similarity_2d", "similarity_3d"])
+@pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
+                                 kl.SeriesConfig(truncation=120)],
+                         ids=["adaptive", "fixed"])
+def test_tile_matches_per_lane_series(scalar_env, env_name, cfg):
+    env = scalar_env if env_name == "scalar" else similarity_env(int(env_name[-2]))
+    ref_values, ref_depths = per_lane_series(env, 3000, cfg, substream(24, 3))
+    values, depths = _stationary_chunk(env, 3000, cfg, substream(24, 3))
+    assert np.array_equal(depths, ref_depths)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=0.0)
+
+
+def test_series_retires_every_lane_at_once_without_q():
+    env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (0.5, 0.5)),
+                         vector_law=kl.ConstantVector((0.0, 0.0)))
+    batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, seed=25), 100)
+    assert np.array_equal(batch.data, np.zeros((100, 2)))
+    assert batch.info["truncation"] == 1
+
+
+def test_series_depth_quantiles_recorded(scalar_env):
+    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=26), 5000)
+    q = batch.info["depth_quantiles"]
+    assert list(q) == ["0.5", "0.9", "0.99"]
+    assert 1 <= q["0.5"] <= q["0.9"] <= q["0.99"] <= batch.info["truncation"]
 
 
 def test_series_config_validation():

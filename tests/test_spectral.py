@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kestenlab as kl
+from kestenlab import spectral
 from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError, operator_norm
 from kestenlab.rng import substream
@@ -281,3 +282,25 @@ def test_goldie_constant_matches_direct_tail(scalar_env, scalar_solution,
               for u in (10.0, 20.0, 40.0)]
     direct = float(np.mean(levels))
     assert abs(est.values[0] - direct) <= 0.25 * direct
+
+
+@pytest.mark.parametrize("case", ["scalar_reducible", "similarity_grid"])
+def test_goldie_constant_blocks_do_not_change_estimate(case, scalar_env, scalar_solution,
+                                                       scalar_batch, similarity_env,
+                                                       grid2, monkeypatch):
+    if case == "scalar_reducible":
+        env, sol, batch = scalar_env, scalar_solution, scalar_batch
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        env = similarity_env
+        sol = kl.solve_kappa(env, grid2, (0.2, 3.0), 2000, substream(48))
+        batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, seed=48), 20_000)
+        dirs = grid2.points[:4]
+    assert sol.reducible_directions == (case == "scalar_reducible")
+    monkeypatch.setattr(spectral, "_GOLDIE_BLOCK", 10 ** 9)
+    whole = kl.goldie_constant(sol, env, batch, dirs, substream(49), max_pairs=20_000)
+    monkeypatch.setattr(spectral, "_GOLDIE_BLOCK", 3000)
+    blocked = kl.goldie_constant(sol, env, batch, dirs, substream(49), max_pairs=20_000)
+    np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0.0)
+    assert blocked.aggregate == pytest.approx(whole.aggregate, rel=1e-12, abs=0.0)
+    assert blocked.aggregate_se == pytest.approx(whole.aggregate_se, rel=1e-12, abs=0.0)

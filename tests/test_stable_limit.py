@@ -39,9 +39,9 @@ def uniform_sigma(grid, kappa, total=1.0):
 # ---------------------------------------------------------------------------
 
 def test_w_zero_start_is_zero(scalar_env):
-    series = kl.sample_W(scalar_env, np.array([0.0]), kl.SeriesConfig(tolerance=1e-10),
-                         64, substream(70))
-    assert np.array_equal(series.draws, np.zeros((64, 1)))
+    cache = sample_w_matrices(scalar_env, kl.SeriesConfig(tolerance=1e-10), 64,
+                              substream(70))
+    assert np.array_equal(cache.apply(np.array([0.0])), np.zeros((64, 1)))
 
 
 def test_w_geometric_contraction():
@@ -49,10 +49,12 @@ def test_w_geometric_contraction():
                          vector_law=kl.ConstantVector((0.0, 0.0)))
     x = np.array([2.0, -1.0])
     for n in (3, 10):
-        series = kl.sample_W(env, x, kl.SeriesConfig(truncation=n), 4, substream(71))
+        cache = sample_w_matrices(env, kl.SeriesConfig(truncation=n), 4, substream(71))
+        draws = cache.apply(x)
         expected = (1.0 - 2.0 ** -n) * x
-        assert np.allclose(series.draws, expected, atol=1e-14)
-        assert np.linalg.norm(series.draws[0] - x) <= 2.0 ** -n * np.linalg.norm(x) + 1e-14
+        assert cache.max_depth == n
+        assert np.allclose(draws, expected, atol=1e-14)
+        assert np.linalg.norm(draws[0] - x) <= 2.0 ** -n * np.linalg.norm(x) + 1e-14
 
 
 def test_w_linearity_exact_with_shared_cache(scalar_env):
@@ -60,11 +62,11 @@ def test_w_linearity_exact_with_shared_cache(scalar_env):
                               substream(72))
     x = np.array([0.37])
     # power-of-two scales commute with every float operation bit-exactly
-    a = kl.sample_W(scalar_env, 2.0 * x, None, 0, None, cache=cache)
-    b = kl.sample_W(scalar_env, x, None, 0, None, cache=cache)
-    assert np.array_equal(a.draws, 2.0 * b.draws)
-    c = kl.sample_W(scalar_env, 3.0 * x, None, 0, None, cache=cache)
-    np.testing.assert_allclose(c.draws, 3.0 * b.draws, rtol=1e-15, atol=0.0)
+    a = cache.apply(2.0 * x)
+    b = cache.apply(x)
+    assert np.array_equal(a, 2.0 * b)
+    c = cache.apply(3.0 * x)
+    np.testing.assert_allclose(c, 3.0 * b, rtol=1e-15, atol=0.0)
 
 
 def test_w_mean_stable_in_truncation(heavy_mean_env):
