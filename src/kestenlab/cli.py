@@ -117,6 +117,13 @@ def write_canonical_json(obj, path: Path) -> None:
         fh.write(canonical_json(obj) + "\n")
 
 
+def _write_csv(path: Path, rows: np.ndarray, header: str) -> None:
+    """The bytes of np.savetxt, written through a temporary file so that a
+    failed write leaves the previous file in place."""
+    with atomic_write(path) as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header)
+
+
 def env_hash(env_block: dict) -> str:
     return hashlib.sha256(canonical_json(env_block).encode()).hexdigest()[:16]
 
@@ -495,8 +502,7 @@ def stage_kappa(ctx: RunContext) -> dict:
     write_canonical_json(doc, _artifact_path(ctx, "kappa"))
     if ctx.wants_csv():
         hist = np.asarray(sol.rho_history, dtype=float)
-        np.savetxt(ctx.outdir / "rho_history.csv", hist, fmt="%.17g",
-                   delimiter=",", header="kappa,rho")
+        _write_csv(ctx.outdir / "rho_history.csv", hist, "kappa,rho")
     ctx.cache["solution"] = sol
     ctx.checks["kappa_rho_band"] = abs(sol.rho_at_kappa - 1.0) <= ctx.config.checks["rho_band"]
     ctx.checks["kappa_eigen_residuals"] = (
@@ -535,8 +541,7 @@ def stage_tail(ctx: RunContext) -> dict:
     write_canonical_json(doc, ctx.outdir / "tail_estimate.json")
     if ctx.wants_csv():
         curve = np.column_stack([estimate.thresholds, estimate.radial_scaled_freq])
-        np.savetxt(ctx.outdir / "tail_curves.csv", curve, fmt="%.17g",
-                   delimiter=",", header="threshold,scaled_freq")
+        _write_csv(ctx.outdir / "tail_curves.csv", curve, "threshold,scaled_freq")
     ctx.checks["tail_hill_matches_kappa"] = abs(estimate.hill.index - sol.kappa) <= 0.1
     return {"hill_index": estimate.hill.index,
             "hill_ci": [estimate.hill.ci_low, estimate.hill.ci_high],
@@ -597,12 +602,12 @@ def stage_limit(ctx: RunContext) -> dict:
         for i, s in enumerate(ecf.s_values):
             for j in range(dirs.shape[0]):
                 rows.append([s, j, ecf.values[i, j].real, ecf.values[i, j].imag])
-        np.savetxt(ctx.outdir / "ecf.csv", np.asarray(rows), fmt="%.17g",
-                   delimiter=",", header="s,direction_index,re,im")
+        _write_csv(ctx.outdir / "ecf.csv", np.asarray(rows), "s,direction_index,re,im")
     result = {"n": n, "replicas": block["replicas"],
               "sup_deviation": fit.sup_deviation,
               "error_budget": law.error_budget,
               "c_values": [[z.real, z.imag] for z in law.c_values],
+              "w_depth_quantiles": law.provenance["w_depth_quantiles"],
               "seed": ctx.stage_seed("limit", 1)}
     ctx.checks["limit_cf_deviation"] = (
         fit.sup_deviation <= ctx.config.checks["cf_deviation_max"] + law.error_budget)
@@ -652,18 +657,46 @@ STAGE_FUNCS = {
 # ---------------------------------------------------------------------------
 
 class _Lock:
+    """Exclusive claim on an output directory: a file holding the owner's PID.
+
+    A lock whose process is gone (a crashed run) is replaced, and named on
+    stderr; a lock held by a live process refuses the run.
+    """
+
     def __init__(self, outdir: Path):
         self.path = outdir / LOCK_NAME
 
-    def __enter__(self):
+    def _acquire(self) -> bool:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise StageCheckFailure(
-                f"output directory is locked by {self.path}; another run owns it "
-                "(delete the lock if that run crashed)")
+            return False
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
+        return True
+
+    def _dead_owner(self) -> int | None:
+        """The PID recorded in the lock if that process no longer runs."""
+        try:
+            pid = int(self.path.read_text())
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except (OSError, ValueError):   # gone, unreadable, not a PID, or not ours
+            return None
+        return None
+
+    def __enter__(self):
+        if not self._acquire():
+            pid = self._dead_owner()
+            if pid is not None:
+                print(f"replacing stale lock {self.path}: process {pid} is not running",
+                      file=sys.stderr)
+                self.path.unlink(missing_ok=True)
+            if pid is None or not self._acquire():
+                raise StageCheckFailure(
+                    f"output directory is locked by {self.path}; another run owns it "
+                    "(delete the lock if that run crashed)")
         return self
 
     def __exit__(self, *exc):

@@ -218,11 +218,16 @@ class MatrixMixture:
         if len(self.components) != len(self.weights) or not self.components:
             raise ConfigurationError("mixture: components and weights must match")
         object.__setattr__(self, "weights", _check_probs(self.weights, "mixture"))
+        if len({law.dim for law in self.components}) > 1:
+            raise ConfigurationError("mixture: components must share one dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.components[0].dim
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         idx = _choose(rng, range(len(self.components)), self.weights, count)
-        dim = _law_dim(self.components[0])
-        out = np.empty((count, dim, dim))
+        out = np.empty((count, self.dim, self.dim))
         for j, law in enumerate(self.components):
             take = idx == j
             n = int(take.sum())
@@ -237,16 +242,12 @@ class TransposedMatrixLaw:
 
     base: object
 
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.swapaxes(self.base.sample(rng, count), -1, -2)
-
-
-def _law_dim(law) -> int:
-    if hasattr(law, "dim"):
-        return int(law.dim)
-    if isinstance(law, TransposedMatrixLaw):
-        return _law_dim(law.base)
-    raise ConfigurationError(f"cannot infer dimension of {law!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,7 @@ class Environment:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError("dim must be >= 1")
-        if _law_dim(self.matrix_law) != self.dim:
+        if self.matrix_law.dim != self.dim:
             raise ConfigurationError("matrix law dimension does not match env dim")
         if self.vector_law.dim != self.dim:
             raise ConfigurationError("vector law dimension does not match env dim")

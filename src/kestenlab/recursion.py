@@ -143,92 +143,113 @@ def birkhoff_sums(env: Environment, cfg: PathConfig) -> SampleBatch:
                        info={"n_steps": cfg.n_steps, "start_x": list(cfg.start_x)})
 
 
-def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-series draws for one tile; returns (values, realized depths).
+def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator):
+    """The one random-product loop: count lanes of P_n = M_1 ... M_n, each
+    summing sum_n P_{n-1} Q_n, with draw(rng, lanes) -> (M, Q) of shapes
+    (lanes, d, d) and (lanes, d, c); c = 0 walks the products alone.
 
-    The per-lane state is packed component-major into one array whose
-    columns are the still-active series: rows R, the running product
-    (row-major), log_scale, exp(log_scale), the squared-norm threshold under
-    which a lane retires, and the lane index.  Products are d^2 or d^3
-    multiply-adds over contiguous rows, reading M and Q through views of
-    the law's draws.  Finished lanes are compacted out with one take per
-    step, so the cost per step tracks the number of still-active series.
+    A lane retires at cfg.truncation terms or, adaptively, once the
+    0.99-quantile bound |P_n| q99(|Q|) on its next term is under the
+    tolerance.  The state is packed component-major into one array whose
+    columns are the active lanes: rows sum and product (row-major),
+    log_scale, exp(log_scale), the squared-norm threshold under which a lane
+    retires, and the lane index.  P Q and P M take one broadcast
+    multiply-add per column of P over a (d, c or d, lanes) block, reading
+    the draws through views; retired lanes are compacted out with one take.
+    Returns per lane the sum (count, d, c), the final product P / e^log_scale
+    (count, d, d), log_scale and the depth.
     """
-    d = env.dim
-    dd = d * d
-    log_row, scale_row, thr_row, lane_row = dd + d, dd + d + 1, dd + d + 2, dd + d + 3
-    state = np.zeros((dd + d + 4, count))
-    state[d:d + dd:d + 1] = 1.0           # the product starts at the identity
+    m, q = draw(rng, count)
+    d, c = q.shape[1], q.shape[2]
+    dd, dc = d * d, d * c
+    log_row, scale_row, thr_row, lane_row = dd + dc, dd + dc + 1, dd + dc + 2, dd + dc + 3
+    state = np.zeros((dd + dc + 4, count))
+    state[dc:dc + dd:d + 1] = 1.0         # the product starts at the identity
     state[scale_row] = 1.0
     state[lane_row] = np.arange(count)
-    out = np.zeros((count, d))
+    out = np.empty_like(state)
     depths = np.zeros(count, dtype=np.int64)
-    nxt = np.empty((dd, count))
-    acc_buf, tmp_buf = np.empty(count), np.empty(count)
+    # c <= d; the sum is done with its buffers before the product needs them
+    nxt, tmp = np.empty((d, d, count)), np.empty((d, d, count))
     adaptive = cfg.tolerance is not None
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
-    log_q99 = None
+    q99 = float(np.quantile(np.linalg.norm(q.reshape(count, dc), axis=1), 0.99))
+    log_q99 = math.log(q99) if q99 > 0 else -math.inf
 
     def refresh_threshold(state):
-        # a lane retires once log_scale + log|prod| + log_q99 < log_tol,
-        # that is |prod|^2 < exp(2 (log_tol - log_q99 - log_scale))
-        with np.errstate(over="ignore"):
-            np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
+        # retire once log_scale + log|prod| + log_q99 < log_tol, that is
+        # |prod|^2 < exp(2 (log_tol - log_q99 - log_scale))
+        if adaptive:
+            with np.errstate(over="ignore"):
+                np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
 
+    refresh_threshold(state)
     n = 0
-    with np.errstate(under="ignore"):
-        while state.shape[1]:
+    # a sum that leaves the floating range is detected and raised below
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        while True:
             n += 1
-            if adaptive and n > cfg.max_terms:
-                raise NonContractionError(
-                    f"adaptive series exceeded {cfg.max_terms} terms; "
-                    "the products are not contracting")
+            # sum += exp(log_scale) * prod @ Q, then prod <- prod @ M
             lanes = state.shape[1]
-            m, q = sample_pairs(env, rng, lanes)
-            if log_q99 is None:
-                q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
-                log_q99 = math.log(q99) if q99 > 0 else -math.inf
-                if adaptive:
-                    refresh_threshold(state)
-            # R += exp(log_scale) * prod @ Q, then prod <- prod @ M
-            r, prod = state[:d], state[d:d + dd]
-            m_rows = m.reshape(lanes, dd).T
-            tmp = tmp_buf[:lanes]
-            for i in range(d):
-                row = prod[i * d:(i + 1) * d]
-                acc = np.multiply(row[0], q[:, 0], out=acc_buf[:lanes])
+            p3 = state[dc:dc + dd].reshape(d, d, lanes)
+            if c:
+                q3 = q.transpose(1, 2, 0)
+                acc = np.multiply(p3[:, :1], q3[:1], out=nxt[:, :c, :lanes])
                 for j in range(1, d):
-                    acc += np.multiply(row[j], q[:, j], out=tmp)
+                    acc += np.multiply(p3[:, j:j + 1], q3[j:j + 1], out=tmp[:, :c, :lanes])
                 acc *= state[scale_row]
-                r[i] += acc
-                for k in range(d):
-                    cell = np.multiply(row[0], m_rows[k], out=nxt[i * d + k, :lanes])
-                    for j in range(1, d):
-                        cell += np.multiply(row[j], m_rows[j * d + k], out=tmp)
-            prod[...] = nxt[:, :lanes]
+                s3 = state[:dc].reshape(d, c, lanes)
+                s3 += acc
+            m3 = m.transpose(1, 2, 0)
+            block = np.multiply(p3[:, :1], m3[:1], out=nxt[..., :lanes])
+            for j in range(1, d):
+                block += np.multiply(p3[:, j:j + 1], m3[j:j + 1], out=tmp[..., :lanes])
+            p3[...] = block
             retire = None
             if adaptive:
+                prod = state[dc:dc + dd]
                 retire = np.einsum("ij,ij->j", prod, prod) < state[thr_row]
             elif n >= cfg.truncation:
                 retire = np.ones(lanes, dtype=bool)
             if retire is not None and retire.any():
-                done = np.flatnonzero(retire)
-                lane = state[lane_row, done].astype(np.intp)
-                out[lane] = state[:d, done].T
+                finished = state[:, retire]
+                if not np.isfinite(finished[:dc]).all():
+                    raise NonContractionError(
+                        f"the series sum left the floating range at {n} terms; "
+                        "the products are not contracting")
+                lane = finished[lane_row].astype(np.intp)
+                out[:, lane] = finished
                 depths[lane] = n
                 state = state.take(np.flatnonzero(~retire), axis=1)
-            if n % _RENORM_EVERY == 0 and state.shape[1]:
+            if not state.shape[1]:
+                break
+            if n % _RENORM_EVERY == 0:
                 # pull the product norm into a log accumulator so strongly
                 # contractive chains do not underflow the matrix entries
-                prod = state[d:d + dd]
+                prod = state[dc:dc + dd]
                 safe = np.maximum(np.sqrt(np.einsum("ij,ij->j", prod, prod)), 1e-290)
                 prod /= safe
                 state[log_row] += np.log(safe)
                 np.exp(state[log_row], out=state[scale_row])
-                if adaptive:
-                    refresh_threshold(state)
-    return out, depths
+                refresh_threshold(state)
+            if adaptive and n >= cfg.max_terms:
+                raise NonContractionError(
+                    f"adaptive series exceeded {cfg.max_terms} terms; "
+                    "the products are not contracting")
+            m, q = draw(rng, state.shape[1])
+    return (out[:dc].T.reshape(count, d, c), out[dc:dc + dd].T.reshape(count, d, d),
+            out[log_row], depths)
+
+
+def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Backward-series draws for one tile; returns (values, realized depths)."""
+    def draw(rng, lanes):
+        m, q = sample_pairs(env, rng, lanes)
+        return m, q[:, :, None]
+
+    sums, _, _, depths = _walk_products(draw, count, cfg, rng)
+    return sums[:, :, 0], depths
 
 
 def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
@@ -241,20 +262,21 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    chunks = [(i, min(_STATIONARY_CHUNK, count - start))
-              for i, start in enumerate(range(0, count, _STATIONARY_CHUNK))]
+    data = np.empty((count, env.dim))
+    depths = np.empty(count, dtype=np.int64)
 
-    def run_chunk(args):
-        chunk_idx, size = args
-        return _stationary_chunk(env, size, cfg, substream(cfg.seed, chunk_idx))
+    def run_chunk(chunk_idx):
+        start = chunk_idx * _STATIONARY_CHUNK
+        part = slice(start, min(start + _STATIONARY_CHUNK, count))
+        data[part], depths[part] = _stationary_chunk(
+            env, part.stop - start, cfg, substream(cfg.seed, chunk_idx))
 
+    chunks = range(-(-count // _STATIONARY_CHUNK))
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
+            list(pool.map(run_chunk, chunks))
     else:
-        results = [run_chunk(c) for c in chunks]
-    data = np.concatenate([r for r, _ in results], axis=0)
-    depths = np.concatenate([d for _, d in results])
+        list(map(run_chunk, chunks))
     info = {
         "truncation": int(depths.max()),
         "mean_depth": float(depths.mean()),
@@ -274,27 +296,20 @@ def quantiles(x: np.ndarray) -> dict:
 def lyapunov(env: Environment, n_steps: int, replicas: int, rng) -> LyapunovEstimate:
     """Averaged per-replica n^{-1} log ||M_1 ... M_n|| with renormalized products.
 
-    The running product is rescaled by its Frobenius norm every few steps
-    (the factor is restored through a log accumulator, so the estimate is
-    exact up to float rounding); the final operator norm then gives
+    The products are walked with no increment for exactly n_steps terms;
+    the walker rescales them by their Frobenius norm every few steps (the
+    factor is restored through a log accumulator, so the estimate is exact
+    up to float rounding), and the final operator norm then gives
     log ||product|| = accumulator + log ||renormalized product||.
     """
     if n_steps < 100:
         raise ConfigurationError("lyapunov: need n_steps >= 100")
     if replicas < 1:
         raise ConfigurationError("lyapunov: need replicas >= 1")
-    rng = as_generator(rng)
-    d = env.dim
-    prod = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
-    log_scale = np.zeros(replicas)
-    for k in range(1, n_steps + 1):
-        m = env.matrix_law.sample(rng, replicas)
-        prod = np.matmul(prod, m)
-        if k % _RENORM_EVERY == 0:
-            norms = np.linalg.norm(prod, axis=(1, 2))
-            safe = np.maximum(norms, 1e-290)
-            prod /= safe[:, None, None]
-            log_scale += np.log(safe)
+    no_increment = np.empty((replicas, env.dim, 0))   # every lane runs all steps
+    _, prod, log_scale, _ = _walk_products(
+        lambda rng, lanes: (env.matrix_law.sample(rng, lanes), no_increment),
+        replicas, SeriesConfig(truncation=n_steps), as_generator(rng))
     op = np.linalg.norm(prod, ord=2, axis=(1, 2))
     per_replica = (log_scale + np.log(op)) / n_steps
     beta = float(np.mean(per_replica))

@@ -9,14 +9,14 @@ come from one cache of random matrix-series draws A with W(x) = A x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, stats
 
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment
-from .recursion import NonContractionError, SeriesConfig
+from .recursion import SeriesConfig, _walk_products, quantiles
 from .rng import as_generator
 from .tails import SpectralMeasure
 
@@ -60,6 +60,7 @@ class WMatrixCache:
     matrices: np.ndarray          # (count, d, d)
     max_depth: int
     mean_depth: float
+    depth_quantiles: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -76,35 +77,17 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
                       rng) -> WMatrixCache:
     """Monte-Carlo draws of the summed left-product series.
 
-    New matrices multiply on the left: the running product is updated as
-    P <- M P and accumulated.  The adaptive rule stops a draw once the
-    Frobenius norm of P falls under the tolerance, which bounds the missing
-    tail per unit |x|.
+    With N_k = M_k^T and P_k = N_1 ... N_k, A^T = sum_{k>=1} P_{k-1} N_k is
+    the product walker with M and Q both set to N; its adaptive rule bounds
+    the next term, and so the missing tail per unit |x|, by the tolerance.
     """
-    rng = as_generator(rng)
-    d = env.dim
-    prod = np.broadcast_to(np.eye(d), (count, d, d)).copy()
-    acc = np.zeros((count, d, d))
-    active = np.arange(count)
-    depths = np.zeros(count, dtype=np.int64)
-    adaptive = cfg.tolerance is not None
-    n = 0
-    while active.size:
-        n += 1
-        if adaptive and n > cfg.max_terms:
-            raise NonContractionError(
-                f"matrix series exceeded {cfg.max_terms} terms without contracting")
-        m = env.matrix_law.sample(rng, active.size)
-        prod[active] = np.matmul(m, prod[active])
-        acc[active] += prod[active]
-        depths[active] = n
-        if adaptive:
-            norms = np.linalg.norm(prod[active], axis=(1, 2))
-            active = active[norms > cfg.tolerance]
-        elif n >= cfg.truncation:
-            active = active[:0]
-    return WMatrixCache(matrices=acc, max_depth=int(depths.max()),
-                        mean_depth=float(depths.mean()))
+    def draw(rng, lanes):
+        n = np.swapaxes(env.matrix_law.sample(rng, lanes), 1, 2)
+        return n, n
+
+    sums, _, _, depths = _walk_products(draw, count, cfg, as_generator(rng))
+    return WMatrixCache(matrices=np.swapaxes(sums, 1, 2).copy(), max_depth=int(depths.max()),
+                        mean_depth=float(depths.mean()), depth_quantiles=quantiles(depths))
 
 
 def h_v(v, x, env: Environment, mc: int, rng,
@@ -467,6 +450,7 @@ def compute_stable_law(env: Environment, kappa: float, sigma: SpectralMeasure,
     return StableLaw(kappa=kappa, directions=directions, c_values=c_vals,
                      centering_kind=kind, m_kappa=m_kappa, error_budget=budget,
                      provenance={"w_draws": mc, "w_depth": cache.max_depth,
+                                 "w_depth_quantiles": cache.depth_quantiles,
                                  "sigma_threshold": sigma.threshold_used})
 
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -73,6 +77,27 @@ def test_failed_json_write_keeps_previous_file(tmp_path):
         cli.write_canonical_json({"a": 2, "b": object()}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ecf.csv"
+    rows = np.array([[0.1, 0.0, 1.0, -0.0], [2.0, 1.0, 1e-300, 3.5]])
+    cli._write_csv(path, rows, "s,direction_index,re,im")
+    before = path.read_bytes()
+    np.savetxt(tmp_path / "plain.csv", rows, fmt="%.17g", delimiter=",",
+               header="s,direction_index,re,im")
+    assert before == (tmp_path / "plain.csv").read_bytes()
+    (tmp_path / "plain.csv").unlink()
+
+    def partial_then_fail(fh, *args, **kwargs):
+        fh.write("0.5,0,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.np, "savetxt", partial_then_fail)
+    with pytest.raises(OSError):
+        cli._write_csv(path, 2 * rows, "s,direction_index,re,im")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ecf.csv"]
 
 
 def test_env_hash_ignores_key_order():
@@ -151,6 +176,9 @@ def test_full_pipeline_green(tmp_path):
                  "stationary_samples.csv", "ecf.csv", "report.json"):
         assert (outdir / name).exists()
     assert abs(report["stages"]["kappa"]["kappa"] - 1.0) <= 0.1
+    w_depths = report["stages"]["limit"]["w_depth_quantiles"]
+    assert list(w_depths) == ["0.5", "0.9", "0.99"]
+    assert 1 <= w_depths["0.5"] <= w_depths["0.9"] <= w_depths["0.99"]
 
 
 def test_kappa_subcommand(tmp_path, capsys):
@@ -229,10 +257,39 @@ def test_simulate_fragment_reports_quantiles_not_mean(tmp_path):
 def test_lock_refuses_concurrent_runs(tmp_path, capsys):
     path, outdir = write_config(tmp_path, pipeline=["lyapunov"])
     outdir.mkdir(parents=True)
-    (outdir / cli.LOCK_NAME).write_text("123")
+    # the lock names a live process: this one
+    (outdir / cli.LOCK_NAME).write_text(str(os.getpid()))
     rc = cli.main(["run", "--config", str(path)])
     assert rc == 1
     assert "lock" in capsys.readouterr().err
+    assert (outdir / cli.LOCK_NAME).read_text() == str(os.getpid())
+
+
+def test_lock_of_dead_process_is_replaced(tmp_path, capsys):
+    path, outdir = write_config(tmp_path, pipeline=["lyapunov"])
+    outdir.mkdir(parents=True)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = outdir / cli.LOCK_NAME
+    lock.write_text(str(child.pid))
+    rc = cli.main(["run", "--config", str(path)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert f"stale lock {lock}" in err and str(child.pid) in err
+    assert not lock.exists()
+    assert (outdir / "stage_lyapunov.json").exists()
+
+
+def test_mixture_law_lyapunov(tmp_path):
+    # half the draws are 2 or 1/2 (probabilities 1/3, 2/3), half are 1/2:
+    # beta = E log|M| = (1/2)(-(1/3) log 2) + (1/2)(-log 2) = -(2/3) log 2
+    path, outdir = write_config(tmp_path, pipeline=["lyapunov"], **{"env.matrix_law": {
+        "family": "mixture",
+        "components": [{"family": "scalar_two_point"}, {"family": "constant", "scale": 0.5}],
+        "weights": [0.5, 0.5]}})
+    assert cli.main(["lyapunov", "--config", str(path)]) == 0
+    frag = json.loads((outdir / "stage_lyapunov.json").read_text())["result"]
+    assert abs(frag["beta"] + (2.0 / 3.0) * math.log(2.0)) <= 3 * frag["std_error"]
 
 
 def test_report_subcommand_aggregates(tmp_path, capsys):

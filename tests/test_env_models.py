@@ -79,6 +79,21 @@ def test_mixture_uses_all_components():
     assert set(np.unique(m)) == {0.25, 2.0}
 
 
+def test_mixture_and_transposed_law_carry_dim():
+    law = kl.MatrixMixture(components=(kl.Similarity(2, (2.0,), (1.0,)),
+                                       kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5)))),
+                           weights=(0.5, 0.5))
+    env = kl.Environment(dim=2, matrix_law=law, vector_law=kl.ConstantVector((1.0, 0.0)))
+    assert law.dim == 2
+    assert env.transposed().matrix_law.dim == 2
+
+
+def test_mixture_rejects_components_of_different_dim():
+    with pytest.raises(ConfigurationError, match="dimension"):
+        kl.MatrixMixture(components=(kl.ScalarTwoPoint(), kl.Similarity(2, (2.0,), (1.0,))),
+                         weights=(0.5, 0.5))
+
+
 def test_transposed_law():
     base = kl.ConstantMatrix(((1.0, 2.0), (3.0, 4.0)))
     env = kl.Environment(dim=2, matrix_law=base, vector_law=kl.ConstantVector((0.0, 0.0)))

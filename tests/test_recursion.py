@@ -11,7 +11,7 @@ from kestenlab.env_models import ConfigurationError
 from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
                                  _stationary_chunk, forward_burn_in)
-from kestenlab.rng import substream
+from kestenlab.rng import as_generator, substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
 
@@ -179,6 +179,96 @@ def test_tile_matches_per_lane_series(scalar_env, env_name, cfg):
     np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=0.0)
 
 
+def reference_tile(env, count, cfg, rng):
+    """The backward-series tile as written before the product walker was
+    shared: d scalar rows per product row, R and Q in (lanes, d) layout."""
+    d = env.dim
+    dd = d * d
+    log_row, scale_row, thr_row, lane_row = dd + d, dd + d + 1, dd + d + 2, dd + d + 3
+    state = np.zeros((dd + d + 4, count))
+    state[d:d + dd:d + 1] = 1.0
+    state[scale_row] = 1.0
+    state[lane_row] = np.arange(count)
+    out = np.zeros((count, d))
+    depths = np.zeros(count, dtype=np.int64)
+    nxt = np.empty((dd, count))
+    acc_buf, tmp_buf = np.empty(count), np.empty(count)
+    adaptive = cfg.tolerance is not None
+    log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
+    log_q99 = None
+
+    def refresh_threshold(state):
+        with np.errstate(over="ignore"):
+            np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
+
+    n = 0
+    with np.errstate(under="ignore"):
+        while state.shape[1]:
+            n += 1
+            lanes = state.shape[1]
+            m, q = sample_pairs(env, rng, lanes)
+            if log_q99 is None:
+                q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
+                log_q99 = math.log(q99) if q99 > 0 else -math.inf
+                if adaptive:
+                    refresh_threshold(state)
+            r, prod = state[:d], state[d:d + dd]
+            m_rows = m.reshape(lanes, dd).T
+            tmp = tmp_buf[:lanes]
+            for i in range(d):
+                row = prod[i * d:(i + 1) * d]
+                acc = np.multiply(row[0], q[:, 0], out=acc_buf[:lanes])
+                for j in range(1, d):
+                    acc += np.multiply(row[j], q[:, j], out=tmp)
+                acc *= state[scale_row]
+                r[i] += acc
+                for k in range(d):
+                    cell = np.multiply(row[0], m_rows[k], out=nxt[i * d + k, :lanes])
+                    for j in range(1, d):
+                        cell += np.multiply(row[j], m_rows[j * d + k], out=tmp)
+            prod[...] = nxt[:, :lanes]
+            retire = None
+            if adaptive:
+                retire = np.einsum("ij,ij->j", prod, prod) < state[thr_row]
+            elif n >= cfg.truncation:
+                retire = np.ones(lanes, dtype=bool)
+            if retire is not None and retire.any():
+                done = np.flatnonzero(retire)
+                lane = state[lane_row, done].astype(np.intp)
+                out[lane] = state[:d, done].T
+                depths[lane] = n
+                state = state.take(np.flatnonzero(~retire), axis=1)
+            if n % 50 == 0 and state.shape[1]:
+                prod = state[d:d + dd]
+                safe = np.maximum(np.sqrt(np.einsum("ij,ij->j", prod, prod)), 1e-290)
+                prod /= safe
+                state[log_row] += np.log(safe)
+                np.exp(state[log_row], out=state[scale_row])
+                if adaptive:
+                    refresh_threshold(state)
+    return out, depths
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9, seed=27),
+                                 kl.SeriesConfig(truncation=120, seed=27)],
+                         ids=["adaptive", "fixed"])
+def test_stationary_bit_identical_to_reference_tile(scalar_env, dim, cfg):
+    # 2000 draws fill one tile, drawn from substream(seed, 0)
+    env = scalar_env if dim == 1 else similarity_env(dim)
+    ref_values, ref_depths = reference_tile(env, 2000, cfg, substream(27, 0))
+    batch = kl.sample_stationary(env, cfg, 2000)
+    assert np.array_equal(batch.data, ref_values)
+    assert batch.info["truncation"] == ref_depths.max()
+    assert batch.info["mean_depth"] == ref_depths.mean()
+
+
+def test_fixed_truncation_expanding_law_raises():
+    env = constant_env(((2.0, 0.0), (0.0, 2.0)), (1.0, 0.0))
+    with pytest.raises(NonContractionError, match="floating range"):
+        kl.sample_stationary(env, kl.SeriesConfig(truncation=1100, seed=28), 4)
+
+
 def test_series_retires_every_lane_at_once_without_q():
     env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (0.5, 0.5)),
                          vector_law=kl.ConstantVector((0.0, 0.0)))
@@ -225,6 +315,33 @@ def test_lyapunov_flags_expansion():
     est = kl.lyapunov(env, 200, 2, substream(15))
     assert est.beta == pytest.approx(math.log(2.0), abs=1e-9)
     assert not est.contractive
+
+
+def reference_lyapunov(env, n_steps, replicas, rng):
+    """Per-replica log-norm growth with one matmul per step, renormalized
+    every 50 steps: the loop the product walker replaced."""
+    rng = as_generator(rng)
+    d = env.dim
+    prod = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
+    log_scale = np.zeros(replicas)
+    for k in range(1, n_steps + 1):
+        prod = np.matmul(prod, env.matrix_law.sample(rng, replicas))
+        if k % 50 == 0:
+            safe = np.maximum(np.linalg.norm(prod, axis=(1, 2)), 1e-290)
+            prod /= safe[:, None, None]
+            log_scale += np.log(safe)
+    per_replica = (log_scale + np.log(np.linalg.norm(prod, ord=2, axis=(1, 2)))) / n_steps
+    return float(np.mean(per_replica)), float(np.std(per_replica) / math.sqrt(replicas))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lyapunov_matches_reference_loop(scalar_env, dim):
+    env = scalar_env if dim == 1 else kl.Environment(
+        dim=dim, matrix_law=kl.GaussianMatrix(dim, scale=0.6), vector_law=kl.GaussianVector(dim))
+    est = kl.lyapunov(env, 1030, 20, substream(29, dim))
+    beta, se = reference_lyapunov(env, 1030, 20, substream(29, dim))
+    assert est.beta == pytest.approx(beta, rel=1e-12, abs=0.0)
+    assert est.std_error == pytest.approx(se, rel=1e-9, abs=0.0)
 
 
 def test_lyapunov_consistent_when_doubling(scalar_env):

@@ -12,7 +12,8 @@ import kestenlab as kl
 from kestenlab.batches import SampleBatch
 from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
-from kestenlab.rng import substream
+from kestenlab.recursion import NonContractionError
+from kestenlab.rng import as_generator, substream
 from kestenlab.stable_limit import (CenteringResult, RadialQuadrature,
                                     StableLaw, classify_regime,
                                     effective_kappa, normalized_sums,
@@ -89,6 +90,54 @@ def test_w_transposed_series():
     expected = np.linalg.solve(np.eye(2) - m, m)      # sum of m^k, k >= 1
     v = np.array([1.0, 2.0])
     assert np.allclose(cache.apply_transposed(v), (expected.T @ v)[None, :], atol=1e-12)
+
+
+def reference_w_matrices(env, truncation, count, rng):
+    """sum_{k <= truncation} M_k ... M_1 with one left matmul per step: the
+    loop the product walker replaced (fixed-truncation mode)."""
+    rng = as_generator(rng)
+    prod = np.broadcast_to(np.eye(env.dim), (count, env.dim, env.dim)).copy()
+    acc = np.zeros_like(prod)
+    for _ in range(truncation):
+        prod = np.matmul(env.matrix_law.sample(rng, count), prod)
+        acc += prod
+    return acc
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_w_fixed_truncation_matches_reference_loop(scalar_env, dim):
+    env = scalar_env if dim == 1 else kl.Environment(
+        dim=dim, matrix_law=kl.Similarity(dim, (2.0, 0.5), (1 / 3, 2 / 3)),
+        vector_law=kl.GaussianVector(dim))
+    cache = sample_w_matrices(env, kl.SeriesConfig(truncation=130), 500, substream(76, dim))
+    ref = reference_w_matrices(env, 130, 500, substream(76, dim))
+    scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(cache.matrices - ref) / scale) <= 1e-12
+
+
+def test_w_adaptive_stop_bounds_next_term():
+    # M = I/2: |P_n| = sqrt(2) 2^-n and the 0.99-quantile of |M| is sqrt(2)/2,
+    # so the bound on the next term, 2^-n, is first under 1e-6 at n = 20
+    env = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5))),
+                         vector_law=kl.ConstantVector((0.0, 0.0)))
+    cache = sample_w_matrices(env, kl.SeriesConfig(tolerance=1e-6), 3, substream(77))
+    assert cache.max_depth == 20
+    assert np.array_equal(cache.matrices, np.broadcast_to((1.0 - 2.0 ** -20) * np.eye(2),
+                                                          (3, 2, 2)))
+
+
+def test_w_depth_quantiles_recorded(scalar_env):
+    cache = sample_w_matrices(scalar_env, kl.SeriesConfig(tolerance=1e-6), 4000, substream(78))
+    q = cache.depth_quantiles
+    assert list(q) == ["0.5", "0.9", "0.99"]
+    assert 1 <= q["0.5"] <= q["0.9"] <= q["0.99"] <= cache.max_depth
+
+
+def test_w_fixed_truncation_expanding_law_raises():
+    env = kl.Environment(dim=1, matrix_law=kl.ConstantMatrix(((2.0,),)),
+                         vector_law=kl.ConstantVector((0.0,)))
+    with pytest.raises(NonContractionError):
+        sample_w_matrices(env, kl.SeriesConfig(truncation=1100), 3, substream(79))
 
 
 # ---------------------------------------------------------------------------
