@@ -20,10 +20,8 @@ from .env_models import (
     Similarity,
     TwoPointVector,
     check_assumptions,
-    sample_pair,
     sample_pairs,
     sample_q,
-    sample_q_paired,
 )
 from .recursion import (
     LyapunovEstimate,
@@ -51,7 +49,6 @@ from .stable_limit import (
     compute_stable_law,
     cos_tail_constant,
     empirical_cf,
-    h_v,
     nondegeneracy,
     stable_fit_check,
     transposed_positivity_check,

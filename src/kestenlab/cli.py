@@ -133,8 +133,9 @@ def env_hash(env_block: dict) -> str:
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
-    "grid": {"resolution": 32, "bandwidth": None},
+    "grid": {"resolution": 32},
     "mc": {
+        "seed": None,
         "assumptions_n": 20_000,
         "lyapunov": {"n_steps": 10_000, "replicas": 100},
         "stationary": {"count": 200_000, "tolerance": 1e-9, "truncation": None},
@@ -145,8 +146,7 @@ _DEFAULTS = {
         "sigma": {"threshold_quantile": 0.99, "invariance_mc": 10_000},
         "limit": {"log2_n": 12, "replicas": 4_000, "w_draws": 2_000,
                   "s_values": [0.1, 0.25, 0.5, 1.0, 1.5, 2.0],
-                  "n_directions": 4, "s_max": 50.0,
-                  "self_similarity": False},
+                  "n_directions": 4, "self_similarity": False},
     },
     "checks": {
         "rho_band": 0.01,
@@ -176,13 +176,20 @@ def _expect_number(value, path: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _merge_defaults(block: dict | None, defaults: dict) -> dict:
+def _merge_defaults(block, defaults: dict, path: str) -> dict:
+    """The defaults overlaid with a config block; a key the defaults do not
+    know is refused with its path, so a misspelled key cannot silently
+    leave its default in place."""
+    if block is None:
+        block = {}
+    if not isinstance(block, dict):
+        _fail(path, f"expected a mapping, got {block!r}")
     out = dict(defaults)
-    for k, v in (block or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge_defaults(v, out[k])
-        else:
-            out[k] = v
+    for k, v in block.items():
+        if k not in defaults:
+            _fail(f"{path}.{k}", f"unknown key; valid: {', '.join(defaults)}")
+        out[k] = _merge_defaults(v, defaults[k], f"{path}.{k}") \
+            if isinstance(defaults[k], dict) else v
     return out
 
 
@@ -250,6 +257,9 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise CliConfigError("config: expected a mapping at the top level")
+    for key in raw:
+        if key not in ("env", "pipeline", *_DEFAULTS):
+            _fail(str(key), f"unknown key; valid: env, pipeline, {', '.join(_DEFAULTS)}")
     if "env" not in raw or not isinstance(raw["env"], dict):
         _fail("env", "missing environment block")
     env_block = raw["env"]
@@ -266,10 +276,10 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     except ConfigurationError as exc:
         raise CliConfigError(f"env: {exc}") from exc
 
-    grid = _merge_defaults(raw.get("grid"), _DEFAULTS["grid"])
+    grid = _merge_defaults(raw.get("grid"), _DEFAULTS["grid"], "grid")
     _expect_positive_int(grid["resolution"], "grid.resolution", minimum=2)
 
-    mc = _merge_defaults(raw.get("mc"), _DEFAULTS["mc"])
+    mc = _merge_defaults(raw.get("mc"), _DEFAULTS["mc"], "mc")
     _expect_positive_int(mc["assumptions_n"], "mc.assumptions_n", minimum=1000)
     _expect_positive_int(mc["lyapunov"]["n_steps"], "mc.lyapunov.n_steps", minimum=100)
     _expect_positive_int(mc["lyapunov"]["replicas"], "mc.lyapunov.replicas")
@@ -296,16 +306,16 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
                       f"stage {stage!r} needs {dep!r} earlier in the pipeline")
         seen.add(stage)
 
-    output = _merge_defaults(raw.get("output"), _DEFAULTS["output"])
+    output = _merge_defaults(raw.get("output"), _DEFAULTS["output"], "output")
     if out_override:
         output["directory"] = out_override
     for i, fmt in enumerate(output["formats"]):
         if fmt not in ("json", "csv"):
             _fail(f"output.formats[{i}]", f"unknown format {fmt!r}")
 
-    checks = _merge_defaults(raw.get("checks"), _DEFAULTS["checks"])
+    checks = _merge_defaults(raw.get("checks"), _DEFAULTS["checks"], "checks")
 
-    seed = seed_override if seed_override is not None else raw.get("mc", {}).get("seed")
+    seed = seed_override if seed_override is not None else mc["seed"]
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big") >> 1
     if not isinstance(seed, int) or seed < 0:
@@ -372,12 +382,7 @@ class RunContext:
 
     def grid(self) -> spectral.SphereGrid:
         if "grid" not in self.cache:
-            g = build_grid(self.env.dim, self.config.grid["resolution"])
-            bw = self.config.grid.get("bandwidth")
-            if bw is not None:
-                g = spectral.SphereGrid(points=g.points, weights=g.weights,
-                                        kernel_bandwidth=float(bw))
-            self.cache["grid"] = g
+            self.cache["grid"] = build_grid(self.env.dim, self.config.grid["resolution"])
         return self.cache["grid"]
 
 

@@ -7,7 +7,7 @@ symmetry of Q, a candidate exponent for the moment conditions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -236,20 +236,6 @@ class MatrixMixture:
         return out
 
 
-@dataclass(frozen=True)
-class TransposedMatrixLaw:
-    """Law of M^T for any base matrix law."""
-
-    base: object
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.swapaxes(self.base.sample(rng, count), -1, -2)
-
-
 # ---------------------------------------------------------------------------
 # vector laws
 # ---------------------------------------------------------------------------
@@ -341,10 +327,6 @@ class Environment:
                 "built-in families sample M and Q independently; "
                 "independent_mq=False would misdescribe the law")
 
-    def transposed(self) -> "Environment":
-        """Environment driving the transposed recursion (M^T, Q)."""
-        return replace(self, matrix_law=TransposedMatrixLaw(self.matrix_law))
-
 
 def sample_q(env: Environment, rng, count: int) -> np.ndarray:
     """Draws of Q; with q_symmetric each raw draw gets an independent sign."""
@@ -356,29 +338,12 @@ def sample_q(env: Environment, rng, count: int) -> np.ndarray:
     return q
 
 
-def sample_q_paired(env: Environment, rng, pairs: int) -> np.ndarray:
-    """Each raw draw emitted with both signs; the sum over a batch is exactly 0."""
-    if not env.q_symmetric:
-        raise ConfigurationError("paired symmetrization requires q_symmetric=True")
-    raw = env.vector_law.sample(as_generator(rng), pairs)
-    out = np.empty((2 * pairs, env.dim))
-    out[0::2] = raw
-    out[1::2] = -raw
-    return out
-
-
 def sample_pairs(env: Environment, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of (M, Q) draws; M first, then Q, then symmetrization signs."""
     rng = as_generator(rng)
     m = env.matrix_law.sample(rng, count)
     q = sample_q(env, rng, count)
     return m, q
-
-
-def sample_pair(env: Environment, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of (M, Q)."""
-    m, q = sample_pairs(env, rng, 1)
-    return m[0], q[0]
 
 
 # ---------------------------------------------------------------------------

@@ -315,11 +315,3 @@ def lyapunov(env: Environment, n_steps: int, replicas: int, rng) -> LyapunovEsti
     beta = float(np.mean(per_replica))
     se = float(np.std(per_replica) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return LyapunovEstimate(beta=beta, std_error=se)
-
-
-def forward_burn_in(beta: float) -> int:
-    """Default number of forward steps to discard before treating the chain
-    as a stationary proxy: ten contraction times."""
-    if beta >= 0:
-        raise ConfigurationError("burn-in heuristic needs a negative Lyapunov exponent")
-    return 10 * math.ceil(1.0 / abs(beta))

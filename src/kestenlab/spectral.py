@@ -9,6 +9,7 @@ for rho(kappa) = 1 is stable.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,11 +43,15 @@ class SingularDrawError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
-    """Finite set of unit directions with quadrature weights summing to 1."""
+    """Finite set of unit directions with quadrature weights summing to 1.
+
+    Each point labels one cell of a partition of the sphere: the sign at
+    d = 1, an arc at d = 2, an equal-area zonal cell at d = 3 and the
+    nearest-point (Voronoi) cell above that.
+    """
 
     points: np.ndarray
     weights: np.ndarray
-    kernel_bandwidth: float | None = None
 
     @property
     def n(self) -> int:
@@ -57,7 +62,7 @@ class SphereGrid:
         return self.points.shape[1]
 
     def cell_index(self, dirs: np.ndarray) -> np.ndarray:
-        """Nearest grid point per direction (Voronoi cell label)."""
+        """Label of the cell holding each direction."""
         dirs = np.atleast_2d(dirs)
         if self.dim == 1:
             return (dirs[:, 0] > 0).astype(np.int64) if self._one_d_positive_last() \
@@ -66,6 +71,14 @@ class SphereGrid:
             step = 2.0 * np.pi / self.n
             ang = np.arctan2(dirs[:, 1], dirs[:, 0])
             return np.rint(ang / step).astype(np.int64) % self.n
+        if self.dim == 3:
+            upper, sectors, first = equal_area_zones(self.n)
+            zone = np.searchsorted(upper[:-1], dirs[:, 2], side="right")
+            m = sectors[zone]
+            lon = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
+            # the mod can return 2 pi itself for tiny negative angles
+            sector = np.minimum((lon * m / (2.0 * np.pi)).astype(np.int64), m - 1)
+            return first[zone] + sector
         # chunk the dot products so huge direction sets stay in memory
         out = np.empty(dirs.shape[0], dtype=np.int64)
         for lo in range(0, dirs.shape[0], 65536):
@@ -78,38 +91,29 @@ class SphereGrid:
             "dim": self.dim,
             "points": self.points.tolist(),
             "weights": self.weights.tolist(),
-            "kernel_bandwidth": self.kernel_bandwidth,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SphereGrid":
-        return cls(points=np.asarray(doc["points"], dtype=float),
-                   weights=np.asarray(doc["weights"], dtype=float),
-                   kernel_bandwidth=doc.get("kernel_bandwidth"))
+        grid = cls(points=np.asarray(doc["points"], dtype=float),
+                   weights=np.asarray(doc["weights"], dtype=float))
+        # up to d = 3 the cells are fixed by (d, n), not by the points, so a
+        # grid from another layout (the d = 3 spiral of older versions)
+        # would read its values in the wrong cells
+        if grid.dim <= 3 and not np.array_equal(grid.points,
+                                                build_grid(grid.dim, grid.n).points):
+            raise ConfigurationError(
+                f"the stored d = {grid.dim} grid of {grid.n} points is not the "
+                "layout this version builds; rerun the stage that wrote it")
+        return grid
 
     def _one_d_positive_last(self) -> bool:
         return bool(self.points[1, 0] > 0)
 
-    def smoothing_weights(self, dirs: np.ndarray) -> np.ndarray:
-        """Row-stochastic kernel weights of each direction over grid points."""
-        h = self.kernel_bandwidth
-        if h is None or h <= 0:
-            raise ConfigurationError("smoothing weights need a positive bandwidth")
-        dots = np.atleast_2d(dirs) @ self.points.T
-        # chordal distance^2 = 2 - 2 dot; the common factor cancels on rows
-        w = np.exp((dots - 1.0) / (h * h))
-        return w / w.sum(axis=1, keepdims=True)
-
     def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Evaluate a grid function at arbitrary directions.
-
-        Nearest point for dimension 1 and 2; kernel smoothing above that,
-        consistent with the continuity of the eigen-objects.
-        """
-        values = np.asarray(values, dtype=float)
-        if self.dim <= 2:
-            return values[self.cell_index(dirs)]
-        return self.smoothing_weights(dirs) @ values
+        """Evaluate a grid function at arbitrary directions: the value of
+        the cell holding each direction."""
+        return np.asarray(values, dtype=float)[self.cell_index(dirs)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +135,43 @@ class GridMeasure:
         return float(np.sum(self.masses))
 
 
+@functools.lru_cache(maxsize=None)
+def equal_area_zones(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leopardi's partition of the 2-sphere into n cells of equal area
+    (Leopardi 2006, *A partition of the unit sphere into regions of equal
+    area and small diameter*).
+
+    Zones run from the south pole to the north pole: a polar cap at each
+    end and collars between them, each collar cut into equal longitude
+    sectors.  Returns the upper z of each zone, its number of sectors and
+    the label of its first cell.  n = 2 is two hemispheres.
+    """
+    if n == 2:
+        sectors = [1, 1]
+    else:
+        cap = 2.0 * math.asin(1.0 / math.sqrt(n))
+        n_collars = max(1, round((math.pi - 2.0 * cap) / math.sqrt(4.0 * math.pi / n)))
+        step = (math.pi - 2.0 * cap) / n_collars
+        sectors, carry = [1], 0.0
+        for k in range(n_collars):
+            # collar area over the cell area 4 pi / n
+            ideal = 0.5 * n * (math.cos(cap + k * step) - math.cos(cap + (k + 1) * step))
+            count = round(ideal + carry)
+            carry += ideal - count
+            sectors.append(count)
+        sectors.append(1)
+    sectors = np.array(sectors, dtype=np.int64)
+    total = np.cumsum(sectors)
+    zones = (-1.0 + 2.0 * total / n, sectors, total - sectors)
+    for a in zones:
+        a.setflags(write=False)      # the cache hands them to every caller
+    return zones
+
+
 def build_grid(d: int, resolution: int) -> SphereGrid:
-    """Direction grid: signs for d=1, uniform angles for d=2, spiral points
-    for d=3, and a low-discrepancy Gaussian map above that."""
+    """Direction grid: signs for d=1, uniform angles for d=2, the centres
+    of equal-area cells for d=3, and a low-discrepancy Gaussian map above
+    that."""
     if d < 1:
         raise ConfigurationError("dimension must be >= 1")
     if resolution < 2:
@@ -141,18 +179,19 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     if d == 1:
         points = np.array([[-1.0], [1.0]])
         weights = np.array([0.5, 0.5])
-        return SphereGrid(points=points, weights=weights, kernel_bandwidth=None)
+        return SphereGrid(points=points, weights=weights)
     if d == 2:
         ang = 2.0 * np.pi * np.arange(resolution) / resolution
         points = np.column_stack([np.cos(ang), np.sin(ang)])
-        weights = np.full(resolution, 1.0 / resolution)
-        return SphereGrid(points=points, weights=weights, kernel_bandwidth=None)
-    if d == 3:
-        i = np.arange(resolution)
-        z = 1.0 - (2.0 * i + 1.0) / resolution
+    elif d == 3:
+        upper, sectors, _ = equal_area_zones(resolution)
+        lower = np.concatenate([[-1.0], upper[:-1]])
+        z = np.repeat(0.5 * (lower + upper), sectors)
+        # the caps' points sit at the poles
+        z[0], z[-1] = -1.0, 1.0
+        lon = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m for m in sectors])
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = i * np.pi * (3.0 - math.sqrt(5.0))
-        points = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        points = np.column_stack([r * np.cos(lon), r * np.sin(lon), z])
     else:
         from scipy.stats import norm, qmc
 
@@ -161,13 +200,8 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
         u = sampler.random(resolution)
         g = norm.ppf(u)
         points = g / np.linalg.norm(g, axis=1, keepdims=True)
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
     weights = np.full(resolution, 1.0 / resolution)
-    dots = points @ points.T
-    np.fill_diagonal(dots, -1.0)
-    nn_chord = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
-    bandwidth = 2.0 * float(nn_chord.mean())
-    return SphereGrid(points=points, weights=weights, kernel_bandwidth=bandwidth)
+    return SphereGrid(points=points, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +219,7 @@ class OperatorDraws:
     grid: SphereGrid
     kind: str
     norms: np.ndarray                 # (n_rows, mc)
-    cells: np.ndarray | None          # (n_rows, mc) int, for dim <= 2
-    dirs: np.ndarray | None           # (n_rows, mc, d), for dim >= 3
+    cells: np.ndarray                 # (n_rows, mc) int
     mc_count: int
     resampled_fraction: float
 
@@ -195,13 +228,8 @@ class OperatorDraws:
         out = np.empty((n, n))
         with np.errstate(over="ignore"):
             wk = self.norms ** kappa
-        if self.cells is not None:
-            for i in range(n):
-                out[i] = np.bincount(self.cells[i], weights=wk[i], minlength=n)
-        else:
-            for i in range(n):
-                kern = self.grid.smoothing_weights(self.dirs[i])
-                out[i] = wk[i] @ kern
+        for i in range(n):
+            out[i] = np.bincount(self.cells[i], weights=wk[i], minlength=n)
         out /= self.mc_count
         if not np.all(np.isfinite(out)):
             raise SpectralError(f"operator matrix overflowed at kappa={kappa}")
@@ -227,10 +255,9 @@ def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
         raise ConfigurationError("operator draws: need mc_n >= 100")
     rng = as_generator(rng)
     row_streams = rng.spawn(grid.n)
-    n, d = grid.n, grid.dim
+    n = grid.n
     norms = np.empty((n, mc_n))
-    cells = np.empty((n, mc_n), dtype=np.int64) if d <= 2 else None
-    dirs = np.empty((n, mc_n, d)) if d > 2 else None
+    cells = np.empty((n, mc_n), dtype=np.int64)
     resampled = 0
     for i in range(n):
         stream = row_streams[i]
@@ -249,17 +276,13 @@ def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
         else:
             raise SingularDrawError("resampling of singular draws did not terminate")
         norms[i] = nm
-        unit = w / nm[:, None]
-        if d <= 2:
-            cells[i] = grid.cell_index(unit)
-        else:
-            dirs[i] = unit
+        cells[i] = grid.cell_index(w / nm[:, None])
     frac = resampled / (n * mc_n)
     if frac > 1e-3:
         raise SingularDrawError(
             f"{100 * frac:.3f}% of draws were singular or non-finite")
     return OperatorDraws(grid=grid, kind=kind, norms=norms, cells=cells,
-                         dirs=dirs, mc_count=mc_n, resampled_fraction=frac)
+                         mc_count=mc_n, resampled_fraction=frac)
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +443,10 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
 
 def _alpha_from_draws(draws: OperatorDraws, kappa: float, r_vals: np.ndarray,
                       pi: np.ndarray) -> float:
-    grid = draws.grid
-    n = grid.n
-    contrib = np.empty(n)
     with np.errstate(over="ignore", divide="ignore"):
         wk = draws.norms ** kappa
         logs = np.log(draws.norms)
-    for i in range(n):
-        if draws.cells is not None:
-            r_at = r_vals[draws.cells[i]]
-        else:
-            r_at = grid.smoothing_weights(draws.dirs[i]) @ r_vals
-        contrib[i] = float(np.mean(logs[i] * r_at * wk[i]))
+    contrib = np.mean(logs * r_vals[draws.cells] * wk, axis=1)
     return float(np.sum(pi / r_vals * contrib))
 
 

@@ -90,19 +90,6 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
                         mean_depth=float(depths.mean()), depth_quantiles=quantiles(depths))
 
 
-def h_v(v, x, env: Environment, mc: int, rng,
-        cache: WMatrixCache | None = None,
-        cfg: SeriesConfig | None = None) -> complex:
-    """E exp(i <v, W(x)>) by Monte Carlo; modulus never exceeds 1."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ConfigurationError("h_v needs a unit direction v")
-    if cache is None:
-        cache = sample_w_matrices(env, cfg or SeriesConfig(tolerance=1e-10), mc, rng)
-    phases = cache.apply(np.atleast_1d(x)) @ v
-    return complex(np.mean(np.exp(1j * phases)))
-
-
 # ---------------------------------------------------------------------------
 # the limit exponent C(v)
 # ---------------------------------------------------------------------------

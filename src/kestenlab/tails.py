@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .batches import data_of
 from .env_models import ConfigurationError, Environment
@@ -270,20 +270,6 @@ class TailTestFunction:
                     cosines = (x @ np.asarray(axis)) / np.where(norms > 0, norms, 1.0)
                 ok &= cosines >= min_cos
             return ok.astype(float)
-        if self.kind == "smooth_bump":
-            center, radius = self.params
-            t2 = np.sum((x - np.asarray(center)) ** 2, axis=1) / radius ** 2
-            out = np.zeros(x.shape[0])
-            inside = t2 < 1.0
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
-            return out
-        if self.kind == "power_log_damped":
-            kappa, eps = self.params
-            norms = np.linalg.norm(x, axis=1)
-            out = np.zeros(x.shape[0])
-            pos = norms > 0
-            out[pos] = norms[pos] ** kappa / (1.0 + np.abs(np.log(norms[pos]))) ** (1.0 + eps)
-            return out
         raise ConfigurationError(f"unknown test function kind {self.kind!r}")
 
     def polar_integral(self, sigma: SpectralMeasure) -> float:
@@ -304,22 +290,6 @@ class TailTestFunction:
             else:
                 ang = float(np.sum(m[(w @ np.asarray(axis)) >= min_cos]))
             return ang * radial
-        if self.kind == "power_log_damped":
-            kappa_f, eps = self.params
-            if abs(kappa_f - kappa) > 1e-9:
-                raise ConfigurationError("power_log_damped exponent must match kappa")
-            # integral of 1/(s (1+|log s|)^(1+eps)) ds over (0, inf) = 2/eps
-            return float(np.sum(m)) * 2.0 / eps
-        if self.kind == "smooth_bump":
-            total = 0.0
-            for mass_j, w_j in zip(m, w):
-                if mass_j == 0.0:
-                    continue
-                val, _ = integrate.quad(
-                    lambda s, wj=w_j: self.evaluate((s * wj)[None, :])[0] * s ** (-kappa - 1.0),
-                    1e-12, np.inf, limit=200)
-                total += mass_j * val
-            return float(total)
         raise ConfigurationError(f"unknown test function kind {self.kind!r}")
 
 
@@ -336,19 +306,6 @@ def annulus_cone(r_lo: float, r_hi: float = math.inf, axis=None,
         raise ConfigurationError("annulus must stay away from the origin (r_lo > 0)")
     ax = None if axis is None else tuple(np.asarray(axis, dtype=float))
     return TailTestFunction(kind="annulus_cone", params=(float(r_lo), float(r_hi), ax, float(min_cos)))
-
-
-def smooth_bump(center, radius: float) -> TailTestFunction:
-    center = np.asarray(center, dtype=float)
-    if radius <= 0 or np.linalg.norm(center) <= radius:
-        raise ConfigurationError("bump support must be compact and exclude the origin")
-    return TailTestFunction(kind="smooth_bump", params=(tuple(center), float(radius)))
-
-
-def power_log_damped(kappa: float, eps: float = 0.5) -> TailTestFunction:
-    if eps <= 0:
-        raise ConfigurationError("log damping needs eps > 0")
-    return TailTestFunction(kind="power_log_damped", params=(float(kappa), float(eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,45 @@ def test_malformed_config_writes_nothing(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("path, value", [
+    ("grid.bandwidth", 0.3),              # the removed kernel smoother's bandwidth
+    ("mc.limit.s_max", 50.0),             # a default that nothing read
+    ("mc.stationry", {"count": 10}),      # a misspelled block
+    ("mc.spectral.mc_per_pt", 500),       # a misspelled size
+    ("checks.rho_bnd", 0.5),
+    ("output.format", ["json"]),
+    ("gird", {"resolution": 8}),          # a misspelled top-level block
+])
+def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
+    cfg = mini_config(tmp_path / "out")
+    node = cfg
+    *parents, last = path.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(CliConfigError, match=f"^{path}: unknown key"):
+        load_config(config)
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_config_rejects_block_that_is_not_a_mapping(tmp_path):
+    path, _ = write_config(tmp_path, **{"mc.lyapunov": 5})
+    with pytest.raises(CliConfigError, match="^mc.lyapunov: expected a mapping"):
+        load_config(path)
+
+
+def test_config_seed_default_and_value(tmp_path):
+    path, _ = write_config(tmp_path)
+    assert load_config(path).seed == 1234
+    cfg = mini_config(tmp_path / "out")
+    del cfg["mc"]["seed"]
+    drawn = validate_config(cfg).seed
+    assert isinstance(drawn, int) and drawn >= 0
+
+
 def test_validate_config_requires_env():
     with pytest.raises(CliConfigError, match="env"):
         validate_config({"pipeline": []})
@@ -190,6 +229,32 @@ def test_kappa_subcommand(tmp_path, capsys):
     doc = json.loads((outdir / "spectral_solution.json").read_text())
     assert abs(doc["kappa"] - 1.0) <= 0.1
     assert doc["env_hash"] == load_config(path).env_hash
+
+
+def test_kappa_subcommand_similarity_d3(tmp_path, capsys):
+    # M = c * (uniform rotation of R^3), c in {2, 1/2} with probabilities
+    # 1/3, 2/3: kappa = 1, alpha = (1/3) log 2 and sd(|c|) = sqrt(1/2)
+    path, outdir = write_config(
+        tmp_path, pipeline=["kappa"], **{
+            "env.dim": 3,
+            "env.matrix_law": {"family": "similarity", "scale_values": [2.0, 0.5],
+                               "scale_probs": [1 / 3, 2 / 3]},
+            "env.vector_law": {"family": "gaussian"},
+            "grid.resolution": 16,
+            "mc.spectral.mc_per_point": 2000})
+    # at 2000 draws a row the eigen-residual check (sup norm 0.05) is at its
+    # noise level, about 0.02 a row, so its verdict, and with it the exit
+    # status 0 or 1, is left open here
+    assert cli.main(["kappa", "--config", str(path)]) in (0, 1)
+    frag = json.loads((outdir / "stage_kappa.json").read_text())
+    assert frag["checks"]["kappa_rho_band"] is True
+    doc = json.loads((outdir / "spectral_solution.json").read_text())
+    assert len(doc["grid"]["points"]) == 16
+    se = math.sqrt(0.5) / math.sqrt(2000 * 16)
+    tol = 1e-3 + (abs(doc["rho_at_kappa"] - 1.0) + 4.0 * se) / (math.log(2.0) / 3.0)
+    assert abs(doc["kappa"] - 1.0) <= tol
+    hist = np.loadtxt(outdir / "rho_history.csv", delimiter=",", ndmin=2)
+    assert hist.shape == (len(doc["rho_history"]), 2)
 
 
 def test_kappa_subcommand_sign_flip(tmp_path, capsys):

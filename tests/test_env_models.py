@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import kestenlab as kl
 from kestenlab.env_models import (ConfigurationError, NOT_CHECKABLE,
-                                  operator_norm, random_rotations,
-                                  sample_q_paired)
+                                  operator_norm, random_rotations)
 from kestenlab.rng import substream
 
 
@@ -30,28 +29,15 @@ def test_degenerate_constant_family():
     env = kl.Environment(dim=2,
                          matrix_law=kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5))),
                          vector_law=kl.ConstantVector((1.0, 0.0)))
-    m, q = kl.sample_pair(env, substream(3))
-    assert np.array_equal(m, 0.5 * np.eye(2))
-    assert np.array_equal(q, np.array([1.0, 0.0]))
+    m, q = kl.sample_pairs(env, substream(3), 1)
+    assert np.array_equal(m[0], 0.5 * np.eye(2))
+    assert np.array_equal(q[0], np.array([1.0, 0.0]))
 
 
 def test_sampler_determinism(scalar_env):
     m1, q1 = kl.sample_pairs(scalar_env, substream(99), 100)
     m2, q2 = kl.sample_pairs(scalar_env, substream(99), 100)
     assert np.array_equal(m1, m2) and np.array_equal(q1, q2)
-
-
-def test_paired_symmetrization_sums_to_zero(similarity_env):
-    q = sample_q_paired(similarity_env, substream(4), 501)
-    assert q.shape == (1002, 2)
-    assert float(np.abs(q.sum(axis=0)).max()) == 0.0
-
-
-def test_paired_symmetrization_requires_flag():
-    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint(),
-                         vector_law=kl.ConstantVector((1.0,)), q_symmetric=False)
-    with pytest.raises(ConfigurationError):
-        sample_q_paired(env, substream(5), 10)
 
 
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=10**6))
@@ -79,26 +65,19 @@ def test_mixture_uses_all_components():
     assert set(np.unique(m)) == {0.25, 2.0}
 
 
-def test_mixture_and_transposed_law_carry_dim():
+def test_mixture_law_carries_dim():
     law = kl.MatrixMixture(components=(kl.Similarity(2, (2.0,), (1.0,)),
                                        kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5)))),
                            weights=(0.5, 0.5))
-    env = kl.Environment(dim=2, matrix_law=law, vector_law=kl.ConstantVector((1.0, 0.0)))
     assert law.dim == 2
-    assert env.transposed().matrix_law.dim == 2
+    env = kl.Environment(dim=2, matrix_law=law, vector_law=kl.ConstantVector((1.0, 0.0)))
+    assert env.matrix_law.dim == 2
 
 
 def test_mixture_rejects_components_of_different_dim():
     with pytest.raises(ConfigurationError, match="dimension"):
         kl.MatrixMixture(components=(kl.ScalarTwoPoint(), kl.Similarity(2, (2.0,), (1.0,))),
                          weights=(0.5, 0.5))
-
-
-def test_transposed_law():
-    base = kl.ConstantMatrix(((1.0, 2.0), (3.0, 4.0)))
-    env = kl.Environment(dim=2, matrix_law=base, vector_law=kl.ConstantVector((0.0, 0.0)))
-    m = env.transposed().matrix_law.sample(substream(7), 1)[0]
-    assert np.array_equal(m, np.array([[1.0, 3.0], [2.0, 4.0]]))
 
 
 def test_invalid_parameters_raise():

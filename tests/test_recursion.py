@@ -10,7 +10,7 @@ import kestenlab as kl
 from kestenlab.env_models import ConfigurationError
 from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
-                                 _stationary_chunk, forward_burn_in)
+                                 _stationary_chunk)
 from kestenlab.rng import as_generator, substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
@@ -354,12 +354,6 @@ def test_lyapunov_consistent_when_doubling(scalar_env):
 def test_lyapunov_preconditions(scalar_env):
     with pytest.raises(ConfigurationError):
         kl.lyapunov(scalar_env, 50, 10, substream(18))
-
-
-def test_forward_burn_in():
-    assert forward_burn_in(-0.25) == 40
-    with pytest.raises(ConfigurationError):
-        forward_burn_in(0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from kestenlab.env_models import ConfigurationError, operator_norm
 from kestenlab.rng import substream
 from kestenlab.spectral import (COLUMN_ACTION, ROW_ACTION, SpectralBracketError,
                                 SpectralSolution, SphereGrid, _perron,
-                                build_operator_draws, fixed_point_residuals)
+                                build_operator_draws, equal_area_zones,
+                                fixed_point_residuals)
 
 ALPHA_SCALAR = math.log(2.0) / 3.0  # two-atom mean of M^kappa log M at kappa = 1
+SD_SCALAR = math.sqrt(0.5)          # sd of |M| at kappa = 1: E M^2 = 3/2, E M = 1
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +39,18 @@ def test_grid_dim2_uniform_angles():
     assert np.allclose(g.weights, 1 / 8)
 
 
-def test_grid_dim3_spiral_balance():
-    g = kl.build_grid(3, 100)
-    assert g.n == 100
-    assert np.linalg.norm(g.weights @ g.points) < 0.05
-    assert g.kernel_bandwidth is not None and g.kernel_bandwidth > 0
+def test_grid_dim3_equal_area():
+    for n in range(2, 257):
+        upper, sectors, first = equal_area_zones(n)
+        lower = np.concatenate([[-1.0], upper[:-1]])
+        # a zone between heights a < b has area 2 pi (b - a)
+        cell_area = 2.0 * np.pi * (upper - lower) / sectors
+        np.testing.assert_allclose(cell_area, 4.0 * np.pi / n, rtol=0.0, atol=1e-12)
+        assert sectors.sum() == n and sectors.min() >= 1
+        assert np.array_equal(first, np.cumsum(sectors) - sectors)
+        g = kl.build_grid(3, n)
+        assert g.n == n
+        assert np.array_equal(g.cell_index(g.points), np.arange(n))
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=64))
@@ -58,6 +67,32 @@ def test_grid_validation():
         kl.build_grid(0, 8)
     with pytest.raises(ConfigurationError):
         kl.build_grid(2, 1)
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=64),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_cell_index_labels(dim, resolution, seed):
+    g = kl.build_grid(dim, resolution)
+    assert np.array_equal(g.cell_index(g.points), np.arange(g.n))
+    dirs = np.random.default_rng(seed).standard_normal((200, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    labels = g.cell_index(dirs)
+    assert labels.dtype == np.int64
+    assert np.all((labels >= 0) & (labels < g.n))
+    if dim != 3:
+        # signs, arcs and Voronoi cells: the nearest grid point
+        assert np.array_equal(labels, np.argmax(dirs @ g.points.T, axis=1))
+        return
+    upper, sectors, first = equal_area_zones(resolution)
+    lower = np.concatenate([[-1.0], upper[:-1]])
+    lon = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
+    for x_lon, z, label in zip(lon, dirs[:, 2], labels):
+        (zone,) = np.flatnonzero((lower <= z) & (z < upper))
+        width = 2.0 * np.pi / sectors[zone]
+        sector = label - first[zone]
+        assert 0 <= sector < sectors[zone]
+        assert sector * width <= x_lon < (sector + 1) * width
 
 
 def test_cell_index_nearest_point():
@@ -256,7 +291,81 @@ def test_grid_json_round_trip():
     back = SphereGrid.from_json_dict(json.loads(canonical_json(grid.to_json_dict())))
     assert np.array_equal(back.points, grid.points)
     assert np.array_equal(back.weights, grid.weights)
-    assert back.kernel_bandwidth == grid.kernel_bandwidth
+
+
+def test_grid_artifact_of_older_versions():
+    # planar grids kept their points; their artifacts still carry the
+    # bandwidth key of the removed kernel smoother
+    doc = {**kl.build_grid(2, 8).to_json_dict(), "kernel_bandwidth": None}
+    back = SphereGrid.from_json_dict(json.loads(canonical_json(doc)))
+    assert np.array_equal(back.points, kl.build_grid(2, 8).points)
+    # a d = 3 grid on the old spiral would read its values in the wrong cells
+    i = np.arange(20)
+    z = 1.0 - (2.0 * i + 1.0) / 20
+    phi = i * np.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    spiral = {"dim": 3, "points": np.column_stack([r * np.cos(phi), r * np.sin(phi), z]).tolist(),
+              "weights": [0.05] * 20, "kernel_bandwidth": 0.9}
+    with pytest.raises(ConfigurationError, match="layout"):
+        SphereGrid.from_json_dict(spiral)
+
+
+# ---------------------------------------------------------------------------
+# laws in d >= 3
+# ---------------------------------------------------------------------------
+
+def kappa_tolerance(sol, sd, alpha):
+    """Bisection width plus the distance of rho from 1 and four standard
+    errors of the Perron root (sd of |xM|^kappa over all draws), moved to
+    kappa through d rho / d kappa = alpha."""
+    se = sd / math.sqrt(sol.mc_per_point * sol.grid.n)
+    return 1e-3 + (abs(sol.rho_at_kappa - 1.0) + 4.0 * se) / alpha
+
+
+def test_solve_kappa_similarity_d3():
+    env = kl.Environment(dim=3, matrix_law=kl.Similarity(3, (2.0, 0.5), (1 / 3, 2 / 3)),
+                         vector_law=kl.GaussianVector(3))
+    sol = kl.solve_kappa(env, kl.build_grid(3, 64), (0.2, 3.0), 10_000, substream(60))
+    assert abs(sol.kappa - 1.0) <= kappa_tolerance(sol, SD_SCALAR, ALPHA_SCALAR)
+    # every row has the law of |c|: eta is uniform up to the noise of about
+    # mc draws per cell, sqrt(E|c|^2 / mc), at five standard errors
+    eta_dev = float(np.max(np.abs(sol.eta.masses * sol.grid.n - 1.0)))
+    assert eta_dev <= 5.0 * math.sqrt(1.5 / 10_000)
+
+
+def test_solve_kappa_ginibre_d3():
+    # i.i.d. N(0, s^2) entries: xM ~ N(0, s^2 I) for unit x, so
+    # rho(kappa) = s^kappa 2^(kappa/2) Gamma((3 + kappa)/2) / Gamma(3/2),
+    # and s = 0.600290 puts the root at kappa = 1.5
+    env = kl.Environment(dim=3, matrix_law=kl.GaussianMatrix(3, scale=0.600290),
+                         vector_law=kl.GaussianVector(3))
+    sol = kl.solve_kappa(env, kl.build_grid(3, 64), (0.2, 3.0), 10_000, substream(61))
+    assert abs(sol.kappa - 1.5) <= 0.03
+
+
+def test_solve_kappa_d3_law_without_one_step_mixing():
+    # half the draws are diag(1.5, .5, .5), which keeps a direction near the
+    # first axis there, so the direction law does not mix to uniform in one
+    # step and the cells must carry the operator's shape.  Reference: a
+    # particle (Feynman-Kac) estimate of log rho(kappa) as the mean log of
+    # the average weight |xM|^kappa, with 20 000 directions reweighted and
+    # resampled for 50 burn-in and 400 recorded steps, gave rho(0.92) =
+    # 0.9987, rho(0.93) = 1.0000 and rho(0.94) = 1.0012 on two seeds each;
+    # runs of the same estimate put the root between 0.930 and 0.933.
+    law = kl.MatrixMixture(components=(kl.GaussianMatrix(3, scale=0.5),
+                                       kl.ConstantMatrix(((1.5, 0.0, 0.0), (0.0, 0.5, 0.0),
+                                                          (0.0, 0.0, 0.5)))),
+                           weights=(0.5, 0.5))
+    env = kl.Environment(dim=3, matrix_law=law, vector_law=kl.GaussianVector(3))
+    sol = kl.solve_kappa(env, kl.build_grid(3, 128), (0.2, 3.0), 10_000, substream(62))
+    assert abs(sol.kappa - 0.933) <= 0.05
+
+
+def test_solve_kappa_similarity_d4():
+    env = kl.Environment(dim=4, matrix_law=kl.Similarity(4, (2.0, 0.5), (1 / 3, 2 / 3)),
+                         vector_law=kl.GaussianVector(4))
+    sol = kl.solve_kappa(env, kl.build_grid(4, 32), (0.2, 3.0), 10_000, substream(63))
+    assert abs(sol.kappa - 1.0) <= kappa_tolerance(sol, SD_SCALAR, ALPHA_SCALAR)
 
 
 # ---------------------------------------------------------------------------

@@ -141,38 +141,6 @@ def test_w_fixed_truncation_expanding_law_raises():
 
 
 # ---------------------------------------------------------------------------
-# the correction factor h
-# ---------------------------------------------------------------------------
-
-def test_h_at_zero_is_one(scalar_env):
-    val = kl.h_v(np.array([1.0]), np.array([0.0]), scalar_env, 256, substream(75))
-    assert val == 1.0 + 0.0j
-
-
-def test_h_orthogonal_direction_is_one():
-    env = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.7))),
-                         vector_law=kl.ConstantVector((0.0, 0.0)))
-    val = kl.h_v(np.array([0.0, 1.0]), np.array([1.0, 0.0]), env, 256, substream(76))
-    assert val == 1.0 + 0.0j
-
-
-def test_h_imaginary_antisymmetry(scalar_env):
-    cache = sample_w_matrices(scalar_env, kl.SeriesConfig(tolerance=1e-10), 512,
-                              substream(77))
-    v = np.array([1.0])
-    x = np.array([0.8])
-    plus = kl.h_v(v, x, scalar_env, 0, None, cache=cache)
-    minus = kl.h_v(v, -x, scalar_env, 0, None, cache=cache)
-    assert minus == pytest.approx(plus.conjugate(), abs=0.0)
-    assert abs(plus) <= 1.0
-
-
-def test_h_requires_unit_direction(scalar_env):
-    with pytest.raises(ConfigurationError):
-        kl.h_v(np.array([2.0]), np.array([1.0]), scalar_env, 128, substream(78))
-
-
-# ---------------------------------------------------------------------------
 # the limit exponent C
 # ---------------------------------------------------------------------------
 

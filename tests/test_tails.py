@@ -11,7 +11,7 @@ from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
 from kestenlab.tails import (RegularVariationError, SpectralMeasure, TailRegimeError,
                              annulus_cone, half_space, hill_stability,
-                             power_log_damped, smooth_bump, summarize_tails)
+                             summarize_tails)
 
 
 @pytest.fixture(scope="module")
@@ -250,23 +250,6 @@ def test_tail_functional_zero_function(scalar_batch):
 def test_tail_functional_whitelist(scalar_batch):
     with pytest.raises(ConfigurationError):
         kl.tail_functional(scalar_batch, lambda x: x, 1.0, [0.01, 0.02, 0.04])
-
-
-def test_power_log_damped_polar_closed_form(scalar_batch, grid1):
-    u = float(np.quantile(scalar_batch.norms(), 0.99))
-    sigma = kl.estimate_sigma(scalar_batch, u, grid1, 1.0, True)
-    f = power_log_damped(1.0, eps=0.5)
-    assert f.polar_integral(sigma) == pytest.approx(sigma.total_mass * 4.0, rel=1e-12)
-
-
-def test_smooth_bump_validation_and_polar(grid1, scalar_batch):
-    with pytest.raises(ConfigurationError):
-        smooth_bump((0.1,), 0.5)
-    u = float(np.quantile(scalar_batch.norms(), 0.99))
-    sigma = kl.estimate_sigma(scalar_batch, u, grid1, 1.0, True)
-    bump = smooth_bump((3.0,), 1.0)
-    val = bump.polar_integral(sigma)
-    assert 0.0 < val < sigma.total_mass  # mass near radius 3 along +1 only
 
 
 def test_scaling_law_of_exceedances(scalar_batch, scalar_solution):
