@@ -28,7 +28,6 @@ from .recursion import (
     PathConfig,
     SeriesConfig,
     birkhoff_sums,
-    iterate_forward,
     lyapunov,
     sample_stationary,
 )
@@ -42,7 +41,6 @@ from .spectral import (
     spectral_radius,
 )
 from .stable_limit import (
-    RadialQuadrature,
     StableLaw,
     c_kappa,
     centering,

@@ -10,6 +10,7 @@ numeric payloads.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -146,7 +147,7 @@ _DEFAULTS = {
         "sigma": {"threshold_quantile": 0.99, "invariance_mc": 10_000},
         "limit": {"log2_n": 12, "replicas": 4_000, "w_draws": 2_000,
                   "s_values": [0.1, 0.25, 0.5, 1.0, 1.5, 2.0],
-                  "n_directions": 4, "self_similarity": False},
+                  "n_directions": 4},
     },
     "checks": {
         "rho_band": 0.01,
@@ -169,11 +170,27 @@ def _expect_positive_int(value, path: str, minimum: int = 1) -> int:
 
 
 def _expect_number(value, path: str, positive: bool = False) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, f"expected a number, got {value!r}")
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        _fail(path, f"expected a finite number, got {value!r}")
     if positive and value <= 0:
         _fail(path, f"expected a positive number, got {value!r}")
     return float(value)
+
+
+def _expect_in(value, path: str, lo: float, hi: float, hi_closed: bool = False) -> float:
+    """A number in (lo, hi), or in (lo, hi] with hi_closed."""
+    x = _expect_number(value, path)
+    if not (lo < x < hi or (hi_closed and x == hi)):
+        _fail(path, f"expected a number in ({lo:g}, {hi:g}{']' if hi_closed else ')'}, "
+                    f"got {value!r}")
+    return x
+
+
+def _expect_list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        _fail(path, f"expected a non-empty list, got {value!r}")
+    return list(value)
 
 
 def _merge_defaults(block, defaults: dict, path: str) -> dict:
@@ -184,7 +201,7 @@ def _merge_defaults(block, defaults: dict, path: str) -> dict:
         block = {}
     if not isinstance(block, dict):
         _fail(path, f"expected a mapping, got {block!r}")
-    out = dict(defaults)
+    out = copy.deepcopy(defaults)
     for k, v in block.items():
         if k not in defaults:
             _fail(f"{path}.{k}", f"unknown key; valid: {', '.join(defaults)}")
@@ -254,7 +271,8 @@ class RunConfig:
 
 
 def validate_config(raw: dict, *, seed_override: int | None = None,
-                    out_override: str | None = None) -> RunConfig:
+                    out_override: str | None = None,
+                    count_override: int | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise CliConfigError("config: expected a mapping at the top level")
     for key in raw:
@@ -280,6 +298,8 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     _expect_positive_int(grid["resolution"], "grid.resolution", minimum=2)
 
     mc = _merge_defaults(raw.get("mc"), _DEFAULTS["mc"], "mc")
+    if count_override is not None:
+        mc["stationary"]["count"] = _expect_positive_int(count_override, "--n")
     _expect_positive_int(mc["assumptions_n"], "mc.assumptions_n", minimum=1000)
     _expect_positive_int(mc["lyapunov"]["n_steps"], "mc.lyapunov.n_steps", minimum=100)
     _expect_positive_int(mc["lyapunov"]["replicas"], "mc.lyapunov.replicas")
@@ -289,9 +309,23 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     if (not isinstance(bracket, (list, tuple)) or len(bracket) != 2
             or not 0 < bracket[0] < bracket[1]):
         _fail("mc.spectral.bracket", f"expected [lo, hi] with 0 < lo < hi, got {bracket!r}")
+    tails_block = mc["tails"]
+    _expect_in(tails_block["top_fraction"], "mc.tails.top_fraction", 0.0, 0.05, hi_closed=True)
+    quantiles = _expect_list(tails_block["threshold_quantiles"], "mc.tails.threshold_quantiles")
+    for i, q in enumerate(quantiles):
+        _expect_in(q, f"mc.tails.threshold_quantiles[{i}]", 0.0, 1.0)
+    if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
+        _fail("mc.tails.threshold_quantiles",
+              f"expected strictly increasing values, got {quantiles!r}")
+    _expect_positive_int(tails_block["n_directions"], "mc.tails.n_directions")
+    _expect_in(mc["sigma"]["threshold_quantile"], "mc.sigma.threshold_quantile", 0.0, 1.0)
+    _expect_positive_int(mc["sigma"]["invariance_mc"], "mc.sigma.invariance_mc", minimum=100)
     _expect_positive_int(mc["limit"]["log2_n"], "mc.limit.log2_n")
     _expect_positive_int(mc["limit"]["replicas"], "mc.limit.replicas")
     _expect_positive_int(mc["limit"]["w_draws"], "mc.limit.w_draws", minimum=100)
+    _expect_positive_int(mc["limit"]["n_directions"], "mc.limit.n_directions")
+    for i, s in enumerate(_expect_list(mc["limit"]["s_values"], "mc.limit.s_values")):
+        _expect_number(s, f"mc.limit.s_values[{i}]", positive=True)
 
     pipeline = raw.get("pipeline", [])
     if not isinstance(pipeline, list):
@@ -314,6 +348,9 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
             _fail(f"output.formats[{i}]", f"unknown format {fmt!r}")
 
     checks = _merge_defaults(raw.get("checks"), _DEFAULTS["checks"], "checks")
+    for name, value in checks.items():
+        if _expect_number(value, f"checks.{name}") < 0:
+            _fail(f"checks.{name}", f"expected a nonnegative number, got {value!r}")
 
     seed = seed_override if seed_override is not None else mc["seed"]
     if seed is None:
@@ -616,13 +653,6 @@ def stage_limit(ctx: RunContext) -> dict:
               "seed": ctx.stage_seed("limit", 1)}
     ctx.checks["limit_cf_deviation"] = (
         fit.sup_deviation <= ctx.config.checks["cf_deviation_max"] + law.error_budget)
-    if block.get("self_similarity"):
-        sums2 = recursion.birkhoff_sums(ctx.env, recursion.PathConfig(
-            n_steps=2 * n, start_x=tuple(np.zeros(ctx.env.dim)),
-            replicas=block["replicas"], seed=ctx.stage_seed("limit", 2)))
-        ss = stable_limit.self_similarity_check(sums, sums2, law.kappa, cent, dirs)
-        result["self_similarity_max_ks"] = ss.max_ks
-        ctx.checks["limit_self_similarity"] = ss.max_ks <= 0.05
     ctx.cache["stable_law"] = law
     return result
 
@@ -738,10 +768,11 @@ def _assemble_report(ctx: RunContext) -> dict:
 
 def run(config_path, out_override: str | None = None,
         seed_override: int | None = None, threads: int = 1,
-        stages: list | None = None) -> dict:
-    """Execute the configured pipeline and write the report; returns it."""
+        stages: list | None = None, count_override: int | None = None) -> dict:
+    """Execute the configured pipeline (or the given stages) and write the
+    report; returns it."""
     config = load_config(config_path, seed_override=seed_override,
-                         out_override=out_override)
+                         out_override=out_override, count_override=count_override)
     outdir = Path(config.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config=config, outdir=outdir, threads=threads)
@@ -811,11 +842,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"worker threads (fallback: ${THREADS_ENV_VAR})")
 
     add_common(sub.add_parser("run", help="execute the configured pipeline"))
-    sim = sub.add_parser("simulate", help="sample the stationary law")
-    add_common(sim)
-    sim.add_argument("--n", type=int, default=None, help="override sample count")
-    for name in ("lyapunov", "kappa", "tail", "sigma", "limit", "nondeg"):
-        add_common(sub.add_parser(name, help=f"run the {name} stage"))
+    for name in STAGES:
+        stage = sub.add_parser(name, help=f"run the {name} stage")
+        add_common(stage)
+        if name == "simulate":
+            stage.add_argument("--n", type=int, default=None,
+                               help="override the stationary sample count")
     rep = sub.add_parser("report", help="aggregate stage outputs from disk")
     rep.add_argument("--config", default=None)
     rep.add_argument("--out", required=True)
@@ -830,23 +862,10 @@ def main(argv=None) -> int:
             for stage, frag in report["stages"].items():
                 print(f"{stage}: {canonical_json(frag)}")
             return 0
-        if args.command == "simulate" and args.n is not None and args.n < 1:
-            raise CliConfigError("--n: expected an integer >= 1")
-        overrides = {"seed_override": args.seed, "out_override": args.out}
-        if args.command == "simulate" and args.n is not None:
-            config = load_config(args.config, **overrides)
-            config.mc["stationary"]["count"] = args.n
-            outdir = Path(config.output["directory"])
-            outdir.mkdir(parents=True, exist_ok=True)
-            ctx = RunContext(config=config, outdir=outdir,
-                             threads=_threads_from(args))
-            with _Lock(outdir):
-                fragment = _run_stage(ctx, "simulate")
-            print(canonical_json(fragment))
-            return 0
         stages = None if args.command == "run" else [args.command]
         report = run(args.config, out_override=args.out, seed_override=args.seed,
-                     threads=_threads_from(args), stages=stages)
+                     threads=_threads_from(args), stages=stages,
+                     count_override=getattr(args, "n", None))
         failed = [name for name, ok in report["checks"].items() if not ok]
         for stage, frag in report["stages"].items():
             summary = {k: v for k, v in frag.items()

@@ -374,14 +374,6 @@ class AssumptionReport:
         return all(e.verdict == "pass" for e in self.entries.values()
                    if e.verdict != NOT_CHECKABLE)
 
-    def summary(self) -> str:
-        lines = []
-        for name in sorted(self.entries):
-            e = self.entries[name]
-            est = "" if e.estimate is None else f" est={e.estimate:.6g}"
-            lines.append(f"{name}: {e.verdict}{est}")
-        return "\n".join(lines)
-
 
 def _moment_diagnostic(x: np.ndarray) -> tuple[float, float, bool]:
     """Sample mean, its standard error, and a crude integrability verdict.

@@ -66,14 +66,6 @@ class SeriesConfig:
             raise ConfigurationError("tolerance must be positive")
 
 
-@dataclass
-class ForwardPaths:
-    """states[r, k] = R_k for replica r (k = 0 is the start); sums[r, k] = S_k."""
-
-    states: np.ndarray
-    sums: np.ndarray
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     beta: float
@@ -121,18 +113,6 @@ def _forward_steps(env: Environment, cfg: PathConfig):
             if k % 64 == 0:
                 _check_finite(r, k)
     _check_finite(r, cfg.n_steps)
-
-
-def iterate_forward(env: Environment, cfg: PathConfig) -> ForwardPaths:
-    """All replicas of (R_k, S_k), k = 0..n_steps, from the configured seed."""
-    states = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
-    sums = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
-    states[:, 0] = cfg.start_x
-    sums[:, 0] = 0.0
-    for k, r, s in _forward_steps(env, cfg):
-        states[:, k] = r.T
-        sums[:, k] = s.T
-    return ForwardPaths(states=states, sums=sums)
 
 
 def birkhoff_sums(env: Environment, cfg: PathConfig) -> SampleBatch:

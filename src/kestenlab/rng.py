@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import numpy as np
+# numpy loads its random package on first attribute access; load it with
+# this package, as every stage draws from it
+import numpy.random  # noqa: F401
 
 
 def substream(root_seed: int, *key: int) -> np.random.Generator:

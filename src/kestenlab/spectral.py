@@ -64,9 +64,8 @@ class SphereGrid:
     def cell_index(self, dirs: np.ndarray) -> np.ndarray:
         """Label of the cell holding each direction."""
         dirs = np.atleast_2d(dirs)
-        if self.dim == 1:
-            return (dirs[:, 0] > 0).astype(np.int64) if self._one_d_positive_last() \
-                else (dirs[:, 0] < 0).astype(np.int64)
+        if self.dim == 1:       # the points are [-1], [1]
+            return (dirs[:, 0] > 0).astype(np.int64)
         if self.dim == 2:
             step = 2.0 * np.pi / self.n
             ang = np.arctan2(dirs[:, 1], dirs[:, 0])
@@ -107,32 +106,17 @@ class SphereGrid:
                 "layout this version builds; rerun the stage that wrote it")
         return grid
 
-    def _one_d_positive_last(self) -> bool:
-        return bool(self.points[1, 0] > 0)
-
-    def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Evaluate a grid function at arbitrary directions: the value of
-        the cell holding each direction."""
-        return np.asarray(values, dtype=float)[self.cell_index(dirs)]
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     grid: SphereGrid
     values: np.ndarray
 
-    def __call__(self, dirs: np.ndarray) -> np.ndarray:
-        return self.grid.interpolate(self.values, dirs)
-
 
 @dataclass(frozen=True, eq=False)
 class GridMeasure:
     grid: SphereGrid
     masses: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.masses))
 
 
 @functools.lru_cache(maxsize=None)
@@ -522,7 +506,7 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     if reducible:
         values = row_sums / n_pairs / (alpha * kappa)
     else:
-        r_at_v = sol.grid.interpolate(sol.r.values, v_dirs)
+        r_at_v = sol.r.values[sol.grid.cell_index(v_dirs)]
         values = r_at_v * float(per_sample.mean()) / (alpha * kappa)
     agg = float(per_sample.mean())
     agg_se = float(np.std(per_sample) / math.sqrt(n_pairs))

@@ -1,7 +1,7 @@
 """The stable limit of normalized partial sums.
 
-The limit characteristic function has the form exp(s^kappa C(v)) where C
-integrates a corrected plane-wave increment against the product tail
+The limit characteristic function has the form exp(s^kappa C(v)) where C is
+the integral of a corrected plane-wave increment against the product tail
 measure.  The correction function h_v(x) = E exp(i <v, W(x)>) involves the
 series W(x) = sum_k M_k ... M_1 x, which is linear in x: all draws of W
 come from one cache of random matrix-series draws A with W(x) = A x.
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
 
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment
@@ -20,9 +19,10 @@ from .recursion import SeriesConfig, _walk_products, quantiles
 from .rng import as_generator
 from .tails import SpectralMeasure
 
-REGIME_BELOW_ONE = "kappa_below_1"
-REGIME_ONE = "kappa_equal_1"
-REGIME_ABOVE_ONE = "kappa_in_1_2"
+# each regime is named after its centering (CenteringResult.kind)
+REGIME_BELOW_ONE = "none"
+REGIME_ONE = "xi"
+REGIME_ABOVE_ONE = "mean"
 
 _REGIME_TOL = 0.02
 _EULER_GAMMA = 0.5772156649015329
@@ -95,34 +95,6 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RadialQuadrature:
-    """Log-spaced Gauss panels on (s_min, s_max] plus analytic tail control."""
-
-    s_max: float = 50.0
-    points_per_panel: int = 16
-    panels_per_log_unit: float = 2.0
-
-    def nodes(self, kappa: float, regime: str) -> tuple[np.ndarray, np.ndarray, float]:
-        """(s nodes, weights including the s^(-kappa-1) ds factor, s_min)."""
-        # pick s_min so the analytic bound on the (0, s_min] head is tiny:
-        # the combined integrand is O(s^2) with centering and O(s) without
-        head_order = 1.0 - kappa if regime == REGIME_BELOW_ONE else 2.0 - kappa
-        s_min = min(1e-8, 10.0 ** (-9.0 / head_order))
-        y_lo, y_hi = math.log(s_min), math.log(self.s_max)
-        n_panels = max(8, int(math.ceil((y_hi - y_lo) * self.panels_per_log_unit)))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(self.points_per_panel)
-        edges = np.linspace(y_lo, y_hi, n_panels + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        y = (centers[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        wy = (half[:, None] * gl_w[None, :]).ravel()
-        s = np.exp(y)
-        # substitute s = e^y: ds s^(-kappa-1) = e^(-kappa y) dy
-        weights = wy * np.exp(-kappa * y)
-        return s, weights, s_min
-
-
-@dataclass(frozen=True)
 class CKappaValue:
     value: complex
     error_budget: float
@@ -154,38 +126,17 @@ def _levy_radial_integral(b: np.ndarray, kappa: float, regime: str) -> np.ndarra
     return out
 
 
-def _centering_term(regime: str, s: np.ndarray, a: float) -> np.ndarray:
-    if regime == REGIME_ABOVE_ONE:
-        return 1j * s * a
-    if regime == REGIME_ONE:
-        return 1j * s * a / (1.0 + s * s)
-    return np.zeros_like(s, dtype=complex)
-
-
-def _tail_correction(regime: str, kappa: float, s_max: float, a: float) -> complex:
-    """Exact integral of the centering term over (s_max, inf)."""
-    if regime == REGIME_ABOVE_ONE:
-        return -1j * a * s_max ** (1.0 - kappa) / (kappa - 1.0)
-    if regime == REGIME_ONE:
-        return -1j * a * 0.5 * math.log1p(s_max ** -2)
-    return 0.0 + 0.0j
-
-
 def c_kappa(v, kappa: float, sigma: SpectralMeasure, env: Environment,
-            radial_quadrature: RadialQuadrature | None = None,
-            mc: int = 2000, rng=None, cache: WMatrixCache | None = None,
-            regime: str | None = None) -> CKappaValue:
-    """Limit exponent C(v): the corrected plane-wave increment integrated
-    against the product tail measure in polar form.
+            cache: WMatrixCache, regime: str | None = None) -> CKappaValue:
+    """Limit exponent C(v): the integral of the corrected plane-wave
+    increment against the product tail measure in polar form.
 
     Per angular atom w the radial integrand along direction w is
         (exp(i s <v,w>) - 1) h_v(s w) - centering(s, <v,w>)
     against s^(-kappa-1) ds.  Expanding h_v(s w) over the matrix-series
-    draws turns each draw into a compensated plane-wave integral with a
-    closed form, so the default path has no radial discretization error at
-    all; its budget is three standard errors of the draw mean.  Passing a
-    RadialQuadrature switches to panel quadrature on (0, s_max] with an
-    analytic tail bar (useful as an independent cross-check).
+    draws of the cache turns each draw into a compensated plane-wave
+    integral with a closed form, so there is no radial discretization error
+    at all; the budget is three standard errors of the draw mean.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
@@ -199,10 +150,6 @@ def c_kappa(v, kappa: float, sigma: SpectralMeasure, env: Environment,
         raise ConfigurationError(
             f"angular measure was estimated at exponent {sigma.kappa}, but the "
             f"limit runs at {kappa}; re-estimate it at the matching exponent")
-    if cache is None:
-        cache = sample_w_matrices(env, SeriesConfig(tolerance=1e-10), mc, rng)
-    if radial_quadrature is not None:
-        return _c_kappa_panels(v, kappa, sigma, radial_quadrature, cache, regime)
     per_draw = np.zeros(cache.count, dtype=complex)
     for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
         if mass_j == 0.0:
@@ -217,62 +164,16 @@ def c_kappa(v, kappa: float, sigma: SpectralMeasure, env: Environment,
     return CKappaValue(value=value, error_budget=3.0 * se)
 
 
-def _c_kappa_panels(v: np.ndarray, kappa: float, sigma: SpectralMeasure,
-                    radial_quadrature: RadialQuadrature, cache: WMatrixCache,
-                    regime: str) -> CKappaValue:
-    """Panel-quadrature evaluation of the same polar integral, with the
-    unresolved head, the bounded tail factor, and the uniform Monte-Carlo
-    error of h folded into a certified budget."""
-    s, wq, s_min = radial_quadrature.nodes(kappa, regime)
-    total_mass = float(np.sum(sigma.mass))
-    value = 0.0 + 0.0j
-    head_budget = 0.0
-    mc_budget = 0.0
-    for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
-        if mass_j == 0.0:
-            continue
-        a = float(v @ w_j)
-        u = cache.apply(w_j) @ v
-        integral = 0.0 + 0.0j
-        for lo in range(0, s.size, 256):
-            hi = min(lo + 256, s.size)
-            sb, wb = s[lo:hi], wq[lo:hi]
-            h_vals = np.mean(np.exp(1j * np.outer(sb, u)), axis=1)
-            g = (np.exp(1j * sb * a) - 1.0) * h_vals - _centering_term(regime, sb, a)
-            integral += complex(np.sum(wb * g))
-        integral += _tail_correction(regime, kappa, radial_quadrature.s_max, a)
-        value += mass_j * integral
-        mean_abs_u = float(np.mean(np.abs(u)))
-        if regime == REGIME_BELOW_ONE:
-            head = abs(a) * s_min ** (1.0 - kappa) / (1.0 - kappa)
-        else:
-            head = (0.5 * a * a + abs(a) * mean_abs_u) * s_min ** (2.0 - kappa) / (2.0 - kappa)
-        head_budget += mass_j * head
-        env_bound = np.minimum(s * abs(a), 2.0)
-        mc_budget += mass_j * (2.0 / math.sqrt(cache.count)) * float(np.sum(wq * env_bound))
-    tail_budget = 2.0 * total_mass * radial_quadrature.s_max ** -kappa / kappa
-    return CKappaValue(value=complex(value),
-                       error_budget=float(tail_budget + head_budget + mc_budget))
-
-
 def cos_tail_constant(kappa: float) -> float:
-    """integral of (cos s - 1) / s^(kappa+1) over (0, inf), always negative.
-
-    Integration by parts gives -(1/kappa) * integral of sin(s) s^(-kappa);
-    the [0, 1] piece is an explicit fast-converging alternating series and
-    the rest is an oscillatory quadrature with the sine weight.
-    """
+    """integral of (cos s - 1) / s^(kappa+1) over (0, inf), always negative:
+    the real part of the radial integral at b = 1, which no centering
+    changes.  That is Gamma(2 - kappa) cos(pi kappa / 2) / (kappa (kappa - 1)),
+    and -pi/2 at kappa = 1 exactly."""
     if not 0.0 < kappa < 2.0:
         raise ConfigurationError("the cosine tail constant needs kappa in (0, 2)")
-    head = 0.0
-    for m_idx in range(24):
-        term = (-1.0) ** m_idx / (math.factorial(2 * m_idx + 1) * (2 * m_idx + 2 - kappa))
-        head += term
-        if abs(term) < 1e-18:
-            break
-    tail, _ = integrate.quad(lambda t: t ** -kappa, 1.0, np.inf,
-                             weight="sin", wvar=1.0, limit=400)
-    return -(head + tail) / kappa
+    # tol = 0: the kappa = 1 branch only at 1 exactly, not in the snap band
+    regime = classify_regime(kappa, tol=0.0)
+    return float(_levy_radial_integral(np.ones(1), kappa, regime)[0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +182,7 @@ def cos_tail_constant(kappa: float) -> float:
 
 @dataclass(eq=False)
 class CenteringResult:
-    kind: str                       # "none" | "mean" | "xi"
+    kind: str                       # the regime: "none" | "mean" | "xi"
     m: np.ndarray | None = None
     m_se: np.ndarray | None = None
     samples: np.ndarray | None = None
@@ -316,15 +217,15 @@ def centering(env: Environment, kappa: float, samples,
     if env.q_symmetric:
         data = np.concatenate([data, -data], axis=0)
     if regime == REGIME_BELOW_ONE:
-        return CenteringResult(kind="none")
+        return CenteringResult(kind=regime)
     if regime == REGIME_ABOVE_ONE:
         m = data.mean(axis=0)
         se = data.std(axis=0) / math.sqrt(data.shape[0])
-        return CenteringResult(kind="mean", m=m, m_se=se)
+        return CenteringResult(kind=regime, m=m, m_se=se)
     if not env.q_symmetric:
         raise ConfigurationError(
             "kappa = 1 centering requires a symmetric Q law")
-    return CenteringResult(kind="xi", samples=data)
+    return CenteringResult(kind=regime, samples=data)
 
 
 def normalized_sums(sums, n: int, kappa: float, cent: CenteringResult) -> np.ndarray:
@@ -415,7 +316,6 @@ class StableLaw:
 
 def compute_stable_law(env: Environment, kappa: float, sigma: SpectralMeasure,
                        directions, mc: int, rng,
-                       quadrature: RadialQuadrature | None = None,
                        regime: str | None = None,
                        cent: CenteringResult | None = None) -> StableLaw:
     """C(v) on a direction set with one shared matrix-series cache."""
@@ -427,15 +327,12 @@ def compute_stable_law(env: Environment, kappa: float, sigma: SpectralMeasure,
     c_vals = np.empty(directions.shape[0], dtype=complex)
     budget = 0.0
     for i, v in enumerate(directions):
-        ck = c_kappa(v, kappa, sigma, env, quadrature, mc, rng,
-                     cache=cache, regime=regime)
+        ck = c_kappa(v, kappa, sigma, env, cache, regime=regime)
         c_vals[i] = ck.value
         budget = max(budget, ck.error_budget)
-    kind = {"kappa_below_1": "none", "kappa_equal_1": "xi",
-            "kappa_in_1_2": "mean"}[regime]
     m_kappa = cent.m if (cent is not None and cent.kind == "mean") else None
     return StableLaw(kappa=kappa, directions=directions, c_values=c_vals,
-                     centering_kind=kind, m_kappa=m_kappa, error_budget=budget,
+                     centering_kind=regime, m_kappa=m_kappa, error_budget=budget,
                      provenance={"w_draws": mc, "w_depth": cache.max_depth,
                                  "w_depth_quantiles": cache.depth_quantiles,
                                  "sigma_threshold": sigma.threshold_used})
@@ -466,6 +363,8 @@ def self_similarity_check(sums_small: SampleBatch, sums_large: SampleBatch,
     """Model-free stability check: normalized sums at n and 2n should agree
     in law, so each one-dimensional projection is compared by a two-sample
     Kolmogorov distance after the n^(-1/kappa) rescalings."""
+    from scipy.stats import ks_2samp
+
     n_small = int(sums_small.info["n_steps"])
     n_large = int(sums_large.info["n_steps"])
     y_small = normalized_sums(sums_small, n_small, kappa, cent)
@@ -473,7 +372,7 @@ def self_similarity_check(sums_small: SampleBatch, sums_large: SampleBatch,
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     ks = np.empty(directions.shape[0])
     for i, v in enumerate(directions):
-        ks[i] = stats.ks_2samp(y_small @ v, y_large @ v).statistic
+        ks[i] = ks_2samp(y_small @ v, y_large @ v).statistic
     return SelfSimilarity(ks_by_direction=ks, max_ks=float(ks.max()))
 
 

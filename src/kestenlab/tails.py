@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .batches import data_of
 from .env_models import ConfigurationError, Environment
@@ -327,6 +326,8 @@ def _extrapolate(t: np.ndarray, v: np.ndarray) -> tuple[float, float | None]:
     Falls back to the smallest-t value when the three points do not show a
     consistent power-law correction.
     """
+    from scipy.optimize import brentq
+
     t3, v3 = t[:3], v[:3]
     d1, d2 = v3[1] - v3[0], v3[2] - v3[1]
     if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0:
@@ -336,7 +337,7 @@ def _extrapolate(t: np.ndarray, v: np.ndarray) -> tuple[float, float | None]:
         return (t3[1] ** gamma - t3[0] ** gamma) / (t3[2] ** gamma - t3[1] ** gamma) - d1 / d2
 
     try:
-        gamma = optimize.brentq(gap, 1e-3, 10.0)
+        gamma = brentq(gap, 1e-3, 10.0)
     except ValueError:
         return float(v3[0]), None
     c = d1 / (t3[1] ** gamma - t3[0] ** gamma)

@@ -49,6 +49,19 @@ def mini_config(outdir, **overrides):
     return cfg
 
 
+def config_setting(tmp_path, path, value):
+    """The mini config with `path` set to `value`, creating missing blocks."""
+    cfg = mini_config(tmp_path / "out")
+    node = cfg
+    *parents, last = path.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    return config
+
+
 def write_config(tmp_path, name="config.yaml", **overrides):
     outdir = tmp_path / "out"
     cfg = mini_config(outdir, **overrides)
@@ -146,20 +159,39 @@ def test_malformed_config_writes_nothing(tmp_path, capsys):
     ("checks.rho_bnd", 0.5),
     ("output.format", ["json"]),
     ("gird", {"resolution": 8}),          # a misspelled top-level block
+    ("mc.limit.self_similarity", False),  # the removed n / 2n KS knob
 ])
 def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
-    cfg = mini_config(tmp_path / "out")
-    node = cfg
-    *parents, last = path.split(".")
-    for part in parents:
-        node = node.setdefault(part, {})
-    node[last] = value
-    config = tmp_path / "config.yaml"
-    config.write_text(yaml.safe_dump(cfg))
+    config = config_setting(tmp_path, path, value)
     with pytest.raises(CliConfigError, match=f"^{path}: unknown key"):
         load_config(config)
     assert cli.main(["run", "--config", str(config)]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("mc.tails.top_fraction", 0.2),           # hill_tail_index needs (0, 0.05]
+    ("mc.tails.top_fraction", "x"),
+    ("mc.tails.threshold_quantiles", [0.99, 1.5]),
+    ("mc.tails.threshold_quantiles", [0.99, 0.98]),
+    ("mc.tails.threshold_quantiles", []),
+    ("mc.sigma.threshold_quantile", 2.0),
+    ("mc.tails.n_directions", 0),
+    ("mc.limit.n_directions", 1.5),
+    ("mc.limit.s_values", [0.5, -1.0]),
+    ("mc.limit.s_values", []),
+    ("mc.sigma.invariance_mc", 50),
+    ("checks.rho_band", -0.01),
+    ("checks.cf_deviation_max", "wide"),
+])
+def test_config_rejects_bad_value(tmp_path, capsys, path, value):
+    config = config_setting(tmp_path, path, value)
+    with pytest.raises(CliConfigError, match=f"^{path}"):
+        load_config(config)
+    for command in ("run", "tail"):
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_block_that_is_not_a_mapping(tmp_path):
@@ -218,6 +250,24 @@ def test_full_pipeline_green(tmp_path):
     w_depths = report["stages"]["limit"]["w_depth_quantiles"]
     assert list(w_depths) == ["0.5", "0.9", "0.99"]
     assert 1 <= w_depths["0.5"] <= w_depths["0.9"] <= w_depths["0.99"]
+
+
+def test_full_pipeline_loads_no_scipy(tmp_path):
+    """The whole pipeline at d <= 3 runs on numpy alone: scipy is imported
+    only inside the few functions outside it that need it."""
+    path, outdir = write_config(tmp_path)
+    code = ("import sys\n"
+            "from kestenlab import cli\n"
+            f"rc = cli.main(['run', '--config', {str(path)!r}])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print('scipy modules:', loaded)\n"
+            "sys.exit(rc or (3 if loaded else 0))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "scipy modules: []" in proc.stdout
+    assert set(json.loads((outdir / "report.json").read_text())["stages"]) == set(cli.STAGES)
 
 
 def test_kappa_subcommand(tmp_path, capsys):
@@ -300,10 +350,32 @@ def test_simulate_count_override_and_validation(tmp_path, capsys):
     path, outdir = write_config(tmp_path)
     rc = cli.main(["simulate", "--config", str(path), "--n", "0"])
     assert rc == 2
+    assert "--n" in capsys.readouterr().err
+    assert not outdir.exists()
     rc = cli.main(["simulate", "--config", str(path), "--n", "2000"])
     assert rc == 0
     from kestenlab.batches import SampleBatch
     assert SampleBatch.from_csv(outdir / "stationary_samples.csv").count == 2000
+    # the override runs through the same path as every stage command
+    report = json.loads((outdir / "report.json").read_text())
+    assert list(report["stages"]) == ["simulate"]
+    assert report["stages"]["simulate"]["count"] == 2000
+
+
+def test_count_override_leaves_defaults_alone(tmp_path):
+    cfg = mini_config(tmp_path / "out")
+    del cfg["mc"]["stationary"]
+    assert validate_config(cfg, count_override=7).mc["stationary"]["count"] == 7
+    assert validate_config(cfg).mc["stationary"]["count"] == 200_000
+
+
+def test_assumptions_subcommand(tmp_path):
+    path, outdir = write_config(tmp_path)
+    assert cli.main(["assumptions", "--config", str(path)]) == 0
+    doc = json.loads((outdir / "stage_assumptions.json").read_text())
+    assert doc["stage"] == "assumptions"
+    assert doc["result"]["entries"]
+    assert doc["checks"] == {"assumptions_checkable_pass": True}
 
 
 def test_simulate_fragment_reports_quantiles_not_mean(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import kestenlab as kl
 from kestenlab.env_models import ConfigurationError
 from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
-                                 _stationary_chunk)
+                                 _forward_steps, _stationary_chunk)
 from kestenlab.rng import as_generator, substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
@@ -21,14 +22,34 @@ def constant_env(matrix, vector):
                           vector_law=kl.ConstantVector(vector))
 
 
+@dataclass
+class ForwardPaths:
+    """states[r, k] = R_k for replica r (k = 0 is the start); sums[r, k] = S_k."""
+
+    states: np.ndarray
+    sums: np.ndarray
+
+
+def iterate_forward(env, cfg) -> ForwardPaths:
+    """All replicas of (R_k, S_k), k = 0..n_steps, from the configured seed."""
+    states = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
+    sums = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
+    states[:, 0] = cfg.start_x
+    sums[:, 0] = 0.0
+    for k, r, s in _forward_steps(env, cfg):
+        states[:, k] = r.T
+        sums[:, k] = s.T
+    return ForwardPaths(states=states, sums=sums)
+
+
 # ---------------------------------------------------------------------------
 # forward iteration
 # ---------------------------------------------------------------------------
 
 def test_forward_zero_matrix_freezes_at_q():
     env = constant_env(((0.0, 0.0), (0.0, 0.0)), (2.0, -1.0))
-    paths = kl.iterate_forward(env, kl.PathConfig(n_steps=5, start_x=(9.0, 9.0),
-                                                  replicas=3, seed=1))
+    paths = iterate_forward(env, kl.PathConfig(n_steps=5, start_x=(9.0, 9.0),
+                                               replicas=3, seed=1))
     q = np.array([2.0, -1.0])
     for k in range(1, 6):
         assert np.array_equal(paths.states[:, k], np.broadcast_to(q, (3, 2)))
@@ -37,7 +58,7 @@ def test_forward_zero_matrix_freezes_at_q():
 
 def test_forward_geometric_contraction():
     env = constant_env(((0.5, 0.0), (0.0, 0.5)), (1.0, 0.0))
-    paths = kl.iterate_forward(env, kl.PathConfig(n_steps=30, start_x=(0.0, 0.0), seed=2))
+    paths = iterate_forward(env, kl.PathConfig(n_steps=30, start_x=(0.0, 0.0), seed=2))
     for n in (1, 5, 30):
         expected = (2.0 - 2.0 ** (1 - n))
         assert paths.states[0, n, 0] == pytest.approx(expected, abs=1e-12)
@@ -46,8 +67,8 @@ def test_forward_geometric_contraction():
 
 def test_forward_replay_is_bit_identical(scalar_env):
     cfg = kl.PathConfig(n_steps=64, start_x=(0.5,), replicas=7, seed=3)
-    a = kl.iterate_forward(scalar_env, cfg)
-    b = kl.iterate_forward(scalar_env, cfg)
+    a = iterate_forward(scalar_env, cfg)
+    b = iterate_forward(scalar_env, cfg)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.sums, b.sums)
 
@@ -55,13 +76,13 @@ def test_forward_replay_is_bit_identical(scalar_env):
 def test_forward_overflow_aborts():
     env = constant_env(((2.0, 0.0), (0.0, 2.0)), (1.0, 0.0))
     with pytest.raises(TrajectoryOverflowError):
-        kl.iterate_forward(env, kl.PathConfig(n_steps=1200, start_x=(1.0, 0.0), seed=4))
+        iterate_forward(env, kl.PathConfig(n_steps=1200, start_x=(1.0, 0.0), seed=4))
 
 
 def test_forward_matches_stationary_law(scalar_env):
     """Forward chain at n = 200 vs the backward-series sampler: same law."""
     n = 200
-    paths = kl.iterate_forward(scalar_env, kl.PathConfig(
+    paths = iterate_forward(scalar_env, kl.PathConfig(
         n_steps=n, start_x=(0.0,), replicas=100_000, seed=5))
     forward_final = paths.states[:, n, 0]
     backward = kl.sample_stationary(scalar_env, kl.SeriesConfig(truncation=n, seed=6),
@@ -378,7 +399,7 @@ def test_birkhoff_single_step_matches_pair(scalar_env):
 def test_birkhoff_matches_forward_paths(scalar_env):
     cfg = kl.PathConfig(n_steps=50, start_x=(0.0,), replicas=25, seed=21)
     batch = kl.birkhoff_sums(scalar_env, cfg)
-    paths = kl.iterate_forward(scalar_env, cfg)
+    paths = iterate_forward(scalar_env, cfg)
     assert np.array_equal(batch.data, paths.sums[:, -1])
 
 
@@ -397,6 +418,6 @@ def test_birkhoff_symmetric_sums_have_centered_median(scalar_env):
 @settings(max_examples=20, deadline=None)
 def test_degenerate_recursion_property(q, n):
     env = constant_env(((0.0,),), (q,))
-    paths = kl.iterate_forward(env, kl.PathConfig(n_steps=n, start_x=(1.0,), seed=23))
+    paths = iterate_forward(env, kl.PathConfig(n_steps=n, start_x=(1.0,), seed=23))
     assert paths.states[0, n, 0] == q
     assert paths.sums[0, n, 0] == pytest.approx(n * q, rel=1e-15, abs=1e-12)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.recursion import NonContractionError
 from kestenlab.rng import as_generator, substream
-from kestenlab.stable_limit import (CenteringResult, RadialQuadrature,
-                                    StableLaw, classify_regime,
-                                    effective_kappa, normalized_sums,
-                                    sample_w_matrices, self_similarity_check)
+from kestenlab.stable_limit import (REGIME_ABOVE_ONE, REGIME_BELOW_ONE,
+                                    REGIME_ONE, CenteringResult, StableLaw,
+                                    classify_regime, effective_kappa,
+                                    normalized_sums, sample_w_matrices,
+                                    self_similarity_check)
 from kestenlab.tails import SpectralMeasure
 
 
@@ -33,6 +35,112 @@ def uniform_sigma(grid, kappa, total=1.0):
     return SpectralMeasure(grid=grid, mass=np.full(grid.n, total / grid.n),
                            threshold_used=1.0, total_mass=total, kappa=kappa,
                            sample_count=0, exceedances=0)
+
+
+def w_cache(env, mc, rng):
+    return sample_w_matrices(env, kl.SeriesConfig(tolerance=1e-10), mc, rng)
+
+
+# ---------------------------------------------------------------------------
+# independent references for the closed-form radial integrals
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RadialQuadrature:
+    """Log-spaced Gauss panels on (s_min, s_max] plus analytic tail control."""
+
+    s_max: float = 50.0
+    points_per_panel: int = 16
+    panels_per_log_unit: float = 2.0
+
+    def nodes(self, kappa: float, regime: str) -> tuple[np.ndarray, np.ndarray, float]:
+        """(s nodes, weights including the s^(-kappa-1) ds factor, s_min)."""
+        # pick s_min so the analytic bound on the (0, s_min] head is tiny:
+        # the combined integrand is O(s^2) with centering and O(s) without
+        head_order = 1.0 - kappa if regime == REGIME_BELOW_ONE else 2.0 - kappa
+        s_min = min(1e-8, 10.0 ** (-9.0 / head_order))
+        y_lo, y_hi = math.log(s_min), math.log(self.s_max)
+        n_panels = max(8, int(math.ceil((y_hi - y_lo) * self.panels_per_log_unit)))
+        gl_x, gl_w = np.polynomial.legendre.leggauss(self.points_per_panel)
+        edges = np.linspace(y_lo, y_hi, n_panels + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        y = (centers[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        wy = (half[:, None] * gl_w[None, :]).ravel()
+        s = np.exp(y)
+        # substitute s = e^y: ds s^(-kappa-1) = e^(-kappa y) dy
+        weights = wy * np.exp(-kappa * y)
+        return s, weights, s_min
+
+
+def _centering_term(regime: str, s: np.ndarray, a: float) -> np.ndarray:
+    if regime == REGIME_ABOVE_ONE:
+        return 1j * s * a
+    if regime == REGIME_ONE:
+        return 1j * s * a / (1.0 + s * s)
+    return np.zeros_like(s, dtype=complex)
+
+
+def _tail_correction(regime: str, kappa: float, s_max: float, a: float) -> complex:
+    """Exact integral of the centering term over (s_max, inf)."""
+    if regime == REGIME_ABOVE_ONE:
+        return -1j * a * s_max ** (1.0 - kappa) / (kappa - 1.0)
+    if regime == REGIME_ONE:
+        return -1j * a * 0.5 * math.log1p(s_max ** -2)
+    return 0.0 + 0.0j
+
+
+def c_kappa_panels(v: np.ndarray, kappa: float, sigma: SpectralMeasure,
+                   radial_quadrature: RadialQuadrature, cache, regime: str):
+    """(value, budget) of C(v) by panel quadrature of the polar integral,
+    h_v averaged over the cache draws node by node, with the unresolved
+    head, the bounded tail factor, and the uniform Monte-Carlo error of h
+    folded into a certified budget."""
+    s, wq, s_min = radial_quadrature.nodes(kappa, regime)
+    total_mass = float(np.sum(sigma.mass))
+    value = 0.0 + 0.0j
+    head_budget = 0.0
+    mc_budget = 0.0
+    for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
+        if mass_j == 0.0:
+            continue
+        a = float(v @ w_j)
+        u = cache.apply(w_j) @ v
+        integral = 0.0 + 0.0j
+        for lo in range(0, s.size, 256):
+            hi = min(lo + 256, s.size)
+            sb, wb = s[lo:hi], wq[lo:hi]
+            h_vals = np.mean(np.exp(1j * np.outer(sb, u)), axis=1)
+            g = (np.exp(1j * sb * a) - 1.0) * h_vals - _centering_term(regime, sb, a)
+            integral += complex(np.sum(wb * g))
+        integral += _tail_correction(regime, kappa, radial_quadrature.s_max, a)
+        value += mass_j * integral
+        mean_abs_u = float(np.mean(np.abs(u)))
+        if regime == REGIME_BELOW_ONE:
+            head = abs(a) * s_min ** (1.0 - kappa) / (1.0 - kappa)
+        else:
+            head = (0.5 * a * a + abs(a) * mean_abs_u) * s_min ** (2.0 - kappa) / (2.0 - kappa)
+        head_budget += mass_j * head
+        env_bound = np.minimum(s * abs(a), 2.0)
+        mc_budget += mass_j * (2.0 / math.sqrt(cache.count)) * float(np.sum(wq * env_bound))
+    tail_budget = 2.0 * total_mass * radial_quadrature.s_max ** -kappa / kappa
+    return complex(value), float(tail_budget + head_budget + mc_budget)
+
+
+def cos_tail_series(kappa: float) -> float:
+    """integral of (cos s - 1) / s^(kappa+1) over (0, inf) by parts:
+    -(1/kappa) * integral of sin(s) s^(-kappa), whose [0, 1] piece is an
+    alternating series and the rest an oscillatory quadrature with the
+    sine weight."""
+    head = 0.0
+    for m_idx in range(24):
+        term = (-1.0) ** m_idx / (math.factorial(2 * m_idx + 1) * (2 * m_idx + 2 - kappa))
+        head += term
+        if abs(term) < 1e-18:
+            break
+    tail, _ = integrate.quad(lambda t: t ** -kappa, 1.0, np.inf,
+                             weight="sin", wvar=1.0, limit=400)
+    return -(head + tail) / kappa
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +260,7 @@ def test_c_kappa_classical_oracle_below_one(grid1):
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
     kappa = 0.5
     sigma = uniform_sigma(grid1, kappa)
-    ck = kl.c_kappa(np.array([1.0]), kappa, sigma, env, None, 400, substream(79))
+    ck = kl.c_kappa(np.array([1.0]), kappa, sigma, env, w_cache(env, 400, substream(79)))
     # oracle: int_0^inf (cos s - 1) s^(-1-kappa) ds over both antipodes
     finite = integrate.quad(lambda s: (math.cos(s) - 1.0) * s ** (-1 - kappa),
                             0, 50, limit=400)[0]
@@ -167,14 +275,13 @@ def test_c_kappa_classical_oracle_below_one(grid1):
 def test_c_kappa_panel_route_agrees_within_budget(scalar_env, grid1):
     kappa = 0.5
     sigma = uniform_sigma(grid1, kappa)
-    cache = sample_w_matrices(scalar_env, kl.SeriesConfig(tolerance=1e-10), 1000,
-                              substream(80))
-    exact = kl.c_kappa(np.array([1.0]), kappa, sigma, scalar_env, None,
-                       0, None, cache=cache, regime="kappa_below_1")
-    panels = kl.c_kappa(np.array([1.0]), kappa, sigma, scalar_env,
-                        RadialQuadrature(s_max=200.0), 0, None, cache=cache,
-                        regime="kappa_below_1")
-    assert abs(exact.value - panels.value) <= panels.error_budget + exact.error_budget
+    cache = w_cache(scalar_env, 1000, substream(80))
+    exact = kl.c_kappa(np.array([1.0]), kappa, sigma, scalar_env, cache,
+                       regime=REGIME_BELOW_ONE)
+    panels, panels_budget = c_kappa_panels(np.array([1.0]), kappa, sigma,
+                                           RadialQuadrature(s_max=200.0), cache,
+                                           REGIME_BELOW_ONE)
+    assert abs(exact.value - panels) <= panels_budget + exact.error_budget
 
 
 def test_c_kappa_symmetric_sigma_gives_real_exponent(scalar_env, scalar_batch,
@@ -187,8 +294,8 @@ def test_c_kappa_symmetric_sigma_gives_real_exponent(scalar_env, scalar_batch,
                                 total_mass=float(sigma.mass.mean() * 2),
                                 kappa=1.0, sample_count=sigma.sample_count,
                                 exceedances=sigma.exceedances)
-    ck = kl.c_kappa(np.array([1.0]), 1.0, symmetric, scalar_env, None, 2000,
-                    substream(81))
+    ck = kl.c_kappa(np.array([1.0]), 1.0, symmetric, scalar_env,
+                    w_cache(scalar_env, 2000, substream(81)))
     assert ck.value.real < 0
     assert abs(ck.value.imag) <= 1e-12 * abs(ck.value.real)
 
@@ -197,8 +304,8 @@ def test_c_kappa_requires_symmetry_at_one(grid1):
     env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (1 / 3, 2 / 3)),
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=False)
     with pytest.raises(ConfigurationError):
-        kl.c_kappa(np.array([1.0]), 1.0, uniform_sigma(grid1, 1.0), env, None,
-                   200, substream(82))
+        kl.c_kappa(np.array([1.0]), 1.0, uniform_sigma(grid1, 1.0), env,
+                   w_cache(env, 200, substream(82)))
 
 
 def test_effective_kappa_snaps_to_one():
@@ -211,7 +318,7 @@ def test_effective_kappa_snaps_to_one():
 # ---------------------------------------------------------------------------
 
 def test_centering_below_one_is_zero(scalar_env, scalar_batch):
-    cent = kl.centering(scalar_env, 0.7, scalar_batch, regime="kappa_below_1")
+    cent = kl.centering(scalar_env, 0.7, scalar_batch, regime=REGIME_BELOW_ONE)
     assert cent.kind == "none"
     assert np.array_equal(cent.shift(1000, 1), np.zeros(1))
 
@@ -400,6 +507,12 @@ def test_cosine_tail_constant_values():
         value = kl.cos_tail_constant(kappa)
         assert value < 0
         assert value == pytest.approx(closed, rel=1e-8)
+    # the kappa = 1 branch is taken at 1 exactly, not across the snap band
+    for kappa in (0.3, 0.5, 0.97, 0.99, 1.0, 1.03, 1.5, 1.9):
+        assert kl.cos_tail_constant(kappa) == pytest.approx(cos_tail_series(kappa), rel=1e-9)
+    for kappa in (0.0, 2.0):
+        with pytest.raises(ConfigurationError):
+            kl.cos_tail_constant(kappa)
 
 
 def test_nondegeneracy_isotropic(similarity_env, grid2):
