@@ -25,10 +25,8 @@ import yaml
 
 from . import recursion, spectral, stable_limit, tails
 from .batches import SampleBatch, atomic_write
-from .env_models import (ConfigurationError, ConstantMatrix, ConstantVector,
-                         DiagonalTimesRotation, Environment, GaussianMatrix,
-                         GaussianVector, MatrixMixture, ScalarTwoPoint,
-                         Similarity, TwoPointVector, check_assumptions)
+from .env_models import (ConfigurationError, Environment, build_environment,
+                         check_assumptions)
 from .rng import substream
 from .spectral import build_grid
 
@@ -210,52 +208,8 @@ def _merge_defaults(block, defaults: dict, path: str) -> dict:
     return out
 
 
-def build_matrix_law(block: dict, dim: int, path: str):
-    family = block.get("family")
-    if family == "scalar_two_point":
-        if dim != 1:
-            _fail(path, "scalar_two_point requires dim = 1")
-        return ScalarTwoPoint(values=tuple(block.get("values", (2.0, 0.5))),
-                              probs=tuple(block.get("probs", (1 / 3, 2 / 3))))
-    if family == "similarity":
-        return Similarity(dim=dim,
-                          scale_values=tuple(block["scale_values"]),
-                          scale_probs=tuple(block["scale_probs"]))
-    if family == "gaussian":
-        return GaussianMatrix(dim=dim, scale=float(block.get("scale", 1.0)),
-                              min_abs_det=float(block.get("min_abs_det", 1e-6)))
-    if family == "diag_rotation":
-        return DiagonalTimesRotation(dim=dim,
-                                     log_mean=float(block.get("log_mean", 0.0)),
-                                     log_sigma=float(block.get("log_sigma", 0.5)))
-    if family == "constant":
-        if "matrix" in block:
-            return ConstantMatrix(matrix=tuple(map(tuple, block["matrix"])))
-        scale = _expect_number(block.get("scale", 1.0), f"{path}.scale")
-        return ConstantMatrix(matrix=tuple(map(tuple, scale * np.eye(dim))))
-    if family == "mixture":
-        comps = tuple(build_matrix_law(c, dim, f"{path}.components[{i}]")
-                      for i, c in enumerate(block["components"]))
-        return MatrixMixture(components=comps, weights=tuple(block["weights"]))
-    _fail(path + ".family", f"unknown matrix family {family!r}")
-
-
-def build_vector_law(block: dict, dim: int, path: str):
-    family = block.get("family")
-    if family == "constant":
-        return ConstantVector(values=tuple(block["values"]))
-    if family == "gaussian":
-        return GaussianVector(dim=dim, scale=float(block.get("scale", 1.0)))
-    if family == "two_point":
-        return TwoPointVector(first=tuple(block["first"]),
-                              second=tuple(block["second"]),
-                              prob_first=float(block.get("prob_first", 0.5)))
-    _fail(path + ".family", f"unknown vector family {family!r}")
-
-
 @dataclass
 class RunConfig:
-    raw: dict
     env: Environment
     env_block: dict
     grid: dict
@@ -278,21 +232,10 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     for key in raw:
         if key not in ("env", "pipeline", *_DEFAULTS):
             _fail(str(key), f"unknown key; valid: env, pipeline, {', '.join(_DEFAULTS)}")
-    if "env" not in raw or not isinstance(raw["env"], dict):
-        _fail("env", "missing environment block")
-    env_block = raw["env"]
-    dim = _expect_positive_int(env_block.get("dim"), "env.dim")
-    matrix_law = build_matrix_law(env_block.get("matrix_law") or {}, dim, "env.matrix_law")
-    vector_law = build_vector_law(env_block.get("vector_law") or {}, dim, "env.vector_law")
     try:
-        env = Environment(
-            dim=dim, matrix_law=matrix_law, vector_law=vector_law,
-            independent_mq=bool(env_block.get("independent_mq", True)),
-            q_symmetric=bool(env_block.get("q_symmetric", False)),
-            kappa0_hint=_expect_number(env_block.get("kappa0_hint", 1.0),
-                                       "env.kappa0_hint", positive=True))
+        env = build_environment(raw.get("env"), "env")
     except ConfigurationError as exc:
-        raise CliConfigError(f"env: {exc}") from exc
+        raise CliConfigError(str(exc)) from exc
 
     grid = _merge_defaults(raw.get("grid"), _DEFAULTS["grid"], "grid")
     _expect_positive_int(grid["resolution"], "grid.resolution", minimum=2)
@@ -358,7 +301,7 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     if not isinstance(seed, int) or seed < 0:
         _fail("mc.seed", f"expected a nonnegative integer, got {seed!r}")
 
-    return RunConfig(raw=raw, env=env, env_block=env_block, grid=grid, mc=mc,
+    return RunConfig(env=env, env_block=raw["env"], grid=grid, mc=mc,
                      checks=checks, pipeline=list(pipeline), output=output,
                      seed=int(seed))
 
@@ -666,9 +609,6 @@ def stage_nondeg(ctx: RunContext) -> dict:
         ctx.config.mc["limit"]["w_draws"], ctx.stream("nondeg", 0))
     ctx.checks["nondegenerate"] = verdict.nondegenerate
     ctx.checks["transposed_positivity"] = tp.positive
-    for v, c in zip(law.directions, law.c_values):
-        print(f"Re C({np.array2string(v, precision=4)}) = {c.real:.6f}")
-    print(f"verdict: {'nondegenerate' if verdict.nondegenerate else 'DEGENERATE'}")
     return {"verdict": verdict.to_json_dict(),
             "plus_integral": tp.plus_integral, "plus_se": tp.plus_se,
             "minus_integral": tp.minus_integral, "minus_se": tp.minus_se,

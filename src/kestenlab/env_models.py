@@ -1,13 +1,13 @@
 """Distribution families for the driving pairs (M, Q) and moment checks.
 
-An Environment bundles a matrix law for M, a vector law for Q, and the
-flags that the rest of the toolkit keys on (independence of M and Q,
-symmetry of Q, a candidate exponent for the moment conditions).
+An Environment bundles a matrix law for M, a vector law for Q drawn
+independently of M, and flags (symmetry of Q, a candidate exponent for the
+moment conditions); each dataclass is the schema of its config block.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -242,7 +242,7 @@ class MatrixMixture:
 
 @dataclass(frozen=True)
 class ConstantVector:
-    values: tuple
+    values: tuple[float, ...]
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -273,8 +273,8 @@ class GaussianVector:
 
 @dataclass(frozen=True)
 class TwoPointVector:
-    first: tuple
-    second: tuple
+    first: tuple[float, ...]
+    second: tuple[float, ...]
     prob_first: float = 0.5
 
     def __post_init__(self):
@@ -309,7 +309,6 @@ class Environment:
     dim: int
     matrix_law: object
     vector_law: object
-    independent_mq: bool = True
     q_symmetric: bool = False
     kappa0_hint: float = 1.0
 
@@ -322,10 +321,6 @@ class Environment:
             raise ConfigurationError("vector law dimension does not match env dim")
         if self.kappa0_hint <= 0:
             raise ConfigurationError("kappa0_hint must be positive")
-        if not self.independent_mq:
-            raise ConfigurationError(
-                "built-in families sample M and Q independently; "
-                "independent_mq=False would misdescribe the law")
 
 
 def sample_q(env: Environment, rng, count: int) -> np.ndarray:
@@ -344,6 +339,87 @@ def sample_pairs(env: Environment, rng, count: int) -> tuple[np.ndarray, np.ndar
     m = env.matrix_law.sample(rng, count)
     q = sample_q(env, rng, count)
     return m, q
+
+
+# ---------------------------------------------------------------------------
+# config blocks
+# ---------------------------------------------------------------------------
+
+MATRIX_FAMILIES = {"scalar_two_point": ScalarTwoPoint, "similarity": Similarity,
+                   "gaussian": GaussianMatrix, "diag_rotation": DiagonalTimesRotation,
+                   "constant": ConstantMatrix, "mixture": MatrixMixture}
+VECTOR_FAMILIES = {"constant": ConstantVector, "gaussian": GaussianVector,
+                   "two_point": TwoPointVector}
+
+
+def _coerce(value, annotation: str, path: str):
+    """A config value checked against its field's annotation: a number is
+    never read from a string or a bool, and a list becomes a tuple."""
+    if annotation.startswith("tuple[float") and isinstance(value, (list, tuple)):
+        value = [float(_coerce(x, "float", f"{path}[{i}]")) for i, x in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {"bool": isinstance(value, bool), "float": number and math.isfinite(value),
+          "tuple": isinstance(value, (list, tuple))}.get(annotation.split("[")[0], True)
+    if not ok:
+        raise ConfigurationError(f"{path}: expected {annotation}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _from_block(cls, block, path: str, **given):
+    """cls built from a config mapping whose keys are its fields, less those
+    `given`: a field without a default is required, and a value the class
+    refuses is refused with the block's path."""
+    names = [f.name for f in fields(cls) if f.name not in given]
+    for key in block:
+        if key not in names:
+            raise ConfigurationError(f"{path}.{key}: unknown key; valid: {', '.join(names)}")
+    for f in fields(cls):
+        if f.name in block:
+            given[f.name] = _coerce(block[f.name], f.type, f"{path}.{f.name}")
+        elif f.name not in given and f.default is MISSING:
+            raise ConfigurationError(f"{path}.{f.name}: missing required key")
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def build_law(block, families: dict, dim: int, path: str):
+    """The law a config block describes: `family` names a class of
+    `families`, and the other keys are its fields, with `dim` taken from the
+    environment.  `constant` also takes `scale`, for scale times the
+    identity, and each of a mixture's `components` is a matrix-law block."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{path}: expected a mapping, got {block!r}")
+    block = dict(block)
+    name = block.pop("family", None)
+    cls = families.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigurationError(
+            f"{path}.family: unknown family {name!r}; valid: {', '.join(families)}")
+    if cls is ConstantMatrix and "scale" in block and "matrix" not in block:
+        scale = _coerce(block.pop("scale"), "float", f"{path}.scale")
+        block["matrix"] = tuple(map(tuple, scale * np.eye(dim)))
+    if cls is MatrixMixture and "components" in block:
+        block["components"] = tuple(
+            build_law(c, MATRIX_FAMILIES, dim, f"{path}.components[{i}]")
+            for i, c in enumerate(_coerce(block["components"], "tuple", f"{path}.components")))
+    given = {"dim": dim} if "dim" in {f.name for f in fields(cls)} else {}
+    return _from_block(cls, block, path, **given)
+
+
+def build_environment(block, path: str) -> Environment:
+    """The Environment a config block describes: its keys are the fields of
+    Environment, and `matrix_law` and `vector_law` are family blocks."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{path}: expected a mapping, got {block!r}")
+    dim = block.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ConfigurationError(f"{path}.dim: expected an integer >= 1, got {dim!r}")
+    laws = {key: build_law(block[key], families, dim, f"{path}.{key}")
+            for key, families in (("matrix_law", MATRIX_FAMILIES),
+                                  ("vector_law", VECTOR_FAMILIES)) if key in block}
+    return _from_block(Environment, {**block, **laws}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +515,7 @@ def check_assumptions(env: Environment, mc_n: int, rng,
 
 
 def _check_a6(env: Environment, m: np.ndarray, q: np.ndarray) -> AssumptionEntry:
-    q_degenerate = bool(np.all(np.isclose(q, q[0], atol=1e-14)))
-    if env.independent_mq and not q_degenerate:
+    if not np.all(np.isclose(q, q[0], atol=1e-14)):
         return AssumptionEntry("A6", "pass", 0.0, None, {"reason": "independent M, Q and Q non-degenerate"})
     # look for a common solution of M r + Q = r across the sampled pairs
     d = env.dim

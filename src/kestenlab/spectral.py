@@ -107,18 +107,6 @@ class SphereGrid:
         return grid
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    grid: SphereGrid
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class GridMeasure:
-    grid: SphereGrid
-    masses: np.ndarray
-
-
 @functools.lru_cache(maxsize=None)
 def equal_area_zones(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leopardi's partition of the 2-sphere into n cells of equal area
@@ -307,31 +295,29 @@ def _perron(a: np.ndarray, grid: SphereGrid) -> tuple[float, np.ndarray, np.ndar
 
 def spectral_radius(kappa: float, env: Environment, grid: SphereGrid,
                     mc_n: int, rng,
-                    draws: OperatorDraws | None = None) -> tuple[float, GridFunction]:
+                    draws: OperatorDraws | None = None) -> tuple[float, np.ndarray]:
     """Leading eigenvalue and positive leading vector of the discretized operator."""
     if draws is None:
         draws = build_operator_draws(env, grid, ROW_ACTION, mc_n, rng)
     rho, vec, _, _ = _perron(draws.matrix(kappa), grid)
-    return rho, GridFunction(grid=grid, values=vec)
+    return rho, vec
 
 
 @dataclass(eq=False)
 class SpectralSolution:
-    """Solved tail index with the eigen-objects that normalize the tail limit."""
+    """Solved tail index with the eigen-objects that normalize the tail limit:
+    the function r and the measures eta and pi, one entry per grid cell."""
 
     kappa: float
     rho_at_kappa: float
     rho_history: list
-    r: GridFunction
-    eta: GridMeasure
-    pi: GridMeasure
+    grid: SphereGrid
+    r: np.ndarray
+    eta: np.ndarray
+    pi: np.ndarray
     alpha: float
     mc_per_point: int
     reducible_directions: bool = False
-
-    @property
-    def grid(self) -> SphereGrid:
-        return self.r.grid
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,9 +325,9 @@ class SpectralSolution:
             "rho_at_kappa": self.rho_at_kappa,
             "alpha": self.alpha,
             "grid": self.grid.to_json_dict(),
-            "r": self.r.values.tolist(),
-            "eta": self.eta.masses.tolist(),
-            "pi": self.pi.masses.tolist(),
+            "r": self.r.tolist(),
+            "eta": self.eta.tolist(),
+            "pi": self.pi.tolist(),
             "rho_history": [[k, r] for k, r in self.rho_history],
             "mc_per_point": self.mc_per_point,
             "reducible_directions": self.reducible_directions,
@@ -349,13 +335,13 @@ class SpectralSolution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpectralSolution":
-        grid = SphereGrid.from_json_dict(doc["grid"])
         return cls(
             kappa=doc["kappa"], rho_at_kappa=doc["rho_at_kappa"],
             rho_history=[tuple(x) for x in doc["rho_history"]],
-            r=GridFunction(grid, np.asarray(doc["r"], dtype=float)),
-            eta=GridMeasure(grid, np.asarray(doc["eta"], dtype=float)),
-            pi=GridMeasure(grid, np.asarray(doc["pi"], dtype=float)),
+            grid=SphereGrid.from_json_dict(doc["grid"]),
+            r=np.asarray(doc["r"], dtype=float),
+            eta=np.asarray(doc["eta"], dtype=float),
+            pi=np.asarray(doc["pi"], dtype=float),
             alpha=doc["alpha"], mc_per_point=doc["mc_per_point"],
             reducible_directions=doc["reducible_directions"])
 
@@ -419,9 +405,7 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
             "shifted kernel must be positive")
     return SpectralSolution(
         kappa=float(kappa), rho_at_kappa=float(rho_final), rho_history=history,
-        r=GridFunction(grid=grid, values=r_vals),
-        eta=GridMeasure(grid=grid, masses=eta),
-        pi=GridMeasure(grid=grid, masses=pi),
+        grid=grid, r=r_vals, eta=eta, pi=pi,
         alpha=float(alpha), mc_per_point=mc_n, reducible_directions=reducible)
 
 
@@ -439,10 +423,10 @@ def fixed_point_residuals(sol: SpectralSolution, env: Environment,
     """Residuals of r and eta under a fresh Monte-Carlo operator build:
     sup-norm for the function, total-variation mass for the measure."""
     a = build_operator_draws(env, sol.grid, ROW_ACTION, mc_n, rng).matrix(sol.kappa)
-    tr = a @ sol.r.values
-    r_res = float(np.max(np.abs(tr - sol.r.values)) / np.max(np.abs(sol.r.values)))
-    pushed = a.T @ sol.eta.masses
-    eta_res = float(np.sum(np.abs(pushed - sol.eta.masses)))
+    tr = a @ sol.r
+    r_res = float(np.max(np.abs(tr - sol.r)) / np.max(np.abs(sol.r)))
+    pushed = a.T @ sol.eta
+    eta_res = float(np.sum(np.abs(pushed - sol.eta)))
     return r_res, eta_res
 
 
@@ -488,7 +472,7 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     # absorbing direction chain: the invariant law seen from v is the point
     # mass at v, so the grid mixing collapses and r cancels
     points = v_dirs if reducible else sol.grid.points
-    coeff = None if reducible else sol.pi.masses / sol.r.values
+    coeff = None if reducible else sol.pi / sol.r
     per_sample = np.empty(n_pairs)
     row_sums = np.zeros(points.shape[0])
     # one block of samples at a time, so the (rows, samples) brackets take
@@ -506,7 +490,7 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     if reducible:
         values = row_sums / n_pairs / (alpha * kappa)
     else:
-        r_at_v = sol.r.values[sol.grid.cell_index(v_dirs)]
+        r_at_v = sol.r[sol.grid.cell_index(v_dirs)]
         values = r_at_v * float(per_sample.mean()) / (alpha * kappa)
     agg = float(per_sample.mean())
     agg_se = float(np.std(per_sample) / math.sqrt(n_pairs))

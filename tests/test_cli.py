@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ def mini_config(outdir, **overrides):
             "matrix_law": {"family": "scalar_two_point", "values": [2.0, 0.5],
                            "probs": [1 / 3, 2 / 3]},
             "vector_law": {"family": "constant", "values": [1.0]},
-            "independent_mq": True, "q_symmetric": True, "kappa0_hint": 1.5,
+            "q_symmetric": True, "kappa0_hint": 1.5,
         },
         "grid": {"resolution": 2},
         "mc": {
@@ -49,9 +52,18 @@ def mini_config(outdir, **overrides):
     return cfg
 
 
+class Block(NamedTuple):
+    """A test value that sets the block at `path` instead of the tested key:
+    how a test reaches a key missing from a block, or one inside a list."""
+    path: str
+    block: dict
+
+
 def config_setting(tmp_path, path, value):
     """The mini config with `path` set to `value`, creating missing blocks."""
     cfg = mini_config(tmp_path / "out")
+    if isinstance(value, Block):
+        path, value = value
     node = cfg
     *parents, last = path.split(".")
     for part in parents:
@@ -160,10 +172,18 @@ def test_malformed_config_writes_nothing(tmp_path, capsys):
     ("output.format", ["json"]),
     ("gird", {"resolution": 8}),          # a misspelled top-level block
     ("mc.limit.self_similarity", False),  # the removed n / 2n KS knob
+    ("env.matrix_law.scal", Block("env.matrix_law", {"family": "gaussian", "scal": 0.1})),
+    ("env.matrix_law.components[1].scal", Block("env.matrix_law", {
+        "family": "mixture", "weights": [0.5, 0.5],
+        "components": [{"family": "constant", "scale": 0.5},
+                       {"family": "constant", "scal": 0.5}]})),
+    ("env.vector_law.scal", 0.1),
+    ("env.q_symetric", True),
+    ("env.independent_mq", True),         # the removed one-valued knob
 ])
 def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
-    with pytest.raises(CliConfigError, match=f"^{path}: unknown key"):
+    with pytest.raises(CliConfigError, match=f"^{re.escape(path)}: unknown key"):
         load_config(config)
     assert cli.main(["run", "--config", str(config)]) == 2
     assert path in capsys.readouterr().err
@@ -183,6 +203,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     ("mc.sigma.invariance_mc", 50),
     ("checks.rho_band", -0.01),
     ("checks.cf_deviation_max", "wide"),
+    ("env.matrix_law.scale_values", Block("env.matrix_law", {
+        "family": "similarity", "scale_probs": [1.0]})),
+    ("env.q_symmetric", "false"),
 ])
 def test_config_rejects_bad_value(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
@@ -192,6 +215,21 @@ def test_config_rejects_bad_value(tmp_path, capsys, path, value):
         assert cli.main([command, "--config", str(config)]) == 2
         assert path in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("source", [
+    *sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "scripts" / "configs").glob("*.yaml")),
+    "README.md"])
+def test_shipped_configs_validate(source):
+    """The checked-in configs and README's Configuration example follow the
+    schema."""
+    text = (ROOT / source).read_text()
+    if source == "README.md":
+        text = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    validate_config(yaml.safe_load(text))
 
 
 def test_config_rejects_block_that_is_not_a_mapping(tmp_path):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kestenlab as kl
-from kestenlab.env_models import (ConfigurationError, NOT_CHECKABLE,
-                                  operator_norm, random_rotations)
+from kestenlab.env_models import (MATRIX_FAMILIES, NOT_CHECKABLE, VECTOR_FAMILIES,
+                                  ConfigurationError, build_law, operator_norm,
+                                  random_rotations)
 from kestenlab.rng import substream
 
 
@@ -90,6 +93,32 @@ def test_invalid_parameters_raise():
     with pytest.raises(ConfigurationError):
         kl.Environment(dim=2, matrix_law=kl.ScalarTwoPoint(),
                        vector_law=kl.GaussianVector(2))
+
+
+# a value for each field that some family requires: as a config block
+# writes it, and as the dataclass takes it
+REQUIRED = {
+    "scale_values": ([2.0], (2.0,)),
+    "scale_probs": ([1.0], (1.0,)),
+    "matrix": ([[0.5]], ((0.5,),)),
+    "components": ([{"family": "constant", "matrix": [[0.5]]}],
+                   (kl.ConstantMatrix(((0.5,),)),)),
+    "weights": ([1.0], (1.0,)),
+    "values": ([1.0], (1.0,)),
+    "first": ([1.0], (1.0,)),
+    "second": ([-1.0], (-1.0,)),
+}
+
+
+@pytest.mark.parametrize("families, name", [
+    (families, name) for families in (MATRIX_FAMILIES, VECTOR_FAMILIES) for name in families])
+def test_block_of_required_keys_builds_the_defaults(families, name):
+    cls = families[name]
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.name != "dim"]
+    block = {"family": name, **{k: REQUIRED[k][0] for k in required}}
+    dim = {"dim": 1} if "dim" in {f.name for f in dataclasses.fields(cls)} else {}
+    assert build_law(block, families, 1, "law") == cls(**dim, **{k: REQUIRED[k][1] for k in required})
 
 
 # ---------------------------------------------------------------------------

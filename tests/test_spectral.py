@@ -171,7 +171,7 @@ def test_rho_deterministic_similarity():
     for kappa in (0.5, 1.0, 2.0):
         rho, lead = kl.spectral_radius(kappa, env, grid, 400, substream(37))
         assert rho == pytest.approx(0.8 ** kappa, rel=1e-9)
-        assert np.all(lead.values > 0)
+        assert np.all(lead > 0)
 
 
 def test_perron_periodic_matrix():
@@ -207,9 +207,9 @@ def test_solve_kappa_scalar(scalar_solution):
     assert abs(sol.rho_at_kappa - 1.0) <= 0.01
     assert abs(sol.alpha - ALPHA_SCALAR) <= 0.1 * ALPHA_SCALAR
     assert sol.reducible_directions          # positive scalar M never mixes signs
-    assert np.all(sol.r.values > 0)
-    assert abs(float(sol.r.values @ sol.eta.masses) - 1.0) <= 1e-8
-    assert np.allclose(sol.pi.masses, sol.r.values * sol.eta.masses, atol=1e-12)
+    assert np.all(sol.r > 0)
+    assert abs(float(sol.r @ sol.eta) - 1.0) <= 1e-8
+    assert np.allclose(sol.pi, sol.r * sol.eta, atol=1e-12)
 
 
 def test_solve_kappa_sign_flip():
@@ -224,9 +224,9 @@ def test_solve_kappa_sign_flip():
     assert abs(sol.rho_at_kappa - 1.0) <= 0.01
     assert abs(sol.alpha - ALPHA_SCALAR) <= 0.1 * ALPHA_SCALAR
     assert sol.reducible_directions is False
-    assert np.all(sol.r.values > 0)
-    assert np.all(sol.eta.masses > 0)
-    assert abs(float(sol.r.values @ sol.eta.masses) - 1.0) <= 1e-8
+    assert np.all(sol.r > 0)
+    assert np.all(sol.eta > 0)
+    assert abs(float(sol.r @ sol.eta) - 1.0) <= 1e-8
 
 
 def test_solve_kappa_similarity(similarity_env, grid2):
@@ -329,7 +329,7 @@ def test_solve_kappa_similarity_d3():
     assert abs(sol.kappa - 1.0) <= kappa_tolerance(sol, SD_SCALAR, ALPHA_SCALAR)
     # every row has the law of |c|: eta is uniform up to the noise of about
     # mc draws per cell, sqrt(E|c|^2 / mc), at five standard errors
-    eta_dev = float(np.max(np.abs(sol.eta.masses * sol.grid.n - 1.0)))
+    eta_dev = float(np.max(np.abs(sol.eta * sol.grid.n - 1.0)))
     assert eta_dev <= 5.0 * math.sqrt(1.5 / 10_000)
 
 
