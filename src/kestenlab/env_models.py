@@ -41,13 +41,41 @@ def _planar(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spatial(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The rotations of the unit quaternions a + bi + cj + dk, shape (count, 3, 3)."""
+    out = np.empty((a.shape[0], 3, 3))
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    ab, ac, ad = 2.0 * a * b, 2.0 * a * c, 2.0 * a * d
+    bc, bd, cd = 2.0 * b * c, 2.0 * b * d, 2.0 * c * d
+    out[:, 0, 0] = aa + bb - cc - dd
+    out[:, 0, 1] = bc - ad
+    out[:, 0, 2] = bd + ac
+    out[:, 1, 0] = bc + ad
+    out[:, 1, 1] = aa - bb + cc - dd
+    out[:, 1, 2] = cd - ab
+    out[:, 2, 0] = bd - ac
+    out[:, 2, 1] = cd + ab
+    out[:, 2, 2] = aa - bb - cc + dd
+    return out
+
+
 def random_rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Haar-uniform rotations on SO(dim), shape (count, dim, dim)."""
+    """Haar-uniform rotations on SO(dim), shape (count, dim, dim).
+
+    d = 2 draws a uniform angle; d = 3 a normalized Gaussian 4-vector, which
+    is uniform on S^3, so its quaternion rotation is Haar (Shoemake 1992);
+    d >= 4 the Q factor of a Gaussian matrix with the QR sign gauge fixed
+    (Mezzadri 2007).
+    """
     if dim == 1:
         return np.ones((count, 1, 1))
     if dim == 2:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
         return _planar(np.cos(theta), np.sin(theta))
+    if dim == 3:
+        u = rng.standard_normal((4, count))
+        u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+        return _spatial(*u)
     g = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(g)
     # fix the QR gauge so q is Haar on O(dim), then push onto SO(dim)
@@ -400,6 +428,10 @@ def build_law(block, families: dict, dim: int, path: str):
     if cls is ConstantMatrix and "scale" in block and "matrix" not in block:
         scale = _coerce(block.pop("scale"), "float", f"{path}.scale")
         block["matrix"] = tuple(map(tuple, scale * np.eye(dim)))
+    if cls is ConstantMatrix and "matrix" in block:
+        block["matrix"] = tuple(
+            _coerce(row, "tuple[float, ...]", f"{path}.matrix[{i}]")
+            for i, row in enumerate(_coerce(block["matrix"], "tuple", f"{path}.matrix")))
     if cls is MatrixMixture and "components" in block:
         block["components"] = tuple(
             build_law(c, MATRIX_FAMILIES, dim, f"{path}.components[{i}]")

@@ -206,10 +206,18 @@ def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     ("env.matrix_law.scale_values", Block("env.matrix_law", {
         "family": "similarity", "scale_probs": [1.0]})),
     ("env.q_symmetric", "false"),
+    ("env.matrix_law.matrix[0][0]", Block("env.matrix_law", {
+        "family": "constant", "matrix": [["0.5"]]})),
+    ("env.matrix_law.matrix[0][0]", Block("env.matrix_law", {
+        "family": "constant", "matrix": [[float("inf")]]})),
+    ("env.matrix_law.components[1].matrix[0][0]", Block("env.matrix_law", {
+        "family": "mixture", "weights": [0.5, 0.5],
+        "components": [{"family": "constant", "scale": 0.5},
+                       {"family": "constant", "matrix": [[True]]}]})),
 ])
 def test_config_rejects_bad_value(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
-    with pytest.raises(CliConfigError, match=f"^{path}"):
+    with pytest.raises(CliConfigError, match=f"^{re.escape(path)}"):
         load_config(config)
     for command in ("run", "tail"):
         assert cli.main([command, "--config", str(config)]) == 2

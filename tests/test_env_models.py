@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,69 @@ def test_similarity_norm_equals_scale(similarity_env):
     v = np.array([0.6, 0.8])
     vm_norms = np.linalg.norm(np.einsum("j,njk->nk", v, m), axis=1)
     assert np.allclose(vm_norms, norms, atol=1e-12)
+
+
+# Haar on SO(d), d >= 3: E tr R = 0, E (tr R)^2 = 1 and E R_ij^2 = 1/d.  Each
+# estimate must lie within Z standard errors of its value.
+Z = 5.0
+HAAR_DRAWS = 100_000
+
+
+def _within(x, value):
+    return abs(x.mean() - value) <= Z * x.std() / np.sqrt(len(x))
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (4, 2)])
+def test_rotation_moments_are_haar(dim, seed):
+    rot = random_rotations(substream(seed), HAAR_DRAWS, dim)
+    trace = np.trace(rot, axis1=1, axis2=2)
+    assert _within(trace, 0.0)
+    assert _within(trace ** 2, 1.0)
+    for i in range(dim):
+        for j in range(dim):
+            assert _within(rot[:, i, j] ** 2, 1.0 / dim)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_rotation_angle_and_axis_are_haar_at_d3(seed):
+    rot = random_rotations(substream(seed), HAAR_DRAWS, 3)
+    # the rotation angle has density (1 - cos t) / pi on [0, pi]
+    cos = np.clip((np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    assert stats.kstest(np.arccos(cos), lambda t: (t - np.sin(t)) / np.pi).pvalue > 1e-3
+    # e1 R is uniform on S^2, so each of its coordinates is uniform on [-1, 1]
+    assert stats.kstest(rot[:, 0, 2], stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
+
+
+def test_spatial_similarity_and_diag_rotation_draws():
+    values, probs = (2.0, 0.5), (1 / 3, 2 / 3)
+    m = kl.Similarity(3, values, probs).sample(substream(5), 5000)
+    c = substream(5).choice(np.asarray(values), size=5000, p=probs)
+    v = substream(6).standard_normal((16, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    vm_norms = np.linalg.norm(np.einsum("gj,njk->ngk", v, m), axis=2)
+    assert np.all(np.abs(vm_norms - c[:, None]) <= 1e-12)
+    d = kl.DiagonalTimesRotation(3, log_sigma=1.0).sample(substream(7), 5000)
+    assert np.all(np.linalg.det(d) > 0.0)
+
+
+# SHA-1 of draws at d = 2 and d = 4 at a fixed seed: a change to one
+# dimension's sampler must leave the other dimensions' streams bit for bit
+PINNED_DRAWS = {
+    "rotations d=2": "de1362bd42fa127c2ae0b2625a7f1a591a3d166b",
+    "rotations d=4": "d2e743fbe6d35f283413db0cd46de8ffe162768d",
+    "similarity d=2": "5e4a36febf6a6aa4e575a23e3100db0ec73b022b",
+}
+
+
+def test_draws_outside_d3_are_unchanged():
+    draws = {
+        "rotations d=2": random_rotations(substream(0), 64, 2),
+        "rotations d=4": random_rotations(substream(0), 64, 4),
+        "similarity d=2": kl.Similarity(2, (2.0, 0.5), (1 / 3, 2 / 3)).sample(substream(0), 64),
+    }
+    digests = {name: hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()
+               for name, x in draws.items()}
+    assert digests == PINNED_DRAWS
 
 
 def test_degenerate_constant_family():
