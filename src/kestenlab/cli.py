@@ -247,10 +247,14 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     _expect_positive_int(mc["lyapunov"]["n_steps"], "mc.lyapunov.n_steps", minimum=100)
     _expect_positive_int(mc["lyapunov"]["replicas"], "mc.lyapunov.replicas")
     _expect_positive_int(mc["stationary"]["count"], "mc.stationary.count")
+    if mc["stationary"]["truncation"] is not None:
+        _expect_positive_int(mc["stationary"]["truncation"], "mc.stationary.truncation")
+    _expect_number(mc["stationary"]["tolerance"], "mc.stationary.tolerance", positive=True)
     _expect_positive_int(mc["spectral"]["mc_per_point"], "mc.spectral.mc_per_point", minimum=100)
-    bracket = mc["spectral"]["bracket"]
-    if (not isinstance(bracket, (list, tuple)) or len(bracket) != 2
-            or not 0 < bracket[0] < bracket[1]):
+    bracket = _expect_list(mc["spectral"]["bracket"], "mc.spectral.bracket")
+    for i, x in enumerate(bracket):
+        _expect_number(x, f"mc.spectral.bracket[{i}]")
+    if len(bracket) != 2 or not 0 < bracket[0] < bracket[1]:
         _fail("mc.spectral.bracket", f"expected [lo, hi] with 0 < lo < hi, got {bracket!r}")
     tails_block = mc["tails"]
     _expect_in(tails_block["top_fraction"], "mc.tails.top_fraction", 0.0, 0.05, hi_closed=True)
@@ -298,8 +302,7 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     seed = seed_override if seed_override is not None else mc["seed"]
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big") >> 1
-    if not isinstance(seed, int) or seed < 0:
-        _fail("mc.seed", f"expected a nonnegative integer, got {seed!r}")
+    _expect_positive_int(seed, "mc.seed", minimum=0)
 
     return RunConfig(env=env, env_block=raw["env"], grid=grid, mc=mc,
                      checks=checks, pipeline=list(pipeline), output=output,

@@ -46,8 +46,8 @@ class SphereGrid:
     """Finite set of unit directions with quadrature weights summing to 1.
 
     Each point labels one cell of a partition of the sphere: the sign at
-    d = 1, an arc at d = 2, an equal-area zonal cell at d = 3 and the
-    nearest-point (Voronoi) cell above that.
+    d = 1, an arc at d = 2 and a cell of Leopardi's equal-area partition
+    (`equal_area_zones`) above that.
     """
 
     points: np.ndarray
@@ -70,20 +70,7 @@ class SphereGrid:
             step = 2.0 * np.pi / self.n
             ang = np.arctan2(dirs[:, 1], dirs[:, 0])
             return np.rint(ang / step).astype(np.int64) % self.n
-        if self.dim == 3:
-            upper, sectors, first = equal_area_zones(self.n)
-            zone = np.searchsorted(upper[:-1], dirs[:, 2], side="right")
-            m = sectors[zone]
-            lon = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
-            # the mod can return 2 pi itself for tiny negative angles
-            sector = np.minimum((lon * m / (2.0 * np.pi)).astype(np.int64), m - 1)
-            return first[zone] + sector
-        # chunk the dot products so huge direction sets stay in memory
-        out = np.empty(dirs.shape[0], dtype=np.int64)
-        for lo in range(0, dirs.shape[0], 65536):
-            hi = min(lo + 65536, dirs.shape[0])
-            out[lo:hi] = np.argmax(dirs[lo:hi] @ self.points.T, axis=1)
-        return out
+        return _zonal_cells(dirs, self.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,54 +83,115 @@ class SphereGrid:
     def from_json_dict(cls, doc: dict) -> "SphereGrid":
         grid = cls(points=np.asarray(doc["points"], dtype=float),
                    weights=np.asarray(doc["weights"], dtype=float))
-        # up to d = 3 the cells are fixed by (d, n), not by the points, so a
-        # grid from another layout (the d = 3 spiral of older versions)
-        # would read its values in the wrong cells
-        if grid.dim <= 3 and not np.array_equal(grid.points,
-                                                build_grid(grid.dim, grid.n).points):
+        # the cells are fixed by (d, n), not by the points, so a grid from
+        # another layout (the d = 3 spiral or the d >= 4 Halton points of
+        # older versions) would read its values in the wrong cells
+        if not np.array_equal(grid.points, build_grid(grid.dim, grid.n).points):
             raise ConfigurationError(
                 f"the stored d = {grid.dim} grid of {grid.n} points is not the "
                 "layout this version builds; rerun the stage that wrote it")
         return grid
 
 
-@functools.lru_cache(maxsize=None)
-def equal_area_zones(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leopardi's partition of the 2-sphere into n cells of equal area
-    (Leopardi 2006, *A partition of the unit sphere into regions of equal
-    area and small diameter*).
+def bisect(f, lo: float, hi: float) -> float:
+    """A root of f between lo and hi, where f changes sign, to the last float."""
+    lo_positive = f(lo) > 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if (f(mid) > 0) == lo_positive else (lo, mid)
+    return mid
 
-    Zones run from the south pole to the north pole: a polar cap at each
-    end and collars between them, each collar cut into equal longitude
-    sectors.  Returns the upper z of each zone, its number of sectors and
-    the label of its first cell.  n = 2 is two hemispheres.
+
+def _sin_power_integral(m: int, t: float) -> float:
+    """The antiderivative F_m of sin^m with F_0(t) = t and F_1(t) = -cos t."""
+    if m < 2:
+        return t if m == 0 else -math.cos(t)
+    return (-math.sin(t) ** (m - 1) * math.cos(t) + (m - 1) * _sin_power_integral(m - 2, t)) / m
+
+
+@functools.lru_cache(maxsize=None)
+def equal_area_zones(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leopardi's partition of the k-sphere (k >= 2) into n cells of equal
+    area (Leopardi 2006, *A partition of the unit sphere into regions of
+    equal area and small diameter*).
+
+    Zones run from the south pole to the north pole along the last
+    coordinate: a polar cap at each end and collars between them, each cut
+    by the same partition of S^(k-1) (equal longitude sectors at k = 2).
+    Returns the upper height of each zone, its number of cells and the label
+    of its first cell.  n = 1 is the whole sphere and n = 2 two hemispheres.
     """
-    if n == 2:
-        sectors = [1, 1]
+    F = functools.partial(_sin_power_integral, k - 1)
+    whole = F(math.pi) - F(0.0)
+
+    def colatitude(share: float) -> float:   # of the cap holding this share of S^k
+        return bisect(lambda t: (F(t) - F(0.0)) / whole - share, 0.0, math.pi)
+
+    if n <= 2:
+        sectors = [1] * n
     else:
-        cap = 2.0 * math.asin(1.0 / math.sqrt(n))
-        n_collars = max(1, round((math.pi - 2.0 * cap) / math.sqrt(4.0 * math.pi / n)))
+        # the closed forms at k = 2 keep the S^2 partition's float values
+        cap = 2.0 * math.asin(1.0 / math.sqrt(n)) if k == 2 else colatitude(1.0 / n)
+        # |S^k| / n, where |S^k| = |S^(k-1)| times the integral of sin^(k-1) over [0, pi]
+        cell_area = 2.0 * math.pi * math.prod(
+            _sin_power_integral(m, math.pi) - _sin_power_integral(m, 0.0) for m in range(1, k)) / n
+        n_collars = max(1, round((math.pi - 2.0 * cap) / cell_area ** (1.0 / k)))
         step = (math.pi - 2.0 * cap) / n_collars
         sectors, carry = [1], 0.0
-        for k in range(n_collars):
-            # collar area over the cell area 4 pi / n
-            ideal = 0.5 * n * (math.cos(cap + k * step) - math.cos(cap + (k + 1) * step))
+        for j in range(n_collars):
+            # collar area over the cell area
+            ideal = n * (F(cap + (j + 1) * step) - F(cap + j * step)) / whole
             count = round(ideal + carry)
             carry += ideal - count
             sectors.append(count)
         sectors.append(1)
     sectors = np.array(sectors, dtype=np.int64)
     total = np.cumsum(sectors)
-    zones = (-1.0 + 2.0 * total / n, sectors, total - sectors)
+    upper = (-1.0 + 2.0 * total / n if k == 2 else
+             np.array([-math.cos(colatitude(c / n)) for c in total[:-1]] + [1.0]))
+    zones = (upper, sectors, total - sectors)
     for a in zones:
         a.setflags(write=False)      # the cache hands them to every caller
     return zones
 
 
+def _zonal_cells(x: np.ndarray, n: int) -> np.ndarray:
+    """Labels in equal_area_zones(k, n) of directions x with k + 1 columns: the
+    zone from the last coordinate, then its cell from the normalized rest."""
+    k = x.shape[1] - 1
+    upper, sectors, first = equal_area_zones(k, n)
+    zone = np.searchsorted(upper[:-1], x[:, -1], side="right")
+    if k == 2:
+        m = sectors[zone]
+        lon = np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * np.pi)
+        # the mod can return 2 pi itself for tiny negative angles
+        return first[zone] + np.minimum((lon * m / (2.0 * np.pi)).astype(np.int64), m - 1)
+    out = first[zone]
+    for j in np.flatnonzero(sectors > 1):
+        rest = x[zone == j, :-1]
+        out[zone == j] += _zonal_cells(rest / np.linalg.norm(rest, axis=1, keepdims=True),
+                                       int(sectors[j]))
+    return out
+
+
+def _zonal_points(k: int, n: int) -> np.ndarray:
+    """The points of equal_area_zones(k, n): each zone's mid-height over the
+    points of its own partition; the caps' points sit at the poles."""
+    upper, sectors, _ = equal_area_zones(k, n)
+    lower = np.concatenate([[-1.0], upper[:-1]])
+    z = np.repeat(0.5 * (lower + upper), sectors)
+    z[0], z[-1] = -1.0, 1.0
+    if k == 2:
+        lon = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m for m in sectors])
+        rest = np.column_stack([np.cos(lon), np.sin(lon)])
+    else:
+        rest = np.concatenate([_zonal_points(k - 1, int(m)) for m in sectors])
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r[:, None] * rest, z])
+
+
 def build_grid(d: int, resolution: int) -> SphereGrid:
-    """Direction grid: signs for d=1, uniform angles for d=2, the centres
-    of equal-area cells for d=3, and a low-discrepancy Gaussian map above
-    that."""
+    """Direction grid: signs for d=1, uniform angles for d=2, and the points
+    of the equal-area cells of `equal_area_zones` above that."""
     if d < 1:
         raise ConfigurationError("dimension must be >= 1")
     if resolution < 2:
@@ -155,23 +203,8 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     if d == 2:
         ang = 2.0 * np.pi * np.arange(resolution) / resolution
         points = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif d == 3:
-        upper, sectors, _ = equal_area_zones(resolution)
-        lower = np.concatenate([[-1.0], upper[:-1]])
-        z = np.repeat(0.5 * (lower + upper), sectors)
-        # the caps' points sit at the poles
-        z[0], z[-1] = -1.0, 1.0
-        lon = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m for m in sectors])
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        points = np.column_stack([r * np.cos(lon), r * np.sin(lon), z])
     else:
-        from scipy.stats import norm, qmc
-
-        sampler = qmc.Halton(d=d, scramble=False)
-        sampler.fast_forward(1)  # skip the all-zero first point
-        u = sampler.random(resolution)
-        g = norm.ppf(u)
-        points = g / np.linalg.norm(g, axis=1, keepdims=True)
+        points = _zonal_points(d - 1, resolution)
     weights = np.full(resolution, 1.0 / resolution)
     return SphereGrid(points=points, weights=weights)
 

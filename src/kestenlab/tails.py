@@ -16,7 +16,7 @@ import numpy as np
 from .batches import data_of
 from .env_models import ConfigurationError, Environment
 from .rng import as_generator
-from .spectral import COLUMN_ACTION, SphereGrid, build_operator_draws
+from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws
 
 
 class TailRegimeError(RuntimeError):
@@ -135,7 +135,7 @@ def direct_K(samples, x: np.ndarray, kappa: float, thresholds) -> PlateauEstimat
 
 @dataclass(eq=False)
 class SpectralMeasure:
-    """Angular tail mass per Voronoi cell of the direction grid."""
+    """Angular tail mass per cell of the direction grid."""
 
     grid: SphereGrid
     mass: np.ndarray
@@ -326,8 +326,6 @@ def _extrapolate(t: np.ndarray, v: np.ndarray) -> tuple[float, float | None]:
     Falls back to the smallest-t value when the three points do not show a
     consistent power-law correction.
     """
-    from scipy.optimize import brentq
-
     t3, v3 = t[:3], v[:3]
     d1, d2 = v3[1] - v3[0], v3[2] - v3[1]
     if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0:
@@ -336,10 +334,9 @@ def _extrapolate(t: np.ndarray, v: np.ndarray) -> tuple[float, float | None]:
     def gap(gamma: float) -> float:
         return (t3[1] ** gamma - t3[0] ** gamma) / (t3[2] ** gamma - t3[1] ** gamma) - d1 / d2
 
-    try:
-        gamma = brentq(gap, 1e-3, 10.0)
-    except ValueError:
+    if gap(1e-3) * gap(10.0) > 0.0:
         return float(v3[0]), None
+    gamma = bisect(gap, 1e-3, 10.0)
     c = d1 / (t3[1] ** gamma - t3[0] ** gamma)
     return float(v3[0] - c * t3[0] ** gamma), float(gamma)
 

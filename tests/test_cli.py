@@ -214,6 +214,12 @@ def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
         "family": "mixture", "weights": [0.5, 0.5],
         "components": [{"family": "constant", "scale": 0.5},
                        {"family": "constant", "matrix": [[True]]}]})),
+    ("mc.stationary.truncation", "10"),
+    ("mc.stationary.tolerance", "1e-9"),
+    ("mc.spectral.bracket", ["a", 1.0]),
+    ("mc.stationary.truncation", 0),
+    ("mc.stationary.tolerance", -1.0),
+    ("mc.seed", True),                       # a bool is not seed 1
 ])
 def test_config_rejects_bad_value(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
@@ -299,21 +305,46 @@ def test_full_pipeline_green(tmp_path):
 
 
 def test_full_pipeline_loads_no_scipy(tmp_path):
-    """The whole pipeline at d <= 3 runs on numpy alone: scipy is imported
-    only inside the few functions outside it that need it."""
-    path, outdir = write_config(tmp_path)
-    code = ("import sys\n"
-            "from kestenlab import cli\n"
-            f"rc = cli.main(['run', '--config', {str(path)!r}])\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "print('scipy modules:', loaded)\n"
-            "sys.exit(rc or (3 if loaded else 0))\n")
+    """The package runs on numpy alone: with scipy blocked, so that any
+    import of it fails, every stage runs at d = 1 and at d = 4, and so does
+    the demo script that calls self_similarity_check."""
+    (tmp_path / "d4").mkdir()
+    d4_config, d4_out = write_config(
+        tmp_path / "d4", **{
+            "env.dim": 4,
+            "env.matrix_law": {"family": "similarity", "scale_values": [2.0, 0.5],
+                               "scale_probs": [1 / 3, 2 / 3]},
+            "env.vector_law": {"family": "gaussian"},
+            "grid.resolution": 16,
+            "mc.stationary.count": 12000,
+            "mc.spectral.mc_per_point": 2000,
+            "mc.sigma.threshold_quantile": 0.9,
+            "mc.sigma.invariance_mc": 1000,
+            "mc.limit.log2_n": 9, "mc.limit.replicas": 500, "mc.limit.w_draws": 400})
+    d1_config, d1_out = write_config(tmp_path)
+    demo = ROOT / "scripts" / "limit_law_demo.py"
+    # the small d = 4 run may fail a check (status 1), but it must not crash
+    cases = [(f"cli.main(['run', '--config', {str(d1_config)!r}])", d1_out, "0"),
+             (f"cli.main(['run', '--config', {str(d4_config)!r}])", d4_out, "01"),
+             (f"runpy.run_path({str(demo)!r}, run_name='__main__')", None, "0")]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "scipy modules: []" in proc.stdout
-    assert set(json.loads((outdir / "report.json").read_text())["stages"]) == set(cli.STAGES)
+    for call, outdir, statuses in cases:
+        code = ("import runpy, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "sys.argv = ['limit_law_demo.py', '200']\n"
+                "from kestenlab import cli\n"
+                "try:\n"
+                f"    status = {call}\n"
+                "except SystemExit as exc:\n"
+                "    status = exc.code\n"
+                "print(f'exit status: {status}')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert any(f"exit status: {s}\n" in proc.stdout for s in statuses), proc.stdout
+        if outdir is not None:
+            stages = json.loads((outdir / "report.json").read_text())["stages"]
+            assert set(stages) == set(cli.STAGES)
 
 
 def test_kappa_subcommand(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 import kestenlab as kl
 from kestenlab import spectral
@@ -39,18 +40,87 @@ def test_grid_dim2_uniform_angles():
     assert np.allclose(g.weights, 1 / 8)
 
 
-def test_grid_dim3_equal_area():
-    for n in range(2, 257):
-        upper, sectors, first = equal_area_zones(n)
-        lower = np.concatenate([[-1.0], upper[:-1]])
-        # a zone between heights a < b has area 2 pi (b - a)
-        cell_area = 2.0 * np.pi * (upper - lower) / sectors
-        np.testing.assert_allclose(cell_area, 4.0 * np.pi / n, rtol=0.0, atol=1e-12)
-        assert sectors.sum() == n and sectors.min() >= 1
-        assert np.array_equal(first, np.cumsum(sectors) - sectors)
-        g = kl.build_grid(3, n)
-        assert g.n == n
-        assert np.array_equal(g.cell_index(g.points), np.arange(n))
+def reference_s2_zones(n):
+    """The S^2 partition written out in its closed forms: the reference that
+    equal_area_zones(2, n) must match bit for bit."""
+    if n == 2:
+        sectors = [1, 1]
+    else:
+        cap = 2.0 * math.asin(1.0 / math.sqrt(n))
+        n_collars = max(1, round((math.pi - 2.0 * cap) / math.sqrt(4.0 * math.pi / n)))
+        step = (math.pi - 2.0 * cap) / n_collars
+        sectors, carry = [1], 0.0
+        for k in range(n_collars):
+            ideal = 0.5 * n * (math.cos(cap + k * step) - math.cos(cap + (k + 1) * step))
+            count = round(ideal + carry)
+            carry += ideal - count
+            sectors.append(count)
+        sectors.append(1)
+    sectors = np.array(sectors, dtype=np.int64)
+    total = np.cumsum(sectors)
+    return -1.0 + 2.0 * total / n, sectors, total - sectors
+
+
+def reference_d3_points(n):
+    upper, sectors, _ = reference_s2_zones(n)
+    lower = np.concatenate([[-1.0], upper[:-1]])
+    z = np.repeat(0.5 * (lower + upper), sectors)
+    z[0], z[-1] = -1.0, 1.0
+    lon = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m for m in sectors])
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(lon), r * np.sin(lon), z])
+
+
+def test_s2_partition_matches_reference():
+    for n in range(2, 1025):
+        for got, want in zip(equal_area_zones(2, n), reference_s2_zones(n)):
+            assert np.array_equal(got, want), n
+        assert np.array_equal(kl.build_grid(3, n).points, reference_d3_points(n)), n
+
+
+def cap_share(k, z):
+    """Share of S^k with last coordinate <= z: (1 + z) / 2 ~ Beta(k/2, k/2)."""
+    return special.betainc(k / 2, k / 2, (1.0 + np.asarray(z)) / 2.0)
+
+
+def cell_shares(k, n):
+    """Share of S^k in each cell of equal_area_zones(k, n): the share of its
+    zone times its share of the zone's own partition."""
+    upper, sectors, first = equal_area_zones(k, n)
+    lower = np.concatenate([[-1.0], upper[:-1]])
+    assert sectors.sum() == n and sectors.min() >= 1
+    assert np.array_equal(first, np.cumsum(sectors) - sectors)
+    zone_share = cap_share(k, upper) - cap_share(k, lower)
+    return np.concatenate([
+        share * (np.full(m, 1.0 / m) if k == 2 or m == 1 else cell_shares(k - 1, m))
+        for share, m in zip(zone_share, sectors)])
+
+
+def test_grid_equal_area():
+    for d in (3, 4, 5):
+        for n in range(2, 257):
+            upper, sectors, _ = equal_area_zones(d - 1, n)
+            lower = np.concatenate([[-1.0], upper[:-1]])
+            zone_share = cap_share(d - 1, upper) - cap_share(d - 1, lower)
+            np.testing.assert_allclose(zone_share / sectors, 1.0 / n, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(cell_shares(d - 1, n), 1.0 / n, rtol=0.0, atol=1e-12)
+            g = kl.build_grid(d, n)
+            assert g.n == n
+            assert np.array_equal(g.cell_index(g.points), np.arange(n))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_uniform_directions_fill_cells_equally(dim, resolution):
+    # independent of any area formula: each cell of an equal-area partition
+    # holds a uniform direction with probability 1 / n
+    count = 400_000
+    dirs = np.random.default_rng(dim * 1000 + resolution).standard_normal((count, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    freq = np.bincount(kl.build_grid(dim, resolution).cell_index(dirs),
+                       minlength=resolution) / count
+    p = 1.0 / resolution
+    assert np.max(np.abs(freq - p)) <= 5.0 * math.sqrt(p * (1.0 - p) / count)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=64))
@@ -69,7 +139,24 @@ def test_grid_validation():
         kl.build_grid(2, 1)
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=64),
+def assert_in_zonal_cell(x, n, label):
+    """x on S^k lies in zone j of equal_area_zones(k, n) and, within it, in
+    cell label - first[j] of the zone's own partition."""
+    k = x.size - 1
+    upper, sectors, first = equal_area_zones(k, n)
+    lower = np.concatenate([[-1.0], upper[:-1]])
+    (zone,) = np.flatnonzero((lower <= x[-1]) & (x[-1] < upper))
+    cell = label - first[zone]
+    assert 0 <= cell < sectors[zone]
+    if k == 2:
+        width = 2.0 * np.pi / sectors[zone]
+        lon = np.mod(np.arctan2(x[1], x[0]), 2.0 * np.pi)
+        assert cell * width <= lon < (cell + 1) * width
+    elif sectors[zone] > 1:
+        assert_in_zonal_cell(x[:-1] / np.linalg.norm(x[:-1]), sectors[zone], cell)
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=64),
        st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
 def test_cell_index_labels(dim, resolution, seed):
@@ -80,19 +167,12 @@ def test_cell_index_labels(dim, resolution, seed):
     labels = g.cell_index(dirs)
     assert labels.dtype == np.int64
     assert np.all((labels >= 0) & (labels < g.n))
-    if dim != 3:
-        # signs, arcs and Voronoi cells: the nearest grid point
+    if dim <= 2:
+        # signs and arcs: the nearest grid point
         assert np.array_equal(labels, np.argmax(dirs @ g.points.T, axis=1))
         return
-    upper, sectors, first = equal_area_zones(resolution)
-    lower = np.concatenate([[-1.0], upper[:-1]])
-    lon = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
-    for x_lon, z, label in zip(lon, dirs[:, 2], labels):
-        (zone,) = np.flatnonzero((lower <= z) & (z < upper))
-        width = 2.0 * np.pi / sectors[zone]
-        sector = label - first[zone]
-        assert 0 <= sector < sectors[zone]
-        assert sector * width <= x_lon < (sector + 1) * width
+    for x, label in zip(dirs, labels):
+        assert_in_zonal_cell(x, resolution, label)
 
 
 def test_cell_index_nearest_point():
@@ -287,10 +367,11 @@ def test_solution_json_round_trip(scalar_solution):
 
 
 def test_grid_json_round_trip():
-    grid = kl.build_grid(3, 20)
-    back = SphereGrid.from_json_dict(json.loads(canonical_json(grid.to_json_dict())))
-    assert np.array_equal(back.points, grid.points)
-    assert np.array_equal(back.weights, grid.weights)
+    for d in (3, 4):
+        grid = kl.build_grid(d, 20)
+        back = SphereGrid.from_json_dict(json.loads(canonical_json(grid.to_json_dict())))
+        assert np.array_equal(back.points, grid.points)
+        assert np.array_equal(back.weights, grid.weights)
 
 
 def test_grid_artifact_of_older_versions():
@@ -308,6 +389,15 @@ def test_grid_artifact_of_older_versions():
               "weights": [0.05] * 20, "kernel_bandwidth": 0.9}
     with pytest.raises(ConfigurationError, match="layout"):
         SphereGrid.from_json_dict(spiral)
+    # so would a d = 4 grid on the unscrambled Halton points mapped to the
+    # sphere through the normal quantile
+    sampler = stats.qmc.Halton(d=4, scramble=False)
+    sampler.fast_forward(1)
+    g = stats.norm.ppf(sampler.random(32))
+    halton = {"dim": 4, "points": (g / np.linalg.norm(g, axis=1, keepdims=True)).tolist(),
+              "weights": [1 / 32] * 32}
+    with pytest.raises(ConfigurationError, match="layout"):
+        SphereGrid.from_json_dict(halton)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 import kestenlab as kl
 from kestenlab.batches import SampleBatch
@@ -494,6 +494,25 @@ def test_self_similarity_scalar_smoke(scalar_env, scalar_batch, scalar_solution)
                                                    replicas=6000, seed=89))
     ss = self_similarity_check(a, b, 1.0, cent, np.array([[1.0], [-1.0]]))
     assert ss.max_ks <= 0.08
+
+
+def test_self_similarity_ks_matches_scipy():
+    # with n_steps = 1, kappa = 1 and no centering the normalized sums are
+    # the data, so each entry is the Kolmogorov distance of two samples
+    rng = np.random.default_rng(90)
+    dirs = np.array([[1.0, 0.0], [0.6, 0.8]])
+    cent = CenteringResult(kind="none")
+    for trial in range(40):
+        sizes = rng.integers(1, 400, size=2)
+        if trial % 2:   # integer draws: ties within and across the samples
+            small, large = (rng.integers(-3, 4, size=(m, 2)).astype(float) for m in sizes)
+        else:
+            small, large = (rng.standard_cauchy((m, 2)) for m in sizes)
+        ss = self_similarity_check(SampleBatch(small, "sums", info={"n_steps": 1}),
+                                   SampleBatch(large, "sums", info={"n_steps": 1}),
+                                   1.0, cent, dirs)
+        want = [stats.ks_2samp(small @ v, large @ v).statistic for v in dirs]
+        np.testing.assert_allclose(ss.ks_by_direction, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import kestenlab as kl
 from kestenlab.batches import SampleBatch
@@ -10,7 +11,7 @@ from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
 from kestenlab.tails import (RegularVariationError, SpectralMeasure, TailRegimeError,
-                             annulus_cone, half_space, hill_stability,
+                             _extrapolate, annulus_cone, half_space, hill_stability,
                              summarize_tails)
 
 
@@ -295,3 +296,35 @@ def test_summarize_tails(scalar_batch, scalar_solution, grid1):
     assert estimate.radial_scaled_freq.shape == (3,)
     doc = estimate.to_json_dict()
     assert set(doc) >= {"hill_index", "thresholds", "radial_scaled_freq"}
+
+
+def brentq_extrapolate(t, v):
+    """The power-law extrapolation with scipy's root-finder, as a reference."""
+    d1, d2 = v[1] - v[0], v[2] - v[1]
+    if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0:
+        return float(v[0]), None
+
+    def gap(gamma):
+        return (t[1] ** gamma - t[0] ** gamma) / (t[2] ** gamma - t[1] ** gamma) - d1 / d2
+
+    try:
+        gamma = optimize.brentq(gap, 1e-3, 10.0)
+    except ValueError:
+        return float(v[0]), None
+    return float(v[0] - d1 / (t[1] ** gamma - t[0] ** gamma) * t[0] ** gamma), gamma
+
+
+def test_extrapolate_matches_brentq():
+    rng = np.random.default_rng(330)
+    fitted = 0
+    for _ in range(300):
+        t = np.sort(rng.uniform(0.01, 1.0, 3))
+        v = 2.0 + rng.normal() * t ** rng.uniform(0.05, 6.0) + 1e-3 * rng.normal(size=3)
+        (limit, gamma), (want_limit, want_gamma) = _extrapolate(t, v), brentq_extrapolate(t, v)
+        if want_gamma is None:
+            assert gamma is None and limit == want_limit
+            continue
+        fitted += 1
+        assert abs(gamma - want_gamma) <= 1e-9
+        assert abs(limit - want_limit) <= 1e-9 * max(1.0, abs(want_limit))
+    assert fitted >= 100
