@@ -241,12 +241,12 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     _expect_positive_int(grid["resolution"], "grid.resolution", minimum=2)
 
     mc = _merge_defaults(raw.get("mc"), _DEFAULTS["mc"], "mc")
+    configured_count = _expect_positive_int(mc["stationary"]["count"], "mc.stationary.count")
     if count_override is not None:
         mc["stationary"]["count"] = _expect_positive_int(count_override, "--n")
     _expect_positive_int(mc["assumptions_n"], "mc.assumptions_n", minimum=1000)
     _expect_positive_int(mc["lyapunov"]["n_steps"], "mc.lyapunov.n_steps", minimum=100)
     _expect_positive_int(mc["lyapunov"]["replicas"], "mc.lyapunov.replicas")
-    _expect_positive_int(mc["stationary"]["count"], "mc.stationary.count")
     if mc["stationary"]["truncation"] is not None:
         _expect_positive_int(mc["stationary"]["truncation"], "mc.stationary.truncation")
     _expect_number(mc["stationary"]["tolerance"], "mc.stationary.tolerance", positive=True)
@@ -265,7 +265,12 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
         _fail("mc.tails.threshold_quantiles",
               f"expected strictly increasing values, got {quantiles!r}")
     _expect_positive_int(tails_block["n_directions"], "mc.tails.n_directions")
-    _expect_in(mc["sigma"]["threshold_quantile"], "mc.sigma.threshold_quantile", 0.0, 1.0)
+    sigma_q = _expect_in(mc["sigma"]["threshold_quantile"], "mc.sigma.threshold_quantile",
+                         0.0, 1.0)
+    if configured_count * (1.0 - sigma_q) < 500:
+        _fail("mc.sigma.threshold_quantile",
+              f"mc.stationary.count {configured_count} x (1 - {sigma_q!r}) leaves fewer than "
+              "the 500 exceedances the sigma stage needs")
     _expect_positive_int(mc["sigma"]["invariance_mc"], "mc.sigma.invariance_mc", minimum=100)
     _expect_positive_int(mc["limit"]["log2_n"], "mc.limit.log2_n")
     _expect_positive_int(mc["limit"]["replicas"], "mc.limit.replicas")
@@ -463,6 +468,7 @@ def stage_simulate(ctx: RunContext) -> dict:
     return {"count": batch.count, "truncation": batch.info["truncation"],
             "mean_depth": batch.info["mean_depth"],
             "depth_quantiles": batch.info["depth_quantiles"],
+            "pairs_drawn": batch.info["pairs_drawn"],
             "norm_quantiles": recursion.quantiles(batch.norms()),
             "beta_precheck": pre.beta, "seed": cfg.seed}
 
@@ -760,15 +766,24 @@ def aggregate_report(outdir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _threads_from(args) -> int:
+    """--threads, else $KESTENLAB_THREADS, else the cores this process may
+    use; results do not depend on it.  A value that is not an integer >= 1
+    is refused with the flag or variable it came from."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env_value = os.environ.get(THREADS_ENV_VAR)
-    if env_value:
-        try:
-            return max(1, int(env_value))
-        except ValueError:
-            pass
-    return 1
+        source, value = "--threads", args.threads
+    elif os.environ.get(THREADS_ENV_VAR):
+        source, value = THREADS_ENV_VAR, os.environ[THREADS_ENV_VAR]
+    elif hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    else:
+        return os.cpu_count() or 1
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        _fail(source, f"expected an integer >= 1, got {value!r}")
+    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -782,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (fallback: ${THREADS_ENV_VAR})")
+                       help=f"worker threads (fallback: ${THREADS_ENV_VAR}, "
+                            "then the available cores)")
 
     add_common(sub.add_parser("run", help="execute the configured pipeline"))
     for name in STAGES:
@@ -821,7 +837,8 @@ def main(argv=None) -> int:
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MissingArtifactError, StageCheckFailure, ConfigurationError) as exc:
+    except (MissingArtifactError, StageCheckFailure, ConfigurationError,
+            tails.TailRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

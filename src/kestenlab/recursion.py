@@ -125,8 +125,8 @@ def birkhoff_sums(env: Environment, cfg: PathConfig) -> SampleBatch:
 
 def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator):
     """The one random-product loop: count lanes of P_n = M_1 ... M_n, each
-    summing sum_n P_{n-1} Q_n, with draw(rng, lanes) -> (M, Q) of shapes
-    (lanes, d, d) and (lanes, d, c); c = 0 walks the products alone.
+    summing sum_n P_{n-1} Q_n, with draw(rng, rows) -> (M, Q) of shapes
+    (rows, d, d) and (rows, d, c); c = 0 walks the products alone.
 
     A lane retires at cfg.truncation terms or, adaptively, once the
     0.99-quantile bound |P_n| q99(|Q|) on its next term is under the
@@ -135,11 +135,20 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     log_scale, exp(log_scale), the squared-norm threshold under which a lane
     retires, and the lane index.  P Q and P M take one broadcast
     multiply-add per column of P over a (d, c or d, lanes) block, reading
-    the draws through views; retired lanes are compacted out with one take.
+    the draws through views.
+
+    The first call draws one term for every lane (it also gives q99); each
+    later call draws a block of k terms for the active lanes in step-major
+    order, k = _STATIONARY_CHUNK // lanes at least 1, and a block never
+    crosses a renormalization step, the truncation or max_terms.  Terms are
+    applied one at a time; a lane that retires inside a block is copied out
+    at its term, and retired lanes are compacted out with one take at the
+    block end, their remaining draws discarded.
     Returns per lane the sum (count, d, c), the final product P / e^log_scale
-    (count, d, d), log_scale and the depth.
+    (count, d, d), log_scale and the depth, and the number of pairs drawn.
     """
     m, q = draw(rng, count)
+    pairs = count
     d, c = q.shape[1], q.shape[2]
     dd, dc = d * d, d * c
     log_row, scale_row, thr_row, lane_row = dd + dc, dd + dc + 1, dd + dc + 2, dd + dc + 3
@@ -152,6 +161,7 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     # c <= d; the sum is done with its buffers before the product needs them
     nxt, tmp = np.empty((d, d, count)), np.empty((d, d, count))
     adaptive = cfg.tolerance is not None
+    last_term = cfg.max_terms if adaptive else cfg.truncation
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
     q99 = float(np.quantile(np.linalg.norm(q.reshape(count, dc), axis=1), 0.99))
     log_q99 = math.log(q99) if q99 > 0 else -math.inf
@@ -164,44 +174,59 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
                 np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
 
     refresh_threshold(state)
-    n = 0
+    n, k = 0, 1
     # a sum that leaves the floating range is detected and raised below
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         while True:
-            n += 1
-            # sum += exp(log_scale) * prod @ Q, then prod <- prod @ M
             lanes = state.shape[1]
+            # views fixed for the block: the columns of P, each draw row j
+            # as (k, 1, c or d, lanes), and the buffers
             p3 = state[dc:dc + dd].reshape(d, d, lanes)
+            p_cols = [p3[:, j:j + 1] for j in range(d)]
+            m4 = m.reshape(k, lanes, d, d).transpose(0, 2, 3, 1)
+            m_rows = [m4[:, j:j + 1] for j in range(d)]
+            block, part = nxt[..., :lanes], tmp[..., :lanes]
             if c:
-                q3 = q.transpose(1, 2, 0)
-                acc = np.multiply(p3[:, :1], q3[:1], out=nxt[:, :c, :lanes])
-                for j in range(1, d):
-                    acc += np.multiply(p3[:, j:j + 1], q3[j:j + 1], out=tmp[:, :c, :lanes])
-                acc *= state[scale_row]
+                q4 = q.reshape(k, lanes, d, c).transpose(0, 2, 3, 1)
+                q_rows = [q4[:, j:j + 1] for j in range(d)]
+                acc, acc_part = nxt[:, :c, :lanes], tmp[:, :c, :lanes]
                 s3 = state[:dc].reshape(d, c, lanes)
-                s3 += acc
-            m3 = m.transpose(1, 2, 0)
-            block = np.multiply(p3[:, :1], m3[:1], out=nxt[..., :lanes])
-            for j in range(1, d):
-                block += np.multiply(p3[:, j:j + 1], m3[j:j + 1], out=tmp[..., :lanes])
-            p3[...] = block
-            retire = None
-            if adaptive:
-                prod = state[dc:dc + dd]
-                retire = np.einsum("ij,ij->j", prod, prod) < state[thr_row]
-            elif n >= cfg.truncation:
-                retire = np.ones(lanes, dtype=bool)
-            if retire is not None and retire.any():
-                finished = state[:, retire]
-                if not np.isfinite(finished[:dc]).all():
-                    raise NonContractionError(
-                        f"the series sum left the floating range at {n} terms; "
-                        "the products are not contracting")
-                lane = finished[lane_row].astype(np.intp)
-                out[:, lane] = finished
-                depths[lane] = n
-                state = state.take(np.flatnonzero(~retire), axis=1)
-            if not state.shape[1]:
+            prod = state[dc:dc + dd]
+            live = None             # lanes not yet retired in this block
+            for t in range(k):
+                n += 1
+                # sum += exp(log_scale) * prod @ Q, then prod <- prod @ M
+                if c:
+                    np.multiply(p_cols[0], q_rows[0][t], out=acc)
+                    for j in range(1, d):
+                        acc += np.multiply(p_cols[j], q_rows[j][t], out=acc_part)
+                    acc *= state[scale_row]
+                    s3 += acc
+                np.multiply(p_cols[0], m_rows[0][t], out=block)
+                for j in range(1, d):
+                    block += np.multiply(p_cols[j], m_rows[j][t], out=part)
+                p3[...] = block
+                retire = None
+                if adaptive:
+                    retire = np.einsum("ij,ij->j", prod, prod) < state[thr_row]
+                    if live is not None:
+                        retire &= live
+                elif n >= cfg.truncation:
+                    retire = np.ones(lanes, dtype=bool)
+                if retire is not None and retire.any():
+                    finished = state[:, retire]
+                    if not np.isfinite(finished[:dc]).all():
+                        raise NonContractionError(
+                            f"the series sum left the floating range at {n} terms; "
+                            "the products are not contracting")
+                    lane = finished[lane_row].astype(np.intp)
+                    out[:, lane] = finished
+                    depths[lane] = n
+                    live = ~retire if live is None else live & ~retire
+            if live is not None:
+                state = state.take(np.flatnonzero(live), axis=1)
+            lanes = state.shape[1]
+            if not lanes:
                 break
             if n % _RENORM_EVERY == 0:
                 # pull the product norm into a log accumulator so strongly
@@ -216,20 +241,24 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
                 raise NonContractionError(
                     f"adaptive series exceeded {cfg.max_terms} terms; "
                     "the products are not contracting")
-            m, q = draw(rng, state.shape[1])
+            k = max(1, _STATIONARY_CHUNK // lanes)
+            k = min(k, _RENORM_EVERY - n % _RENORM_EVERY, last_term - n)
+            m, q = draw(rng, lanes * k)
+            pairs += lanes * k
     return (out[:dc].T.reshape(count, d, c), out[dc:dc + dd].T.reshape(count, d, d),
-            out[log_row], depths)
+            out[log_row], depths, pairs)
 
 
 def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-series draws for one tile; returns (values, realized depths)."""
-    def draw(rng, lanes):
-        m, q = sample_pairs(env, rng, lanes)
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """Backward-series draws for one tile; returns (values, realized depths,
+    pairs drawn)."""
+    def draw(rng, rows):
+        m, q = sample_pairs(env, rng, rows)
         return m, q[:, :, None]
 
-    sums, _, _, depths = _walk_products(draw, count, cfg, rng)
-    return sums[:, :, 0], depths
+    sums, _, _, depths, pairs = _walk_products(draw, count, cfg, rng)
+    return sums[:, :, 0], depths, pairs
 
 
 def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
@@ -248,21 +277,23 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
     def run_chunk(chunk_idx):
         start = chunk_idx * _STATIONARY_CHUNK
         part = slice(start, min(start + _STATIONARY_CHUNK, count))
-        data[part], depths[part] = _stationary_chunk(
+        data[part], depths[part], pairs = _stationary_chunk(
             env, part.stop - start, cfg, substream(cfg.seed, chunk_idx))
+        return pairs
 
     chunks = range(-(-count // _STATIONARY_CHUNK))
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+            pairs = sum(pool.map(run_chunk, chunks))
     else:
-        list(map(run_chunk, chunks))
+        pairs = sum(map(run_chunk, chunks))
     info = {
         "truncation": int(depths.max()),
         "mean_depth": float(depths.mean()),
         "depth_quantiles": quantiles(depths),
         "tolerance": cfg.tolerance,
         "fixed_truncation": cfg.truncation,
+        "pairs_drawn": int(pairs),
     }
     return SampleBatch(data=data, kind="stationary", seed=cfg.seed, info=info)
 
@@ -286,9 +317,8 @@ def lyapunov(env: Environment, n_steps: int, replicas: int, rng) -> LyapunovEsti
         raise ConfigurationError("lyapunov: need n_steps >= 100")
     if replicas < 1:
         raise ConfigurationError("lyapunov: need replicas >= 1")
-    no_increment = np.empty((replicas, env.dim, 0))   # every lane runs all steps
-    _, prod, log_scale, _ = _walk_products(
-        lambda rng, lanes: (env.matrix_law.sample(rng, lanes), no_increment),
+    _, prod, log_scale, _, _ = _walk_products(
+        lambda rng, rows: (env.matrix_law.sample(rng, rows), np.empty((rows, env.dim, 0))),
         replicas, SeriesConfig(truncation=n_steps), as_generator(rng))
     op = np.linalg.norm(prod, ord=2, axis=(1, 2))
     per_replica = (log_scale + np.log(op)) / n_steps

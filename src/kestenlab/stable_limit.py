@@ -81,11 +81,11 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
     the product walker with M and Q both set to N; its adaptive rule bounds
     the next term, and so the missing tail per unit |x|, by the tolerance.
     """
-    def draw(rng, lanes):
-        n = np.swapaxes(env.matrix_law.sample(rng, lanes), 1, 2)
+    def draw(rng, rows):
+        n = np.swapaxes(env.matrix_law.sample(rng, rows), 1, 2)
         return n, n
 
-    sums, _, _, depths = _walk_products(draw, count, cfg, as_generator(rng))
+    sums, _, _, depths, _ = _walk_products(draw, count, cfg, as_generator(rng))
     return WMatrixCache(matrices=np.swapaxes(sums, 1, 2).copy(), max_depth=int(depths.max()),
                         mean_depth=float(depths.mean()), depth_quantiles=quantiles(depths))
 

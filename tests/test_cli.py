@@ -220,6 +220,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     ("mc.stationary.truncation", 0),
     ("mc.stationary.tolerance", -1.0),
     ("mc.seed", True),                       # a bool is not seed 1
+    ("mc.sigma.threshold_quantile", 0.995),   # 60000 draws leave 300 exceedances
 ])
 def test_config_rejects_bad_value(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
@@ -466,6 +467,7 @@ def test_simulate_fragment_reports_quantiles_not_mean(tmp_path):
         assert list(q) == ["0.5", "0.9", "0.99"]
         assert 0.0 < q["0.5"] <= q["0.9"] <= q["0.99"]
     assert result["depth_quantiles"]["0.99"] <= result["truncation"]
+    assert result["pairs_drawn"] >= round(result["mean_depth"] * result["count"])
 
 
 def test_lock_refuses_concurrent_runs(tmp_path, capsys):
@@ -544,6 +546,44 @@ def test_threads_env_var(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(path)]) == 0
     report = json.loads((outdir / "report.json").read_text())
     assert report["threads"] == 2
+
+
+@pytest.mark.parametrize("argv, env_value, source", [
+    (["--threads", "0"], None, "--threads"),
+    (["--threads", "-2"], None, "--threads"),
+    ([], "two", cli.THREADS_ENV_VAR),
+    ([], "1.5", cli.THREADS_ENV_VAR),
+    ([], "0", cli.THREADS_ENV_VAR),
+])
+def test_bad_thread_count_is_refused(tmp_path, monkeypatch, capsys, argv, env_value, source):
+    path, outdir = write_config(tmp_path, pipeline=["simulate"])
+    if env_value is not None:
+        monkeypatch.setenv(cli.THREADS_ENV_VAR, env_value)
+    assert cli.main(["run", "--config", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {source}:") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_threads_default_to_available_cores(tmp_path, monkeypatch):
+    path, outdir = write_config(tmp_path, pipeline=["simulate"])
+    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["threads"] == len(os.sched_getaffinity(0))
+
+
+def test_too_few_exceedances_is_a_named_error(tmp_path, capsys):
+    # the configured count passes validation; a 4000-draw artifact leaves
+    # 40 exceedances at the 0.99 quantile, under the 500 sigma needs
+    path, outdir = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path), "--n", "4000"]) == 0
+    assert cli.main(["kappa", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["sigma", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: only 40 exceedances") and err.count("\n") == 1
+    assert not (outdir / "sigma.json").exists()
 
 
 def test_reproducibility_smoke(tmp_path):

@@ -11,7 +11,7 @@ import kestenlab as kl
 from kestenlab.env_models import ConfigurationError
 from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
-                                 _forward_steps, _stationary_chunk)
+                                 _forward_steps, _stationary_chunk, _walk_products)
 from kestenlab.rng import as_generator, substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
@@ -144,9 +144,20 @@ def test_series_thread_count_does_not_change_draws(scalar_env):
     assert np.array_equal(a.data, b.data)
 
 
+def block_terms(n, lanes, cfg):
+    """Terms per draw call after the first, as the walker blocks them: the
+    lanes share 16384 rows, and a block ends at every multiple of 50 terms
+    and at the truncation or the term cap."""
+    k = max(1, 16_384 // lanes)
+    last = cfg.truncation if cfg.tolerance is None else cfg.max_terms
+    return min(k, 50 - n % 50, last - n)
+
+
 def per_lane_series(env, count, cfg, rng):
     """Reference backward series: one (d,) vector and one (d, d) product per
-    lane, renormalized every 50 steps, each lane retired by its log-norm."""
+    lane, renormalized every 50 steps, each lane retired by its log-norm.
+    Draws come in step-major blocks of block_terms; a lane retired inside a
+    block keeps its value from its own term."""
     d = env.dim
     out = np.zeros((count, d))
     depths = np.zeros(count, dtype=np.int64)
@@ -159,23 +170,28 @@ def per_lane_series(env, count, cfg, rng):
     log_q99 = None
     n = 0
     while idx.size:
-        n += 1
-        m, q = sample_pairs(env, rng, idx.size)
+        lanes = idx.size
+        k = 1 if n == 0 else block_terms(n, lanes, cfg)
+        m_block, q_block = sample_pairs(env, rng, lanes * k)
         if log_q99 is None:
-            q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
+            q99 = float(np.quantile(np.linalg.norm(q_block, axis=1), 0.99))
             log_q99 = math.log(q99) if q99 > 0 else -math.inf
-        r += np.exp(log_scale)[:, None] * np.einsum("nij,nj->ni", prod, q)
-        prod = np.matmul(prod, m)
-        if adaptive:
-            with np.errstate(divide="ignore"):
-                log_norm = np.log(np.linalg.norm(prod, axis=(1, 2)))
-            retire = log_scale + log_norm + log_q99 < log_tol
-        else:
-            retire = np.full(idx.size, n >= cfg.truncation)
-        out[idx[retire]] = r[retire]
-        depths[idx[retire]] = n
-        keep = ~retire
-        idx, r, prod, log_scale = idx[keep], r[keep], prod[keep], log_scale[keep]
+        live = np.ones(lanes, dtype=bool)
+        for t in range(k):
+            n += 1
+            m, q = m_block[t * lanes:(t + 1) * lanes], q_block[t * lanes:(t + 1) * lanes]
+            r += np.exp(log_scale)[:, None] * np.einsum("nij,nj->ni", prod, q)
+            prod = np.matmul(prod, m)
+            if adaptive:
+                with np.errstate(divide="ignore"):
+                    log_norm = np.log(np.linalg.norm(prod, axis=(1, 2)))
+                retire = live & (log_scale + log_norm + log_q99 < log_tol)
+            else:
+                retire = live & (n >= cfg.truncation)
+            out[idx[retire]] = r[retire]
+            depths[idx[retire]] = n
+            live &= ~retire
+        idx, r, prod, log_scale = idx[live], r[live], prod[live], log_scale[live]
         if n % 50 == 0 and idx.size:
             norms = np.maximum(np.linalg.norm(prod, axis=(1, 2)), 1e-290)
             prod /= norms[:, None, None]
@@ -195,14 +211,16 @@ def similarity_env(dim):
 def test_tile_matches_per_lane_series(scalar_env, env_name, cfg):
     env = scalar_env if env_name == "scalar" else similarity_env(int(env_name[-2]))
     ref_values, ref_depths = per_lane_series(env, 3000, cfg, substream(24, 3))
-    values, depths = _stationary_chunk(env, 3000, cfg, substream(24, 3))
+    values, depths, _ = _stationary_chunk(env, 3000, cfg, substream(24, 3))
     assert np.array_equal(depths, ref_depths)
     np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=0.0)
 
 
 def reference_tile(env, count, cfg, rng):
     """The backward-series tile as written before the product walker was
-    shared: d scalar rows per product row, R and Q in (lanes, d) layout."""
+    shared: d scalar rows per product row, R and Q in (lanes, d) layout,
+    with the walker's draw blocks (block_terms) and its retirement inside a
+    block: copied out at its term, compacted out at the block end."""
     d = env.dim
     dd = d * d
     log_row, scale_row, thr_row, lane_row = dd + d, dd + d + 1, dd + d + 2, dd + d + 3
@@ -225,40 +243,45 @@ def reference_tile(env, count, cfg, rng):
     n = 0
     with np.errstate(under="ignore"):
         while state.shape[1]:
-            n += 1
             lanes = state.shape[1]
-            m, q = sample_pairs(env, rng, lanes)
+            k = 1 if n == 0 else block_terms(n, lanes, cfg)
+            m_block, q_block = sample_pairs(env, rng, lanes * k)
             if log_q99 is None:
-                q99 = float(np.quantile(np.linalg.norm(q, axis=1), 0.99))
+                q99 = float(np.quantile(np.linalg.norm(q_block, axis=1), 0.99))
                 log_q99 = math.log(q99) if q99 > 0 else -math.inf
                 if adaptive:
                     refresh_threshold(state)
-            r, prod = state[:d], state[d:d + dd]
-            m_rows = m.reshape(lanes, dd).T
-            tmp = tmp_buf[:lanes]
-            for i in range(d):
-                row = prod[i * d:(i + 1) * d]
-                acc = np.multiply(row[0], q[:, 0], out=acc_buf[:lanes])
-                for j in range(1, d):
-                    acc += np.multiply(row[j], q[:, j], out=tmp)
-                acc *= state[scale_row]
-                r[i] += acc
-                for k in range(d):
-                    cell = np.multiply(row[0], m_rows[k], out=nxt[i * d + k, :lanes])
+            live = np.ones(lanes, dtype=bool)
+            for t in range(k):
+                n += 1
+                m, q = m_block[t * lanes:(t + 1) * lanes], q_block[t * lanes:(t + 1) * lanes]
+                r, prod = state[:d], state[d:d + dd]
+                m_rows = m.reshape(lanes, dd).T
+                tmp = tmp_buf[:lanes]
+                for i in range(d):
+                    row = prod[i * d:(i + 1) * d]
+                    acc = np.multiply(row[0], q[:, 0], out=acc_buf[:lanes])
                     for j in range(1, d):
-                        cell += np.multiply(row[j], m_rows[j * d + k], out=tmp)
-            prod[...] = nxt[:, :lanes]
-            retire = None
-            if adaptive:
-                retire = np.einsum("ij,ij->j", prod, prod) < state[thr_row]
-            elif n >= cfg.truncation:
-                retire = np.ones(lanes, dtype=bool)
-            if retire is not None and retire.any():
-                done = np.flatnonzero(retire)
-                lane = state[lane_row, done].astype(np.intp)
-                out[lane] = state[:d, done].T
-                depths[lane] = n
-                state = state.take(np.flatnonzero(~retire), axis=1)
+                        acc += np.multiply(row[j], q[:, j], out=tmp)
+                    acc *= state[scale_row]
+                    r[i] += acc
+                    for c in range(d):
+                        cell = np.multiply(row[0], m_rows[c], out=nxt[i * d + c, :lanes])
+                        for j in range(1, d):
+                            cell += np.multiply(row[j], m_rows[j * d + c], out=tmp)
+                prod[...] = nxt[:, :lanes]
+                retire = None
+                if adaptive:
+                    retire = live & (np.einsum("ij,ij->j", prod, prod) < state[thr_row])
+                elif n >= cfg.truncation:
+                    retire = live.copy()
+                if retire is not None and retire.any():
+                    done = np.flatnonzero(retire)
+                    lane = state[lane_row, done].astype(np.intp)
+                    out[lane] = state[:d, done].T
+                    depths[lane] = n
+                    live &= ~retire
+            state = state.take(np.flatnonzero(live), axis=1)
             if n % 50 == 0 and state.shape[1]:
                 prod = state[d:d + dd]
                 safe = np.maximum(np.sqrt(np.einsum("ij,ij->j", prod, prod)), 1e-290)
@@ -290,6 +313,48 @@ def test_fixed_truncation_expanding_law_raises():
         kl.sample_stationary(env, kl.SeriesConfig(truncation=1100, seed=28), 4)
 
 
+def recorded_walk(env, count, cfg, seed):
+    """_walk_products over sample_pairs, with the rows of every draw call."""
+    calls = []
+
+    def draw(rng, rows):
+        calls.append(rows)
+        m, q = sample_pairs(env, rng, rows)
+        return m, q[:, :, None]
+
+    *_, depths, pairs = _walk_products(draw, count, cfg, substream(seed))
+    assert pairs == sum(calls)
+    return calls, depths
+
+
+def block_spans(calls, depths):
+    """(first term, terms) of each draw call: the lanes active after term n
+    are those deeper than n, and a call draws the same terms for each."""
+    spans, n = [], 0
+    for rows in calls:
+        lanes = int(np.sum(depths > n))
+        assert rows % lanes == 0
+        spans.append((n + 1, rows // lanes))
+        n += rows // lanes
+    return spans
+
+
+def test_walker_draws_blocks_of_terms_between_renormalizations(scalar_env):
+    calls, depths = recorded_walk(scalar_env, 100, kl.SeriesConfig(truncation=10_000), 30)
+    assert len(calls) <= 202
+    assert calls[0] == 100 and (depths == 10_000).all()
+    spans = block_spans(calls, depths)
+    assert sum(k for _, k in spans) == 10_000
+    full_tile = kl.SeriesConfig(tolerance=1e-9)
+    calls, depths = recorded_walk(scalar_env, 16_384, full_tile, 31)
+    assert calls[:2] == [16_384, 16_384]
+    spans += block_spans(calls, depths)
+    assert max(k for _, k in spans) > 1
+    for first, k in spans:
+        # terms first .. first + k - 1 hold no multiple of 50 but the last
+        assert (first + k - 2) // 50 == (first - 1) // 50
+
+
 def test_series_retires_every_lane_at_once_without_q():
     env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (0.5, 0.5)),
                          vector_law=kl.ConstantVector((0.0, 0.0)))
@@ -303,6 +368,16 @@ def test_series_depth_quantiles_recorded(scalar_env):
     q = batch.info["depth_quantiles"]
     assert list(q) == ["0.5", "0.9", "0.99"]
     assert 1 <= q["0.5"] <= q["0.9"] <= q["0.99"] <= batch.info["truncation"]
+
+
+def test_series_records_pairs_drawn(scalar_env):
+    # a fixed depth discards nothing; an adaptive tile discards the rest of
+    # the block each retired lane was drawn for
+    fixed = kl.sample_stationary(scalar_env, kl.SeriesConfig(truncation=120, seed=32), 20_000)
+    assert fixed.info["pairs_drawn"] == 20_000 * 120
+    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=32), 20_000)
+    used = round(batch.info["mean_depth"] * 20_000)
+    assert used < batch.info["pairs_drawn"] <= 1.05 * used
 
 
 def test_series_config_validation():
@@ -340,17 +415,24 @@ def test_lyapunov_flags_expansion():
 
 def reference_lyapunov(env, n_steps, replicas, rng):
     """Per-replica log-norm growth with one matmul per step, renormalized
-    every 50 steps: the loop the product walker replaced."""
+    every 50 steps: the loop the product walker replaced, drawing the
+    matrices in the walker's blocks (block_terms)."""
     rng = as_generator(rng)
     d = env.dim
+    cfg = kl.SeriesConfig(truncation=n_steps)
     prod = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
     log_scale = np.zeros(replicas)
-    for k in range(1, n_steps + 1):
-        prod = np.matmul(prod, env.matrix_law.sample(rng, replicas))
-        if k % 50 == 0:
-            safe = np.maximum(np.linalg.norm(prod, axis=(1, 2)), 1e-290)
-            prod /= safe[:, None, None]
-            log_scale += np.log(safe)
+    k = 0
+    while k < n_steps:
+        size = 1 if k == 0 else block_terms(k, replicas, cfg)
+        block = env.matrix_law.sample(rng, replicas * size)
+        for t in range(size):
+            k += 1
+            prod = np.matmul(prod, block[t * replicas:(t + 1) * replicas])
+            if k % 50 == 0:
+                safe = np.maximum(np.linalg.norm(prod, axis=(1, 2)), 1e-290)
+                prod /= safe[:, None, None]
+                log_scale += np.log(safe)
     per_replica = (log_scale + np.log(np.linalg.norm(prod, ord=2, axis=(1, 2)))) / n_steps
     return float(np.mean(per_replica)), float(np.std(per_replica) / math.sqrt(replicas))
 

@@ -202,13 +202,20 @@ def test_w_transposed_series():
 
 def reference_w_matrices(env, truncation, count, rng):
     """sum_{k <= truncation} M_k ... M_1 with one left matmul per step: the
-    loop the product walker replaced (fixed-truncation mode)."""
+    loop the product walker replaced (fixed-truncation mode), drawing the
+    matrices as the walker does: one step first, then step-major blocks of
+    up to 16384 // count steps that end at each multiple of 50 steps."""
     rng = as_generator(rng)
     prod = np.broadcast_to(np.eye(env.dim), (count, env.dim, env.dim)).copy()
     acc = np.zeros_like(prod)
-    for _ in range(truncation):
-        prod = np.matmul(env.matrix_law.sample(rng, count), prod)
-        acc += prod
+    k = 0
+    while k < truncation:
+        size = 1 if k == 0 else min(max(1, 16_384 // count), 50 - k % 50, truncation - k)
+        block = env.matrix_law.sample(rng, count * size)
+        for t in range(size):
+            k += 1
+            prod = np.matmul(block[t * count:(t + 1) * count], prod)
+            acc += prod
     return acc
 
 
