@@ -598,6 +598,7 @@ def stage_limit(ctx: RunContext) -> dict:
                 rows.append([s, j, ecf.values[i, j].real, ecf.values[i, j].imag])
         _write_csv(ctx.outdir / "ecf.csv", np.asarray(rows), "s,direction_index,re,im")
     result = {"n": n, "replicas": block["replicas"],
+              "pairs_drawn": sums.info["pairs_drawn"],
               "sup_deviation": fit.sup_deviation,
               "error_budget": law.error_budget,
               "c_values": [[z.real, z.imag] for z in law.c_values],

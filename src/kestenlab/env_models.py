@@ -59,19 +59,41 @@ def _spatial(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.n
     return out
 
 
+def _unit_circle(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of count uniform angles, without trig (von Neumann 1951).
+
+    A point (x, y) uniform in the unit disk, drawn by rejection from the
+    square [-1, 1)^2 (s = x^2 + y^2 >= 1 or s = 0 is refused), has a uniform
+    angle phi, so ((x^2 - y^2) / s, 2xy / s) = (cos 2 phi, sin 2 phi) is
+    uniform on the circle.  The refused slots, about 21 %, are topped up
+    from one batch of 1.35 times their number plus 16, and again only if
+    that batch was short.
+    """
+    x, y = 2.0 * rng.random((2, count)) - 1.0
+    s = x * x + y * y
+    bad = np.flatnonzero((s >= 1.0) | (s == 0.0))
+    while bad.size:
+        bx, by = 2.0 * rng.random((2, int(1.35 * bad.size) + 16)) - 1.0
+        bs = bx * bx + by * by
+        ok = np.flatnonzero((bs < 1.0) & (bs > 0.0))[:bad.size]
+        fill, bad = bad[:ok.size], bad[ok.size:]
+        x[fill], y[fill], s[fill] = bx[ok], by[ok], bs[ok]
+    return (x * x - y * y) / s, 2.0 * x * y / s
+
+
 def random_rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Haar-uniform rotations on SO(dim), shape (count, dim, dim).
 
-    d = 2 draws a uniform angle; d = 3 a normalized Gaussian 4-vector, which
-    is uniform on S^3, so its quaternion rotation is Haar (Shoemake 1992);
-    d >= 4 the Q factor of a Gaussian matrix with the QR sign gauge fixed
-    (Mezzadri 2007).
+    d = 2 rotates by a uniform angle whose cos and sin come from a point
+    uniform in the unit disk (``_unit_circle``); d = 3 a normalized
+    Gaussian 4-vector, which is uniform on S^3, so its quaternion rotation
+    is Haar (Shoemake 1992); d >= 4 the Q factor of a Gaussian matrix with
+    the QR sign gauge fixed (Mezzadri 2007).
     """
     if dim == 1:
         return np.ones((count, 1, 1))
     if dim == 2:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        return _planar(np.cos(theta), np.sin(theta))
+        return _planar(*_unit_circle(rng, count))
     if dim == 3:
         u = rng.standard_normal((4, count))
         u /= np.sqrt(np.einsum("ij,ij->j", u, u))
@@ -92,17 +114,18 @@ def _choose(rng: np.random.Generator, values, probs, count: int) -> np.ndarray:
 
     The same stream and values as ``rng.choice(values, count, p=probs)``,
     without its per-call argument checks: one uniform u per draw, and the
-    atom is the number of normalized cdf values <= u, found by comparing u
-    with each cdf value in turn.
+    atom's index is the number of normalized cdf values <= u, counted in an
+    integer array by comparing u with each cdf value in turn, then taken
+    from ``values`` at once.
     """
     values = np.asarray(values)
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]
     u = rng.random(count)
-    out = np.full(count, values[0])
-    for c, v in zip(cdf[:-1], values[1:]):
-        out = np.where(u >= c, v, out)
-    return out
+    index = np.zeros(count, dtype=np.intp)
+    for c in cdf[:-1]:
+        index += u >= c
+    return values.take(index)
 
 
 def _check_probs(probs: Sequence[float], what: str) -> tuple[float, ...]:
@@ -165,8 +188,8 @@ class Similarity:
         if self.dim != 2:
             return c[:, None, None] * random_rotations(rng, count, self.dim)
         # planar case: scale the entries before the fill, not the filled matrices
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        return _planar(c * np.cos(theta), c * np.sin(theta))
+        cos, sin = _unit_circle(rng, count)
+        return _planar(c * cos, c * sin)
 
 
 @dataclass(frozen=True)
@@ -352,12 +375,20 @@ class Environment:
 
 
 def sample_q(env: Environment, rng, count: int) -> np.ndarray:
-    """Draws of Q; with q_symmetric each raw draw gets an independent sign."""
+    """Draws of Q; with q_symmetric each raw draw gets an independent sign.
+
+    The signs are packed bits, one fair bit per draw (bit 1 is -1), taken in
+    order from the little-endian bytes of ceil(count / 64) raw 64-bit outputs
+    of the generator, and multiplied in place; ``rng.bytes`` would cost
+    several microseconds more per call.
+    """
     rng = as_generator(rng)
     q = env.vector_law.sample(rng, count)
     if env.q_symmetric:
+        words = rng.bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), count=count)
         # every vector law returns a fresh array, so the sign goes in place
-        q *= np.where(rng.random(count) < 0.5, 1.0, -1.0)[:, None]
+        q *= (1.0 - 2.0 * bits)[:, None]
     return q
 
 

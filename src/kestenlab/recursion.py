@@ -85,11 +85,16 @@ def _check_finite(r: np.ndarray, step: int) -> None:
 
 
 def _forward_steps(env: Environment, cfg: PathConfig):
-    """Yield (k, R_k, S_k) for k = 1..n_steps, all replicas at once.
+    """Yield (k, R_k, S_k) for k = 1..n_steps, all replicas at once, and
+    return the number of pairs drawn.
 
-    The state is component-major, shape (d, replicas), and M is read through
-    views of the (replicas, d, d) draw, so each step is d^2 multiply-adds over
-    contiguous rows.  The yielded arrays are reused by the next step.
+    The pairs come in blocks of max(1, _STATIONARY_CHUNK // replicas) steps,
+    the last cut at n_steps, one sample_pairs call per block in step-major
+    order, as the product walker draws them.  The state
+    is component-major, shape (d, replicas), and M is read through views of
+    each step's (replicas, d, d) slice of the block, so each step is d^2
+    multiply-adds over contiguous rows.  The yielded arrays are reused by
+    the next step.
     """
     rng = substream(cfg.seed)
     d = env.dim
@@ -98,29 +103,42 @@ def _forward_steps(env: Environment, cfg: PathConfig):
     r[:] = np.asarray(cfg.start_x, dtype=float)[:, None]
     s = np.zeros((d, reps))
     nxt = np.empty((d, reps))
+    block = max(1, _STATIONARY_CHUNK // reps)
+    pairs = 0
     # overflow (and the inf * 0 it leads to) is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.n_steps + 1):
-            m, q = sample_pairs(env, rng, reps)
-            for i in range(d):
-                row = np.multiply(m[:, i, 0], r[0], out=nxt[i])
-                for j in range(1, d):
-                    row += m[:, i, j] * r[j]
-                row += q[:, i]
-            r, nxt = nxt, r
-            s += r
-            yield k, r, s
-            if k % 64 == 0:
-                _check_finite(r, k)
+        for first in range(1, cfg.n_steps + 1, block):
+            steps = min(block, cfg.n_steps + 1 - first)
+            ms, qs = sample_pairs(env, rng, steps * reps)
+            pairs += steps * reps
+            ms, qs = ms.reshape(steps, reps, d, d), qs.reshape(steps, reps, d)
+            for k, m, q in zip(range(first, first + steps), ms, qs):
+                for i in range(d):
+                    row = np.multiply(m[:, i, 0], r[0], out=nxt[i])
+                    for j in range(1, d):
+                        row += m[:, i, j] * r[j]
+                    row += q[:, i]
+                r, nxt = nxt, r
+                s += r
+                yield k, r, s
+                if k % 64 == 0:
+                    _check_finite(r, k)
     _check_finite(r, cfg.n_steps)
+    return pairs
 
 
 def birkhoff_sums(env: Environment, cfg: PathConfig) -> SampleBatch:
-    """Final partial sums S_n per replica, without storing the paths."""
-    for _, _, s in _forward_steps(env, cfg):
-        pass
+    """Final partial sums S_n per replica, without storing the paths; `info`
+    records the pairs drawn, n_steps * replicas."""
+    steps = _forward_steps(env, cfg)
+    try:
+        while True:
+            _, _, s = next(steps)
+    except StopIteration as done:
+        pairs = done.value
     return SampleBatch(data=s.T.copy(), kind="birkhoff", seed=cfg.seed,
-                       info={"n_steps": cfg.n_steps, "start_x": list(cfg.start_x)})
+                       info={"n_steps": cfg.n_steps, "start_x": list(cfg.start_x),
+                             "pairs_drawn": pairs})
 
 
 def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator):

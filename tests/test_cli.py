@@ -303,6 +303,8 @@ def test_full_pipeline_green(tmp_path):
     w_depths = report["stages"]["limit"]["w_depth_quantiles"]
     assert list(w_depths) == ["0.5", "0.9", "0.99"]
     assert 1 <= w_depths["0.5"] <= w_depths["0.9"] <= w_depths["0.99"]
+    limit = report["stages"]["limit"]
+    assert limit["pairs_drawn"] == limit["n"] * limit["replicas"]
 
 
 def test_full_pipeline_loads_no_scipy(tmp_path):

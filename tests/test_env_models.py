@@ -30,8 +30,8 @@ def test_similarity_norm_equals_scale(similarity_env):
     assert np.allclose(vm_norms, norms, atol=1e-12)
 
 
-# Haar on SO(d), d >= 3: E tr R = 0, E (tr R)^2 = 1 and E R_ij^2 = 1/d.  Each
-# estimate must lie within Z standard errors of its value.
+# Haar on SO(d), d >= 2: E tr R = 0, E (tr R)^2 = 1 (2 at d = 2) and
+# E R_ij^2 = 1/d.  Each estimate must lie within Z standard errors of its value.
 Z = 5.0
 HAAR_DRAWS = 100_000
 
@@ -40,15 +40,22 @@ def _within(x, value):
     return abs(x.mean() - value) <= Z * x.std() / np.sqrt(len(x))
 
 
-@pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (4, 2)])
+@pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 2)])
 def test_rotation_moments_are_haar(dim, seed):
     rot = random_rotations(substream(seed), HAAR_DRAWS, dim)
     trace = np.trace(rot, axis1=1, axis2=2)
     assert _within(trace, 0.0)
-    assert _within(trace ** 2, 1.0)
+    assert _within(trace ** 2, 2.0 if dim == 2 else 1.0)
     for i in range(dim):
         for j in range(dim):
             assert _within(rot[:, i, j] ** 2, 1.0 / dim)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_rotation_angle_is_uniform_at_d2(seed):
+    rot = random_rotations(substream(seed), HAAR_DRAWS, 2)
+    angle = np.arctan2(rot[:, 1, 0], rot[:, 0, 0])
+    assert stats.kstest(angle, stats.uniform(-np.pi, 2.0 * np.pi).cdf).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -73,24 +80,43 @@ def test_spatial_similarity_and_diag_rotation_draws():
     assert np.all(np.linalg.det(d) > 0.0)
 
 
-# SHA-1 of draws at d = 2 and d = 4 at a fixed seed: a change to one
-# dimension's sampler must leave the other dimensions' streams bit for bit
+# SHA-1 of each dimension's draws at a fixed seed, so that a change to one
+# dimension's sampler shows whether it left the others' streams bit for bit.
+# The d = 2 rotations come from points in the unit disk, d = 3 from unit
+# quaternions, d = 4 from QR.
 PINNED_DRAWS = {
-    "rotations d=2": "de1362bd42fa127c2ae0b2625a7f1a591a3d166b",
+    "rotations d=2": "c31fba87a94b31b9191b6c4cb431fd506fe51564",
+    "rotations d=3": "d1d4115ff181df3ab18021f157138490f17dcd7b",
     "rotations d=4": "d2e743fbe6d35f283413db0cd46de8ffe162768d",
-    "similarity d=2": "5e4a36febf6a6aa4e575a23e3100db0ec73b022b",
+    "similarity d=2": "5594160ffcd2bcd31f41086fa102808a6a807236",
 }
 
 
-def test_draws_outside_d3_are_unchanged():
+def test_draw_streams_match_their_pinned_digests():
     draws = {
         "rotations d=2": random_rotations(substream(0), 64, 2),
+        "rotations d=3": random_rotations(substream(0), 64, 3),
         "rotations d=4": random_rotations(substream(0), 64, 4),
         "similarity d=2": kl.Similarity(2, (2.0, 0.5), (1 / 3, 2 / 3)).sample(substream(0), 64),
     }
     digests = {name: hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()
                for name, x in draws.items()}
     assert digests == PINNED_DRAWS
+
+
+def test_symmetric_q_signs_are_fair_bits():
+    # one packed bit per draw: each sign is +1 with probability
+    # 1/2, and neighbours agree with probability 1/2, also where they come
+    # from different bytes
+    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint(),
+                         vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
+    count = 100_003
+    signs = kl.sample_q(env, substream(13), count)[:, 0]
+    assert set(np.unique(signs)) == {-1.0, 1.0}
+    assert _within(signs == 1.0, 0.5)
+    assert _within(signs[1:] == signs[:-1], 0.5)
+    across = np.arange(8, count, 8)
+    assert _within(signs[across] == signs[across - 1], 0.5)
 
 
 def test_degenerate_constant_family():

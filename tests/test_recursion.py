@@ -485,6 +485,60 @@ def test_birkhoff_matches_forward_paths(scalar_env):
     assert np.array_equal(batch.data, paths.sums[:, -1])
 
 
+def reference_birkhoff(env, cfg):
+    """S_n per replica with one matmul per step, R <- M R + Q, drawing the
+    pairs in the forward blocks: max(1, 16384 // replicas) steps per call,
+    the last block cut at n_steps."""
+    rng = substream(cfg.seed)
+    k = max(1, 16_384 // cfg.replicas)
+    r = np.broadcast_to(np.asarray(cfg.start_x), (cfg.replicas, env.dim)).copy()
+    s = np.zeros_like(r)
+    for first in range(0, cfg.n_steps, k):
+        size = min(k, cfg.n_steps - first)
+        m, q = sample_pairs(env, rng, cfg.replicas * size)
+        for t in range(size):
+            rows = slice(t * cfg.replicas, (t + 1) * cfg.replicas)
+            r = np.matmul(m[rows], r[:, :, None])[:, :, 0] + q[rows]
+            s += r
+    return s
+
+
+@pytest.mark.parametrize("dim, replicas", [(1, 3000), (2, 700), (3, 20_000)])
+def test_birkhoff_matches_reference_loop(scalar_env, dim, replicas):
+    env = scalar_env if dim == 1 else similarity_env(dim)
+    cfg = kl.PathConfig(n_steps=45, start_x=(0.5,) * dim, replicas=replicas, seed=33)
+    batch = kl.birkhoff_sums(env, cfg)
+    assert batch.info["pairs_drawn"] == 45 * replicas
+    ref = reference_birkhoff(env, cfg)
+    if dim == 1:
+        assert np.array_equal(batch.data, ref)
+    # at d >= 2 matmul may add in another order (or fuse): its rounding is
+    # relative to the terms, which cancel in some sums
+    np.testing.assert_allclose(batch.data, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_forward_steps_draw_blocks_of_steps(scalar_env, monkeypatch):
+    calls = []
+
+    def recording(env, rng, count):
+        calls.append(count)
+        return sample_pairs(env, rng, count)
+
+    monkeypatch.setattr(kl.recursion, "sample_pairs", recording)
+    batch = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=4096, start_x=(0.0,),
+                                                       replicas=4000, seed=34))
+    assert calls == [4 * 4000] * 1024
+    assert batch.info["pairs_drawn"] == 4096 * 4000
+    calls.clear()
+    kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=5, start_x=(0.0,),
+                                               replicas=20_000, seed=35))
+    assert calls == [20_000] * 5
+    calls.clear()
+    kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=10, start_x=(0.0,),
+                                               replicas=4000, seed=36))
+    assert calls == [16_000, 16_000, 8000]
+
+
 def test_birkhoff_symmetric_sums_have_centered_median(scalar_env):
     # law(S_n) is symmetric for every n, so the median of S_n / n is 0;
     # the sign counts give a distribution-free check of that
