@@ -22,10 +22,10 @@ def main() -> int:
     config_path = sys.argv[1] if len(sys.argv) > 1 else HERE / "configs" / "scalar_two_point.yaml"
     out_path = Path(sys.argv[2]) if len(sys.argv) > 2 else Path("rho_curve.csv")
     config = cli.load_config(config_path)
-    grid = spectral.build_grid(config.env.dim, config.grid["resolution"])
+    grid = spectral.build_grid(config.env.dim, config.grid.resolution)
     draws = spectral.build_operator_draws(
         config.env, grid, spectral.ROW_ACTION,
-        config.mc["spectral"]["mc_per_point"], substream(config.seed, 999))
+        config.mc.spectral.mc_per_point, substream(config.seed, 999))
     kappas = np.linspace(0.1, 2.5, 49)
     rows = []
     for kappa in kappas:

@@ -10,14 +10,13 @@ numeric payloads.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,8 @@ import yaml
 
 from . import recursion, spectral, stable_limit, tails
 from .batches import SampleBatch, atomic_write
-from .env_models import (ConfigurationError, Environment, build_environment,
-                         check_assumptions)
+from .env_models import (ConfigurationError, Environment, bounded, build_environment,
+                         check_assumptions, check_field, from_block)
 from .rng import substream
 from .spectral import build_grid
 
@@ -131,97 +130,100 @@ def env_hash(env_block: dict) -> str:
 # configuration schema
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "grid": {"resolution": 32},
-    "mc": {
-        "seed": None,
-        "assumptions_n": 20_000,
-        "lyapunov": {"n_steps": 10_000, "replicas": 100},
-        "stationary": {"count": 200_000, "tolerance": 1e-9, "truncation": None},
-        "spectral": {"mc_per_point": 10_000, "bracket": [0.2, 3.0]},
-        "tails": {"top_fraction": 0.01,
-                  "threshold_quantiles": [0.98, 0.99, 0.995],
-                  "n_directions": 4},
-        "sigma": {"threshold_quantile": 0.99, "invariance_mc": 10_000},
-        "limit": {"log2_n": 12, "replicas": 4_000, "w_draws": 2_000,
-                  "s_values": [0.1, 0.25, 0.5, 1.0, 1.5, 2.0],
-                  "n_directions": 4},
-    },
-    "checks": {
-        "rho_band": 0.01,
-        "eigen_residual_max": 0.05,
-        "sigma_invariance_max": 0.10,
-        "cf_deviation_max": 0.15,
-    },
-    "output": {"directory": "out", "formats": ["json", "csv"]},
-}
+# Each block is a frozen dataclass: its fields are the block's keys, their
+# defaults and their ranges, and `env_models.from_block` reads it, nested
+# blocks included.  The rules that tie fields together are in
+# validate_config.
+
+@dataclass(frozen=True)
+class GridConfig:
+    resolution: int = bounded(32, "[2, inf)")
+
+
+@dataclass(frozen=True)
+class LyapunovConfig:
+    n_steps: int = bounded(10_000, "[100, inf)")
+    replicas: int = bounded(100, "[1, inf)")
+
+
+@dataclass(frozen=True)
+class StationaryConfig:
+    count: int = bounded(200_000, "[1, inf)")
+    tolerance: float = bounded(1e-9, "(0, inf)")
+
+
+@dataclass(frozen=True)
+class SpectralConfig:
+    mc_per_point: int = bounded(10_000, "[100, inf)")
+    bracket: tuple[float, ...] = (0.2, 3.0)
+
+
+@dataclass(frozen=True)
+class TailsConfig:
+    top_fraction: float = bounded(0.01, "(0, 0.05]")  # hill_tail_index's range
+    threshold_quantiles: tuple[float, ...] = bounded((0.98, 0.99, 0.995), "(0, 1)")
+    n_directions: int = bounded(4, "[1, inf)")
+
+
+@dataclass(frozen=True)
+class SigmaConfig:
+    threshold_quantile: float = bounded(0.99, "(0, 1)")
+    invariance_mc: int = bounded(10_000, "[100, inf)")
+
+
+@dataclass(frozen=True)
+class LimitConfig:
+    log2_n: int = bounded(12, "[1, inf)")
+    replicas: int = bounded(4_000, "[1, inf)")
+    w_draws: int = bounded(2_000, "[100, inf)")
+    s_values: tuple[float, ...] = bounded((0.1, 0.25, 0.5, 1.0, 1.5, 2.0), "(0, inf)")
+    n_directions: int = bounded(4, "[1, inf)")
+
+
+@dataclass(frozen=True)
+class McConfig:
+    seed: int | None = bounded(None, "[0, inf)")  # None: drawn at validation
+    assumptions_n: int = bounded(20_000, "[1000, inf)")
+    lyapunov: LyapunovConfig = LyapunovConfig()
+    stationary: StationaryConfig = StationaryConfig()
+    spectral: SpectralConfig = SpectralConfig()
+    tails: TailsConfig = TailsConfig()
+    sigma: SigmaConfig = SigmaConfig()
+    limit: LimitConfig = LimitConfig()
+
+
+@dataclass(frozen=True)
+class ChecksConfig:
+    rho_band: float = bounded(0.01, "[0, inf)")
+    eigen_residual_max: float = bounded(0.05, "[0, inf)")
+    sigma_invariance_max: float = bounded(0.10, "[0, inf)")
+    cf_deviation_max: float = bounded(0.15, "[0, inf)")
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    directory: str = "out"
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The whole config file; `env_hash` is not a key but the hash of the
+    `env` block as written."""
+    env: Environment
+    env_hash: str
+    grid: GridConfig = GridConfig()
+    mc: McConfig = McConfig()
+    checks: ChecksConfig = ChecksConfig()
+    output: OutputConfig = OutputConfig()
+    pipeline: tuple[str, ...] = ()
+
+    @property
+    def seed(self) -> int:
+        return self.mc.seed
 
 
 def _fail(path: str, message: str):
     raise CliConfigError(f"{path}: {message}")
-
-
-def _expect_positive_int(value, path: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        _fail(path, f"expected an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _expect_number(value, path: str, positive: bool = False) -> float:
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or (isinstance(value, float) and not math.isfinite(value))):
-        _fail(path, f"expected a finite number, got {value!r}")
-    if positive and value <= 0:
-        _fail(path, f"expected a positive number, got {value!r}")
-    return float(value)
-
-
-def _expect_in(value, path: str, lo: float, hi: float, hi_closed: bool = False) -> float:
-    """A number in (lo, hi), or in (lo, hi] with hi_closed."""
-    x = _expect_number(value, path)
-    if not (lo < x < hi or (hi_closed and x == hi)):
-        _fail(path, f"expected a number in ({lo:g}, {hi:g}{']' if hi_closed else ')'}, "
-                    f"got {value!r}")
-    return x
-
-
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, (list, tuple)) or not value:
-        _fail(path, f"expected a non-empty list, got {value!r}")
-    return list(value)
-
-
-def _merge_defaults(block, defaults: dict, path: str) -> dict:
-    """The defaults overlaid with a config block; a key the defaults do not
-    know is refused with its path, so a misspelled key cannot silently
-    leave its default in place."""
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        _fail(path, f"expected a mapping, got {block!r}")
-    out = copy.deepcopy(defaults)
-    for k, v in block.items():
-        if k not in defaults:
-            _fail(f"{path}.{k}", f"unknown key; valid: {', '.join(defaults)}")
-        out[k] = _merge_defaults(v, defaults[k], f"{path}.{k}") \
-            if isinstance(defaults[k], dict) else v
-    return out
-
-
-@dataclass
-class RunConfig:
-    env: Environment
-    env_block: dict
-    grid: dict
-    mc: dict
-    checks: dict
-    pipeline: list
-    output: dict
-    seed: int
-
-    @property
-    def env_hash(self) -> str:
-        return env_hash(self.env_block)
 
 
 def validate_config(raw: dict, *, seed_override: int | None = None,
@@ -229,61 +231,34 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
                     count_override: int | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise CliConfigError("config: expected a mapping at the top level")
-    for key in raw:
-        if key not in ("env", "pipeline", *_DEFAULTS):
-            _fail(str(key), f"unknown key; valid: env, pipeline, {', '.join(_DEFAULTS)}")
     try:
         env = build_environment(raw.get("env"), "env")
+        config = from_block(RunConfig, {**raw, "env": env}, "",
+                            env_hash=env_hash(raw["env"]))
+        seed = config.seed if seed_override is None else check_field(
+            McConfig, "seed", seed_override, "--seed")
+        count = config.mc.stationary.count if count_override is None else check_field(
+            StationaryConfig, "count", count_override, "--n")
     except ConfigurationError as exc:
         raise CliConfigError(str(exc)) from exc
 
-    grid = _merge_defaults(raw.get("grid"), _DEFAULTS["grid"], "grid")
-    _expect_positive_int(grid["resolution"], "grid.resolution", minimum=2)
-
-    mc = _merge_defaults(raw.get("mc"), _DEFAULTS["mc"], "mc")
-    configured_count = _expect_positive_int(mc["stationary"]["count"], "mc.stationary.count")
-    if count_override is not None:
-        mc["stationary"]["count"] = _expect_positive_int(count_override, "--n")
-    _expect_positive_int(mc["assumptions_n"], "mc.assumptions_n", minimum=1000)
-    _expect_positive_int(mc["lyapunov"]["n_steps"], "mc.lyapunov.n_steps", minimum=100)
-    _expect_positive_int(mc["lyapunov"]["replicas"], "mc.lyapunov.replicas")
-    if mc["stationary"]["truncation"] is not None:
-        _expect_positive_int(mc["stationary"]["truncation"], "mc.stationary.truncation")
-    _expect_number(mc["stationary"]["tolerance"], "mc.stationary.tolerance", positive=True)
-    _expect_positive_int(mc["spectral"]["mc_per_point"], "mc.spectral.mc_per_point", minimum=100)
-    bracket = _expect_list(mc["spectral"]["bracket"], "mc.spectral.bracket")
-    for i, x in enumerate(bracket):
-        _expect_number(x, f"mc.spectral.bracket[{i}]")
+    mc = config.mc
+    bracket = mc.spectral.bracket
     if len(bracket) != 2 or not 0 < bracket[0] < bracket[1]:
-        _fail("mc.spectral.bracket", f"expected [lo, hi] with 0 < lo < hi, got {bracket!r}")
-    tails_block = mc["tails"]
-    _expect_in(tails_block["top_fraction"], "mc.tails.top_fraction", 0.0, 0.05, hi_closed=True)
-    quantiles = _expect_list(tails_block["threshold_quantiles"], "mc.tails.threshold_quantiles")
-    for i, q in enumerate(quantiles):
-        _expect_in(q, f"mc.tails.threshold_quantiles[{i}]", 0.0, 1.0)
-    if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
+        _fail("mc.spectral.bracket", f"expected [lo, hi] with 0 < lo < hi, got {list(bracket)!r}")
+    quantiles = mc.tails.threshold_quantiles
+    if not quantiles or any(b <= a for a, b in zip(quantiles, quantiles[1:])):
         _fail("mc.tails.threshold_quantiles",
-              f"expected strictly increasing values, got {quantiles!r}")
-    _expect_positive_int(tails_block["n_directions"], "mc.tails.n_directions")
-    sigma_q = _expect_in(mc["sigma"]["threshold_quantile"], "mc.sigma.threshold_quantile",
-                         0.0, 1.0)
-    if configured_count * (1.0 - sigma_q) < 500:
+              f"expected a non-empty, strictly increasing list, got {list(quantiles)!r}")
+    if not mc.limit.s_values:
+        _fail("mc.limit.s_values", "expected a non-empty list")
+    sigma_q = mc.sigma.threshold_quantile
+    if mc.stationary.count * (1.0 - sigma_q) < 500:
         _fail("mc.sigma.threshold_quantile",
-              f"mc.stationary.count {configured_count} x (1 - {sigma_q!r}) leaves fewer than "
-              "the 500 exceedances the sigma stage needs")
-    _expect_positive_int(mc["sigma"]["invariance_mc"], "mc.sigma.invariance_mc", minimum=100)
-    _expect_positive_int(mc["limit"]["log2_n"], "mc.limit.log2_n")
-    _expect_positive_int(mc["limit"]["replicas"], "mc.limit.replicas")
-    _expect_positive_int(mc["limit"]["w_draws"], "mc.limit.w_draws", minimum=100)
-    _expect_positive_int(mc["limit"]["n_directions"], "mc.limit.n_directions")
-    for i, s in enumerate(_expect_list(mc["limit"]["s_values"], "mc.limit.s_values")):
-        _expect_number(s, f"mc.limit.s_values[{i}]", positive=True)
-
-    pipeline = raw.get("pipeline", [])
-    if not isinstance(pipeline, list):
-        _fail("pipeline", "expected a list of stage names")
+              f"mc.stationary.count {mc.stationary.count} x (1 - {sigma_q!r}) leaves fewer "
+              "than the 500 exceedances the sigma stage needs")
     seen: set[str] = set()
-    for i, stage in enumerate(pipeline):
+    for i, stage in enumerate(config.pipeline):
         if stage not in STAGES:
             _fail(f"pipeline[{i}]", f"unknown stage {stage!r}; valid: {', '.join(STAGES)}")
         for dep in STAGE_DEPENDENCIES[stage]:
@@ -292,26 +267,11 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
                       f"stage {stage!r} needs {dep!r} earlier in the pipeline")
         seen.add(stage)
 
-    output = _merge_defaults(raw.get("output"), _DEFAULTS["output"], "output")
-    if out_override:
-        output["directory"] = out_override
-    for i, fmt in enumerate(output["formats"]):
-        if fmt not in ("json", "csv"):
-            _fail(f"output.formats[{i}]", f"unknown format {fmt!r}")
-
-    checks = _merge_defaults(raw.get("checks"), _DEFAULTS["checks"], "checks")
-    for name, value in checks.items():
-        if _expect_number(value, f"checks.{name}") < 0:
-            _fail(f"checks.{name}", f"expected a nonnegative number, got {value!r}")
-
-    seed = seed_override if seed_override is not None else mc["seed"]
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big") >> 1
-    _expect_positive_int(seed, "mc.seed", minimum=0)
-
-    return RunConfig(env=env, env_block=raw["env"], grid=grid, mc=mc,
-                     checks=checks, pipeline=list(pipeline), output=output,
-                     seed=int(seed))
+    output = replace(config.output, directory=out_override) if out_override else config.output
+    return replace(config, output=output, mc=replace(
+        mc, seed=seed, stationary=replace(mc.stationary, count=count)))
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -358,9 +318,6 @@ class RunContext:
     def stage_seed(self, stage: str, *key: int) -> int:
         return derive_seed(self.seed, STAGE_INDEX[stage], *key)
 
-    def wants_csv(self) -> bool:
-        return "csv" in self.config.output["formats"]
-
     def direction_set(self, n_directions: int) -> np.ndarray:
         grid = self.grid()
         if grid.n <= n_directions:
@@ -370,7 +327,7 @@ class RunContext:
 
     def grid(self) -> spectral.SphereGrid:
         if "grid" not in self.cache:
-            self.cache["grid"] = build_grid(self.env.dim, self.config.grid["resolution"])
+            self.cache["grid"] = build_grid(self.env.dim, self.config.grid.resolution)
         return self.cache["grid"]
 
 
@@ -437,15 +394,14 @@ def need_stable_law(ctx: RunContext) -> stable_limit.StableLaw:
 # ---------------------------------------------------------------------------
 
 def stage_assumptions(ctx: RunContext) -> dict:
-    report = check_assumptions(ctx.env, ctx.config.mc["assumptions_n"],
+    report = check_assumptions(ctx.env, ctx.config.mc.assumptions_n,
                                ctx.stream("assumptions"))
     entries = {}
     for name, e in report.entries.items():
         entries[name] = {"verdict": e.verdict, "estimate": e.estimate,
                          "std_error": e.std_error, "detail": e.detail}
     ctx.checks["assumptions_checkable_pass"] = report.all_checkable_pass()
-    return {"entries": entries, "mc_n": report.mc_n,
-            "seed": ctx.stage_seed("assumptions")}
+    return {"entries": entries, "mc_n": report.mc_n}
 
 
 def stage_simulate(ctx: RunContext) -> dict:
@@ -454,13 +410,10 @@ def stage_simulate(ctx: RunContext) -> dict:
         raise StageCheckFailure(
             f"Lyapunov precheck beta = {pre.beta:.4f} >= 0: the chain has "
             "no stationary law to sample")
-    block = ctx.config.mc["stationary"]
-    cfg = recursion.SeriesConfig(
-        truncation=block.get("truncation"),
-        tolerance=block.get("tolerance") if block.get("truncation") is None else None,
-        seed=ctx.stage_seed("simulate", 1))
-    batch = recursion.sample_stationary(ctx.env, cfg, block["count"],
-                                        threads=ctx.threads)
+    block = ctx.config.mc.stationary
+    cfg = recursion.SeriesConfig(tolerance=block.tolerance,
+                                 seed=ctx.stage_seed("simulate", 1))
+    batch = recursion.sample_stationary(ctx.env, cfg, block.count, threads=ctx.threads)
     batch.info["env_hash"] = ctx.config.env_hash
     batch.to_csv(_artifact_path(ctx, "simulate"))  # the samples are the artifact
     ctx.cache["stationary"] = batch
@@ -474,50 +427,48 @@ def stage_simulate(ctx: RunContext) -> dict:
 
 
 def stage_lyapunov(ctx: RunContext) -> dict:
-    block = ctx.config.mc["lyapunov"]
-    est = recursion.lyapunov(ctx.env, block["n_steps"], block["replicas"],
+    block = ctx.config.mc.lyapunov
+    est = recursion.lyapunov(ctx.env, block.n_steps, block.replicas,
                              ctx.stream("lyapunov"))
     ctx.checks["lyapunov_contractive"] = est.contractive
     return {"beta": est.beta, "std_error": est.std_error,
-            "contractive": est.contractive, "n_steps": block["n_steps"],
-            "replicas": block["replicas"], "seed": ctx.stage_seed("lyapunov")}
+            "contractive": est.contractive, "n_steps": block.n_steps,
+            "replicas": block.replicas}
 
 
 def stage_kappa(ctx: RunContext) -> dict:
-    block = ctx.config.mc["spectral"]
+    block = ctx.config.mc.spectral
     grid = ctx.grid()
-    sol = spectral.solve_kappa(ctx.env, grid, tuple(block["bracket"]),
-                               block["mc_per_point"], ctx.stream("kappa", 0))
+    sol = spectral.solve_kappa(ctx.env, grid, block.bracket, block.mc_per_point,
+                               ctx.stream("kappa", 0))
     r_res, eta_res = spectral.fixed_point_residuals(
-        sol, ctx.env, block["mc_per_point"], ctx.stream("kappa", 1))
+        sol, ctx.env, block.mc_per_point, ctx.stream("kappa", 1))
     doc = sol.to_json_dict()
     doc["env_hash"] = ctx.config.env_hash
     doc["residuals"] = {"r_sup": r_res, "eta_tv": eta_res}
     write_canonical_json(doc, _artifact_path(ctx, "kappa"))
-    if ctx.wants_csv():
-        hist = np.asarray(sol.rho_history, dtype=float)
-        _write_csv(ctx.outdir / "rho_history.csv", hist, "kappa,rho")
+    _write_csv(ctx.outdir / "rho_history.csv", np.asarray(sol.rho_history, dtype=float),
+               "kappa,rho")
     ctx.cache["solution"] = sol
-    ctx.checks["kappa_rho_band"] = abs(sol.rho_at_kappa - 1.0) <= ctx.config.checks["rho_band"]
-    ctx.checks["kappa_eigen_residuals"] = (
-        r_res <= ctx.config.checks["eigen_residual_max"]
-        and eta_res <= ctx.config.checks["eigen_residual_max"])
+    checks = ctx.config.checks
+    ctx.checks["kappa_rho_band"] = abs(sol.rho_at_kappa - 1.0) <= checks.rho_band
+    ctx.checks["kappa_eigen_residuals"] = (r_res <= checks.eigen_residual_max
+                                           and eta_res <= checks.eigen_residual_max)
     return {"kappa": sol.kappa, "alpha": sol.alpha, "rho": sol.rho_at_kappa,
             "r_residual": r_res, "eta_residual": eta_res,
             "evaluations": len(sol.rho_history),
             "reducible_directions": sol.reducible_directions,
-            "mc_per_point": block["mc_per_point"], "seed": ctx.stage_seed("kappa", 0)}
+            "mc_per_point": block.mc_per_point}
 
 
 def stage_tail(ctx: RunContext) -> dict:
     batch = need_stationary(ctx)
     sol = need_solution(ctx)
-    block = ctx.config.mc["tails"]
-    norms = batch.norms()
-    thresholds = np.quantile(norms, np.asarray(block["threshold_quantiles"]))
-    dirs = ctx.direction_set(block["n_directions"])
+    block = ctx.config.mc.tails
+    thresholds = np.quantile(batch.norms(), np.asarray(block.threshold_quantiles))
+    dirs = ctx.direction_set(block.n_directions)
     estimate = tails.summarize_tails(batch, sol.kappa, dirs, thresholds,
-                                     top_fraction=block["top_fraction"])
+                                     top_fraction=block.top_fraction)
     goldie = spectral.goldie_constant(sol, ctx.env, batch, dirs,
                                       ctx.stream("tail", 0))
     direct = {}
@@ -533,21 +484,19 @@ def stage_tail(ctx: RunContext) -> dict:
     doc["env_hash"] = ctx.config.env_hash
     doc["tail_constants"] = direct
     write_canonical_json(doc, ctx.outdir / "tail_estimate.json")
-    if ctx.wants_csv():
-        curve = np.column_stack([estimate.thresholds, estimate.radial_scaled_freq])
-        _write_csv(ctx.outdir / "tail_curves.csv", curve, "threshold,scaled_freq")
+    curve = np.column_stack([estimate.thresholds, estimate.radial_scaled_freq])
+    _write_csv(ctx.outdir / "tail_curves.csv", curve, "threshold,scaled_freq")
     ctx.checks["tail_hill_matches_kappa"] = abs(estimate.hill.index - sol.kappa) <= 0.1
     return {"hill_index": estimate.hill.index,
             "hill_ci": [estimate.hill.ci_low, estimate.hill.ci_high],
-            "constants": direct, "thresholds": thresholds.tolist(),
-            "seed": ctx.stage_seed("tail", 0)}
+            "constants": direct, "thresholds": thresholds.tolist()}
 
 
 def stage_sigma(ctx: RunContext) -> dict:
     batch = need_stationary(ctx)
     sol = need_solution(ctx)
-    block = ctx.config.mc["sigma"]
-    u = float(np.quantile(batch.norms(), block["threshold_quantile"]))
+    block = ctx.config.mc.sigma
+    u = float(np.quantile(batch.norms(), block.threshold_quantile))
     # resolve the exponent the way the limit stage will, so one angular
     # measure serves the whole pipeline
     kappa = stable_limit.effective_kappa(
@@ -555,49 +504,45 @@ def stage_sigma(ctx: RunContext) -> dict:
     sigma = tails.estimate_sigma(batch, u, ctx.grid(), kappa,
                                  ctx.env.q_symmetric)
     residual = tails.check_sigma_invariance(sigma, ctx.env, kappa,
-                                            block["invariance_mc"],
+                                            block.invariance_mc,
                                             ctx.stream("sigma", 0))
     doc = sigma.to_json_dict()
     doc["env_hash"] = ctx.config.env_hash
     doc["invariance_residual"] = residual
     write_canonical_json(doc, _artifact_path(ctx, "sigma"))
     ctx.cache["sigma"] = sigma
-    ctx.checks["sigma_invariance"] = residual <= ctx.config.checks["sigma_invariance_max"]
+    ctx.checks["sigma_invariance"] = residual <= ctx.config.checks.sigma_invariance_max
     return {"threshold": u, "total_mass": sigma.total_mass,
-            "exceedances": sigma.exceedances, "invariance_residual": residual,
-            "seed": ctx.stage_seed("sigma", 0)}
+            "exceedances": sigma.exceedances, "invariance_residual": residual}
 
 
 def stage_limit(ctx: RunContext) -> dict:
     batch = need_stationary(ctx)
     sol = need_solution(ctx)
     sigma = need_sigma(ctx)
-    block = ctx.config.mc["limit"]
-    n = 2 ** block["log2_n"]
-    dirs = ctx.direction_set(block["n_directions"])
+    block = ctx.config.mc.limit
+    n = 2 ** block.log2_n
+    dirs = ctx.direction_set(block.n_directions)
     regime = stable_limit.classify_regime(sol.kappa)
     cent = stable_limit.centering(ctx.env, sol.kappa, batch, regime=regime)
     law = stable_limit.compute_stable_law(
-        ctx.env, sol.kappa, sigma, dirs, block["w_draws"],
+        ctx.env, sol.kappa, sigma, dirs, block.w_draws,
         ctx.stream("limit", 0), regime=regime, cent=cent)
     sums = recursion.birkhoff_sums(ctx.env, recursion.PathConfig(
         n_steps=n, start_x=tuple(np.zeros(ctx.env.dim)),
-        replicas=block["replicas"], seed=ctx.stage_seed("limit", 1)))
+        replicas=block.replicas, seed=ctx.stage_seed("limit", 1)))
     ecf = stable_limit.empirical_cf(sums, (n, law.kappa, cent),
-                                    (np.asarray(block["s_values"]), dirs))
+                                    (np.asarray(block.s_values), dirs))
     fit = stable_limit.stable_fit_check(ecf, law)
     doc = law.to_json_dict()
     doc["env_hash"] = ctx.config.env_hash
     doc["fit_sup_deviation"] = fit.sup_deviation
     doc["n"] = n
     write_canonical_json(doc, _artifact_path(ctx, "limit"))
-    if ctx.wants_csv():
-        rows = []
-        for i, s in enumerate(ecf.s_values):
-            for j in range(dirs.shape[0]):
-                rows.append([s, j, ecf.values[i, j].real, ecf.values[i, j].imag])
-        _write_csv(ctx.outdir / "ecf.csv", np.asarray(rows), "s,direction_index,re,im")
-    result = {"n": n, "replicas": block["replicas"],
+    rows = [[s, j, ecf.values[i, j].real, ecf.values[i, j].imag]
+            for i, s in enumerate(ecf.s_values) for j in range(dirs.shape[0])]
+    _write_csv(ctx.outdir / "ecf.csv", np.asarray(rows), "s,direction_index,re,im")
+    result = {"n": n, "replicas": block.replicas,
               "pairs_drawn": sums.info["pairs_drawn"],
               "sup_deviation": fit.sup_deviation,
               "error_budget": law.error_budget,
@@ -605,7 +550,7 @@ def stage_limit(ctx: RunContext) -> dict:
               "w_depth_quantiles": law.provenance["w_depth_quantiles"],
               "seed": ctx.stage_seed("limit", 1)}
     ctx.checks["limit_cf_deviation"] = (
-        fit.sup_deviation <= ctx.config.checks["cf_deviation_max"] + law.error_budget)
+        fit.sup_deviation <= ctx.config.checks.cf_deviation_max + law.error_budget)
     ctx.cache["stable_law"] = law
     return result
 
@@ -616,13 +561,12 @@ def stage_nondeg(ctx: RunContext) -> dict:
     verdict = stable_limit.nondegeneracy(law)
     tp = stable_limit.transposed_positivity_check(
         ctx.env, law.kappa, sigma, law.directions[0],
-        ctx.config.mc["limit"]["w_draws"], ctx.stream("nondeg", 0))
+        ctx.config.mc.limit.w_draws, ctx.stream("nondeg", 0))
     ctx.checks["nondegenerate"] = verdict.nondegenerate
     ctx.checks["transposed_positivity"] = tp.positive
     return {"verdict": verdict.to_json_dict(),
             "plus_integral": tp.plus_integral, "plus_se": tp.plus_se,
-            "minus_integral": tp.minus_integral, "minus_se": tp.minus_se,
-            "seed": ctx.stage_seed("nondeg", 0)}
+            "minus_integral": tp.minus_integral, "minus_se": tp.minus_se}
 
 
 STAGE_FUNCS = {
@@ -723,7 +667,7 @@ def run(config_path, out_override: str | None = None,
     report; returns it."""
     config = load_config(config_path, seed_override=seed_override,
                          out_override=out_override, count_override=count_override)
-    outdir = Path(config.output["directory"])
+    outdir = Path(config.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config=config, outdir=outdir, threads=threads)
     todo = stages if stages is not None else config.pipeline
@@ -808,9 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             stage.add_argument("--n", type=int, default=None,
                                help="override the stationary sample count")
-    rep = sub.add_parser("report", help="aggregate stage outputs from disk")
-    rep.add_argument("--config", default=None)
-    rep.add_argument("--out", required=True)
+    sub.add_parser("report", help="aggregate stage outputs from disk").add_argument(
+        "--out", required=True)
     return parser
 
 
@@ -819,13 +762,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             report = aggregate_report(Path(args.out))
-            for stage, frag in report["stages"].items():
-                print(f"{stage}: {canonical_json(frag)}")
-            return 0
-        stages = None if args.command == "run" else [args.command]
-        report = run(args.config, out_override=args.out, seed_override=args.seed,
-                     threads=_threads_from(args), stages=stages,
-                     count_override=getattr(args, "n", None))
+        else:
+            report = run(args.config, out_override=args.out, seed_override=args.seed,
+                         threads=_threads_from(args),
+                         stages=None if args.command == "run" else [args.command],
+                         count_override=getattr(args, "n", None))
         failed = [name for name, ok in report["checks"].items() if not ok]
         for stage, frag in report["stages"].items():
             summary = {k: v for k, v in frag.items()

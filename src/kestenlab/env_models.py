@@ -7,7 +7,8 @@ moment conditions); each dataclass is the schema of its config block.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -357,7 +358,7 @@ class TwoPointVector:
 class Environment:
     """Joint description of the i.i.d. driving sequence (M_n, Q_n)."""
 
-    dim: int
+    dim: int = field(metadata={"range": "[1, inf)"})
     matrix_law: object
     vector_law: object
     q_symmetric: bool = False
@@ -411,32 +412,75 @@ VECTOR_FAMILIES = {"constant": ConstantVector, "gaussian": GaussianVector,
                    "two_point": TwoPointVector}
 
 
+def bounded(default, interval: str):
+    """A field whose value, or each item of a tuple value, must lie in
+    `interval`, written as "(0, 0.05]" or "[2, inf)"."""
+    return field(default=default, metadata={"range": interval})
+
+
+def _within(x, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < x or (interval[0] == "[" and x == lo))
+            and (x < hi or (interval[-1] == "]" and x == hi)))
+
+
 def _coerce(value, annotation: str, path: str):
     """A config value checked against its field's annotation: a number is
-    never read from a string or a bool, and a list becomes a tuple."""
-    if annotation.startswith("tuple[float") and isinstance(value, (list, tuple)):
-        value = [float(_coerce(x, "float", f"{path}[{i}]")) for i, x in enumerate(value)]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = {"bool": isinstance(value, bool), "float": number and math.isfinite(value),
-          "tuple": isinstance(value, (list, tuple))}.get(annotation.split("[")[0], True)
+    never read from a string or a bool, an int never from a float, a float
+    field holds a float and a list becomes a tuple."""
+    if value is None and annotation.endswith(" | None"):
+        return None
+    kind, _, items = annotation.removesuffix(" | None").partition("[")
+    if kind == "tuple" and items and isinstance(value, (list, tuple)):
+        item = items.split(",")[0]
+        value = [_coerce(x, item, f"{path}[{i}]") for i, x in enumerate(value)]
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    ok = {"bool": isinstance(value, bool), "int": integer, "str": isinstance(value, str),
+          # compared, not converted: a float() of a 400-digit integer overflows
+          "float": (integer or isinstance(value, float)) and abs(value) <= sys.float_info.max,
+          "tuple": isinstance(value, (list, tuple))}.get(kind, True)
     if not ok:
         raise ConfigurationError(f"{path}: expected {annotation}, got {value!r}")
+    if kind == "float":
+        return float(value)
     return tuple(value) if isinstance(value, list) else value
 
 
-def _from_block(cls, block, path: str, **given):
+def check_field(cls, name: str, value, path: str):
+    """`value` read for field `name` of cls: a nested block when the field's
+    default is a dataclass, else a coerced value held to the field's range."""
+    f = next(f for f in fields(cls) if f.name == name)
+    if is_dataclass(f.default):
+        return from_block(type(f.default), value, path)
+    value = _coerce(value, f.type, path)
+    interval = f.metadata.get("range")
+    if interval and value is not None:
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, x in items:
+            if not _within(x, interval):
+                where = path if i is None else f"{path}[{i}]"
+                raise ConfigurationError(f"{where}: expected a value in {interval}, got {x!r}")
+    return value
+
+
+def from_block(cls, block, path: str, **given):
     """cls built from a config mapping whose keys are its fields, less those
-    `given`: a field without a default is required, and a value the class
-    refuses is refused with the block's path."""
+    `given`: a field without a default is required, an omitted block reads as
+    empty, and a value the class refuses is refused with the block's path."""
+    if block is None:
+        block = {}
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{path}: expected a mapping, got {block!r}")
+    prefix = f"{path}." if path else ""
     names = [f.name for f in fields(cls) if f.name not in given]
     for key in block:
         if key not in names:
-            raise ConfigurationError(f"{path}.{key}: unknown key; valid: {', '.join(names)}")
+            raise ConfigurationError(f"{prefix}{key}: unknown key; valid: {', '.join(names)}")
     for f in fields(cls):
         if f.name in block:
-            given[f.name] = _coerce(block[f.name], f.type, f"{path}.{f.name}")
+            given[f.name] = check_field(cls, f.name, block[f.name], prefix + f.name)
         elif f.name not in given and f.default is MISSING:
-            raise ConfigurationError(f"{path}.{f.name}: missing required key")
+            raise ConfigurationError(f"{prefix}{f.name}: missing required key")
     try:
         return cls(**given)
     except (TypeError, ValueError) as exc:
@@ -468,7 +512,7 @@ def build_law(block, families: dict, dim: int, path: str):
             build_law(c, MATRIX_FAMILIES, dim, f"{path}.components[{i}]")
             for i, c in enumerate(_coerce(block["components"], "tuple", f"{path}.components")))
     given = {"dim": dim} if "dim" in {f.name for f in fields(cls)} else {}
-    return _from_block(cls, block, path, **given)
+    return from_block(cls, block, path, **given)
 
 
 def build_environment(block, path: str) -> Environment:
@@ -476,13 +520,11 @@ def build_environment(block, path: str) -> Environment:
     Environment, and `matrix_law` and `vector_law` are family blocks."""
     if not isinstance(block, dict):
         raise ConfigurationError(f"{path}: expected a mapping, got {block!r}")
-    dim = block.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigurationError(f"{path}.dim: expected an integer >= 1, got {dim!r}")
+    dim = check_field(Environment, "dim", block.get("dim"), f"{path}.dim")
     laws = {key: build_law(block[key], families, dim, f"{path}.{key}")
             for key, families in (("matrix_law", MATRIX_FAMILIES),
                                   ("vector_law", VECTOR_FAMILIES)) if key in block}
-    return _from_block(Environment, {**block, **laws}, path)
+    return from_block(Environment, {**block, **laws}, path)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_c12_reproducibility(tmp_path):
                          "n_directions": 2}},
         "pipeline": ["lyapunov", "simulate", "kappa", "tail", "sigma",
                      "limit", "nondeg"],
-        "output": {"directory": "", "formats": ["json", "csv"]},
+        "output": {"directory": ""},
     }
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 import yaml
 
-from kestenlab import cli
+from kestenlab import cli, recursion, stable_limit
+from kestenlab.batches import SampleBatch
 from kestenlab.cli import (CliConfigError, canonical_json, derive_seed,
                            env_hash, load_config, validate_config)
+from kestenlab.env_models import Environment
 
 
 def mini_config(outdir, **overrides):
@@ -41,7 +44,7 @@ def mini_config(outdir, **overrides):
         },
         "pipeline": ["assumptions", "lyapunov", "simulate", "kappa", "tail",
                      "sigma", "limit", "nondeg"],
-        "output": {"directory": str(outdir), "formats": ["json", "csv"]},
+        "output": {"directory": str(outdir)},
     }
     for key, value in overrides.items():
         node = cfg
@@ -180,6 +183,8 @@ def test_malformed_config_writes_nothing(tmp_path, capsys):
     ("env.vector_law.scal", 0.1),
     ("env.q_symetric", True),
     ("env.independent_mq", True),         # the removed one-valued knob
+    ("output.formats", ["json", "csv"]),  # every CSV is always written
+    ("mc.stationary.truncation", 10),     # the stationary series always runs to a tolerance
 ])
 def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
@@ -221,6 +226,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     ("mc.stationary.tolerance", -1.0),
     ("mc.seed", True),                       # a bool is not seed 1
     ("mc.sigma.threshold_quantile", 0.995),   # 60000 draws leave 300 exceedances
+    ("output.directory", 5),
+    ("grid.resolution", True),
+    ("pipeline", "kappa"),
 ])
 def test_config_rejects_bad_value(tmp_path, capsys, path, value):
     config = config_setting(tmp_path, path, value)
@@ -245,6 +253,46 @@ def test_shipped_configs_validate(source):
     if source == "README.md":
         text = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
     validate_config(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("path, value", [
+    ("mc.tails.top_fraction", 0.05),
+    ("grid.resolution", 2),
+    ("mc.assumptions_n", 1000),
+    ("mc.seed", 0),
+])
+def test_config_accepts_closed_end_of_range(tmp_path, path, value):
+    node = load_config(config_setting(tmp_path, path, value))
+    for part in path.split("."):
+        node = getattr(node, part)
+    assert node == value
+
+
+def schema_keys(cls, prefix=""):
+    """The dotted keys of a config dataclass, nested blocks and the fields
+    of `Environment` included; `env_hash` is derived, not a key."""
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        if dataclasses.is_dataclass(f.default):
+            yield from schema_keys(type(f.default), key + ".")
+        elif f.name == "env":
+            yield from schema_keys(Environment, key + ".")
+        elif f.name != "env_hash":
+            yield key
+
+
+def test_readme_example_shows_every_schema_key():
+    text = (ROOT / "README.md").read_text()
+    text = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+    def dotted(block, prefix=""):
+        for key, value in block.items():
+            yield prefix + key
+            if isinstance(value, dict):
+                yield from dotted(value, prefix + key + ".")
+
+    missing = set(schema_keys(cli.RunConfig)) - set(dotted(yaml.safe_load(text)))
+    assert not missing
 
 
 def test_config_rejects_block_that_is_not_a_mapping(tmp_path):
@@ -434,7 +482,6 @@ def test_simulate_count_override_and_validation(tmp_path, capsys):
     assert not outdir.exists()
     rc = cli.main(["simulate", "--config", str(path), "--n", "2000"])
     assert rc == 0
-    from kestenlab.batches import SampleBatch
     assert SampleBatch.from_csv(outdir / "stationary_samples.csv").count == 2000
     # the override runs through the same path as every stage command
     report = json.loads((outdir / "report.json").read_text())
@@ -445,8 +492,8 @@ def test_simulate_count_override_and_validation(tmp_path, capsys):
 def test_count_override_leaves_defaults_alone(tmp_path):
     cfg = mini_config(tmp_path / "out")
     del cfg["mc"]["stationary"]
-    assert validate_config(cfg, count_override=7).mc["stationary"]["count"] == 7
-    assert validate_config(cfg).mc["stationary"]["count"] == 200_000
+    assert validate_config(cfg, count_override=7).mc.stationary.count == 7
+    assert validate_config(cfg).mc.stationary.count == 200_000
 
 
 def test_assumptions_subcommand(tmp_path):
@@ -610,6 +657,36 @@ def test_failed_check_sets_exit_status(tmp_path, capsys):
     # the partial report still records the failure
     report = json.loads((outdir / "report.json").read_text())
     assert report["checks"]["sigma_invariance"] is False
+    # and so does the report rebuilt from the stage fragments
+    assert cli.main(["report", "--out", str(outdir)]) == 1
+    assert "FAILED checks: sigma_invariance" in capsys.readouterr().err
+
+
+def test_fragment_seeds_reproduce_their_draws(tmp_path):
+    """A fragment records a seed only where that seed drives its draws: the
+    simulate seed redraws the stationary samples, and the limit seed the
+    forward sums behind the fitted deviation."""
+    path, outdir = write_config(tmp_path, pipeline=["simulate", "kappa", "sigma", "limit"])
+    assert cli.main(["run", "--config", str(path)]) == 0
+    stages = json.loads((outdir / "report.json").read_text())["stages"]
+    assert {s for s, frag in stages.items() if "seed" in frag} == {"simulate", "limit"}
+    config = load_config(path)
+    frag = stages["simulate"]
+    batch = recursion.sample_stationary(config.env, recursion.SeriesConfig(
+        tolerance=config.mc.stationary.tolerance, seed=frag["seed"]), frag["count"])
+    written = SampleBatch.from_csv(outdir / "stationary_samples.csv")
+    assert np.array_equal(batch.data, written.data)
+    frag = stages["limit"]
+    sums = recursion.birkhoff_sums(config.env, recursion.PathConfig(
+        n_steps=frag["n"], start_x=(0.0,), replicas=frag["replicas"], seed=frag["seed"]))
+    law = stable_limit.StableLaw.from_json_dict(
+        json.loads((outdir / "stable_law.json").read_text()))
+    kappa = json.loads((outdir / "spectral_solution.json").read_text())["kappa"]
+    cent = stable_limit.centering(config.env, kappa, written,
+                                  regime=stable_limit.classify_regime(kappa))
+    ecf = stable_limit.empirical_cf(sums, (frag["n"], law.kappa, cent),
+                                    (np.asarray(config.mc.limit.s_values), law.directions))
+    assert stable_limit.stable_fit_check(ecf, law).sup_deviation == frag["sup_deviation"]
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -212,6 +212,12 @@ def test_block_of_required_keys_builds_the_defaults(families, name):
     assert build_law(block, families, 1, "law") == cls(**dim, **{k: REQUIRED[k][1] for k in required})
 
 
+@pytest.mark.parametrize("value", [10 ** 400, float("nan"), float("-inf")])
+def test_float_key_refuses_a_number_no_float_holds(value):
+    with pytest.raises(ConfigurationError, match=r"^law\.scale: expected float"):
+        build_law({"family": "gaussian", "scale": value}, MATRIX_FAMILIES, 1, "law")
+
+
 # ---------------------------------------------------------------------------
 # assumption checks
 # ---------------------------------------------------------------------------
