@@ -55,10 +55,9 @@ from .tails import (
     SpectralMeasure,
     check_product_structure,
     check_sigma_invariance,
-    direct_K,
     estimate_sigma,
+    exceedance_curve,
     hill_tail_index,
-    tail_functional,
 )
 
 __version__ = "0.1.0"

@@ -472,20 +472,19 @@ def stage_tail(ctx: RunContext) -> dict:
     goldie = spectral.goldie_constant(sol, ctx.env, batch, dirs,
                                       ctx.stream("tail", 0))
     direct = {}
-    for v, k_g in zip(dirs, goldie.values):
-        key = "(" + ",".join(f"{c:.6g}" for c in v) + ")"
+    for (key, curve), k_g in zip(estimate.directional.items(), goldie.values):
         try:
-            plateau = tails.direct_K(batch, v, sol.kappa, thresholds)
-            direct[key] = {"direct": plateau.value, "goldie": float(k_g),
-                           "dispersion": plateau.dispersion}
+            value, dispersion = curve.plateau()
+            direct[key] = {"direct": value, "goldie": float(k_g), "dispersion": dispersion}
         except tails.TailRegimeError as exc:
             direct[key] = {"direct": None, "goldie": float(k_g), "error": str(exc)}
     doc = estimate.to_json_dict()
     doc["env_hash"] = ctx.config.env_hash
     doc["tail_constants"] = direct
     write_canonical_json(doc, ctx.outdir / "tail_estimate.json")
-    curve = np.column_stack([estimate.thresholds, estimate.radial_scaled_freq])
-    _write_csv(ctx.outdir / "tail_curves.csv", curve, "threshold,scaled_freq")
+    _write_csv(ctx.outdir / "tail_curves.csv",
+               np.column_stack([estimate.radial.thresholds, estimate.radial.levels]),
+               "threshold,scaled_freq")
     ctx.checks["tail_hill_matches_kappa"] = abs(estimate.hill.index - sol.kappa) <= 0.1
     return {"hill_index": estimate.hill.index,
             "hill_ci": [estimate.hill.ci_low, estimate.hill.ci_high],
@@ -693,11 +692,13 @@ def aggregate_report(outdir: Path) -> dict:
             fragments[stage] = doc["result"]
             checks.update(doc.get("checks", {}))
             env_hashes.add(doc["env_hash"])
+    if not fragments:
+        raise MissingArtifactError(f"output directory '{outdir}' holds no stage_*.json")
     if len(env_hashes) > 1:
         raise StageCheckFailure(
             f"stage fragments in {outdir} come from different environments: {env_hashes}")
     report = {
-        "env_hash": env_hashes.pop() if env_hashes else None,
+        "env_hash": env_hashes.pop(),
         "stages": fragments,
         "checks": checks,
         "aggregated": True,

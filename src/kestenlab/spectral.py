@@ -43,15 +43,12 @@ class SingularDrawError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
-    """Finite set of unit directions with quadrature weights summing to 1.
-
-    Each point labels one cell of a partition of the sphere: the sign at
-    d = 1, an arc at d = 2 and a cell of Leopardi's equal-area partition
-    (`equal_area_zones`) above that.
+    """Finite set of unit directions, each labelling one of n cells of equal
+    area: the sign at d = 1, an arc at d = 2 and a cell of Leopardi's
+    equal-area partition (`equal_area_zones`) above that.
     """
 
     points: np.ndarray
-    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -76,13 +73,13 @@ class SphereGrid:
         return {
             "dim": self.dim,
             "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
+            # the cell weights, all 1/n, stay in the file for its readers
+            "weights": [1.0 / self.n] * self.n,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SphereGrid":
-        grid = cls(points=np.asarray(doc["points"], dtype=float),
-                   weights=np.asarray(doc["weights"], dtype=float))
+        grid = cls(points=np.asarray(doc["points"], dtype=float))
         # the cells are fixed by (d, n), not by the points, so a grid from
         # another layout (the d = 3 spiral or the d >= 4 Halton points of
         # older versions) would read its values in the wrong cells
@@ -197,16 +194,13 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     if resolution < 2:
         raise ConfigurationError("resolution must be >= 2")
     if d == 1:
-        points = np.array([[-1.0], [1.0]])
-        weights = np.array([0.5, 0.5])
-        return SphereGrid(points=points, weights=weights)
+        return SphereGrid(points=np.array([[-1.0], [1.0]]))
     if d == 2:
         ang = 2.0 * np.pi * np.arange(resolution) / resolution
         points = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
         points = _zonal_points(d - 1, resolution)
-    weights = np.full(resolution, 1.0 / resolution)
-    return SphereGrid(points=points, weights=weights)
+    return SphereGrid(points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +296,7 @@ def _is_direction_reducible(a: np.ndarray) -> bool:
     return off <= 1e-12 * max(diag, 1.0)
 
 
-def _perron(a: np.ndarray, grid: SphereGrid) -> tuple[float, np.ndarray, np.ndarray, bool]:
+def _perron(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, bool]:
     """Perron root, right vector r (max 1), left probability eta and the
     reducibility flag of a nonnegative operator matrix.
 
@@ -316,8 +310,8 @@ def _perron(a: np.ndarray, grid: SphereGrid) -> tuple[float, np.ndarray, np.ndar
         # cells of equal law); pooling avoids the upward bias of a max, and
         # the eigenspace left open by a diagonal matrix gets the continuous
         # symmetric representative
-        rho = float(grid.weights @ a.sum(axis=1))
-        return rho, np.ones(grid.n), grid.weights.copy(), True
+        n = a.shape[0]
+        return float(np.mean(a.sum(axis=1))), np.ones(n), np.full(n, 1.0 / n), True
     vals, vecs = np.linalg.eig(a)
     lead = int(np.argmax(vals.real))
     r = np.abs(vecs[:, lead].real)
@@ -332,7 +326,7 @@ def spectral_radius(kappa: float, env: Environment, grid: SphereGrid,
     """Leading eigenvalue and positive leading vector of the discretized operator."""
     if draws is None:
         draws = build_operator_draws(env, grid, ROW_ACTION, mc_n, rng)
-    rho, vec, _, _ = _perron(draws.matrix(kappa), grid)
+    rho, vec, _, _ = _perron(draws.matrix(kappa))
     return rho, vec
 
 
@@ -397,7 +391,7 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
     history: list[tuple[float, float]] = []
 
     def rho_at(k: float) -> float:
-        rho = _perron(draws.matrix(k), grid)[0]
+        rho = _perron(draws.matrix(k))[0]
         history.append((k, rho))
         return rho
 
@@ -423,7 +417,7 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
     else:
         kappa = 0.5 * (lo + hi)
 
-    rho_final, r_vals, eta, reducible = _perron(draws.matrix(kappa), grid)
+    rho_final, r_vals, eta, reducible = _perron(draws.matrix(kappa))
     if abs(rho_final - 1.0) > accept_band:
         warnings.warn(f"rho at the solved kappa is {rho_final:.4f}; "
                       "the fixed point is outside the acceptance band")

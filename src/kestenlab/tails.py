@@ -1,14 +1,17 @@
 """Empirical tail analysis of the stationary law.
 
-Estimates the tail index from order statistics, the directional tail
-constants from exceedance plateaus, and the angular tail measure from
-threshold exceedances; verifies the polar product structure and the
-invariance of the angular measure under the column-action operator.
+R is regularly varying with index kappa, so every empirical route to the
+tail constant K(v) reads one exceedance curve: u^kappa P(X > u) over sorted
+thresholds u, for X = |R| or X = <v, R>.  The curve has two summaries: its
+plateau, the count-weighted mean level, and its extrapolated limit, a
+power-law fit in t = 1/u continued to t -> 0.  Besides the curve: the Hill
+estimate of the tail index, the angular tail measure from threshold
+exceedances, the polar product structure, and the invariance of the angular
+measure under the column-action operator.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,56 +80,70 @@ def hill_tail_index(samples, top_fraction: float) -> HillEstimate:
     return HillEstimate(index=index, ci_low=index - half, ci_high=index + half, k_used=k)
 
 
-def hill_stability(samples, fractions=(0.005, 0.01, 0.02, 0.05)) -> dict:
-    """Hill indices across tail fractions plus a crude heavy-tail verdict:
-    bounded-support inputs make the index blow up as the fraction shrinks."""
-    by_fraction = {f: hill_tail_index(samples, f).index for f in fractions}
-    vals = np.array(list(by_fraction.values()))
-    stable = bool(vals.max() / max(vals.min(), 1e-12) <= 2.0)
-    return {"indices": by_fraction, "heavy_tail": stable}
-
-
 # ---------------------------------------------------------------------------
-# directional tail constant by exceedance plateau
+# the exceedance curve and its two summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlateauEstimate:
-    value: float
-    dispersion: float
-    thresholds: tuple
-    levels: tuple
+def _extrapolate(t: np.ndarray, v: np.ndarray) -> tuple[float, float | None]:
+    """Fit value(t) = L + c t^gamma through the three smallest t and return L.
 
-    def __float__(self):
-        return self.value
-
-
-def direct_K(samples, x: np.ndarray, kappa: float, thresholds) -> PlateauEstimate:
-    """Plateau of u^kappa P(<x, R> > u) over the given thresholds.
-
-    The plateau is the count-weighted least-squares constant through the
-    per-threshold levels; a dispersion above half the level means the
-    thresholds never reached the power-law regime.
+    Falls back to the smallest-t value when the three points do not show a
+    consistent power-law correction.
     """
-    data = data_of(samples)
+    t3, v3 = t[:3], v[:3]
+    d1, d2 = v3[1] - v3[0], v3[2] - v3[1]
+    if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0:
+        return float(v3[0]), None
+
+    def gap(gamma: float) -> float:
+        return (t3[1] ** gamma - t3[0] ** gamma) / (t3[2] ** gamma - t3[1] ** gamma) - d1 / d2
+
+    if gap(1e-3) * gap(10.0) > 0.0:
+        return float(v3[0]), None
+    gamma = bisect(gap, 1e-3, 10.0)
+    c = d1 / (t3[1] ** gamma - t3[0] ** gamma)
+    return float(v3[0] - c * t3[0] ** gamma), float(gamma)
+
+
+@dataclass(frozen=True, eq=False)
+class ExceedanceCurve:
+    """u^kappa P(X > u) over sorted thresholds u: the exceedance counts and
+    the levels u^kappa * (count / n)."""
+
+    thresholds: np.ndarray
+    counts: np.ndarray
+    levels: np.ndarray
+
+    def plateau(self) -> tuple[float, float]:
+        """The count-weighted least-squares constant through the levels and
+        their largest deviation from it; a deviation above half the level
+        means the thresholds never reached the power-law regime."""
+        if self.counts[-1] == 0:
+            raise TailRegimeError("largest threshold is outside the sample range")
+        weights = np.maximum(self.counts, 1.0)
+        value = float(np.sum(weights * self.levels) / np.sum(weights))
+        dispersion = float(np.max(np.abs(self.levels - value)))
+        if dispersion > 0.5 * abs(value):
+            raise TailRegimeError(
+                f"no plateau: dispersion {dispersion:.3g} exceeds half the level {value:.3g}")
+        return value, dispersion
+
+    def limit(self) -> float:
+        """The level at u -> infinity: `_extrapolate` in t = 1/u through the
+        three largest thresholds."""
+        return _extrapolate(1.0 / self.thresholds[::-1], self.levels[::-1])[0]
+
+
+def exceedance_curve(x, kappa: float, thresholds) -> ExceedanceCurve:
+    """The exceedance curve of the sample x (|R| or <v, R>, one value per
+    draw) over the thresholds, sorted."""
     x = np.asarray(x, dtype=float)
-    proj = data @ x
     thresholds = np.sort(np.asarray(thresholds, dtype=float))
     if thresholds[0] <= 0:
         raise ConfigurationError("thresholds must be positive")
-    if thresholds[-1] >= float(np.max(proj)):
-        raise TailRegimeError("largest threshold is outside the sample range")
-    n = proj.shape[0]
-    counts = np.array([(proj > u).sum() for u in thresholds], dtype=float)
-    levels = thresholds ** kappa * counts / n
-    weights = np.maximum(counts, 1.0)
-    value = float(np.sum(weights * levels) / np.sum(weights))
-    dispersion = float(np.max(np.abs(levels - value)))
-    if dispersion > 0.5 * abs(value):
-        raise TailRegimeError(
-            f"no plateau: dispersion {dispersion:.3g} exceeds half the level {value:.3g}")
-    return PlateauEstimate(value=value, dispersion=dispersion,
-                           thresholds=tuple(thresholds), levels=tuple(levels))
+    counts = np.array([(x > u).sum() for u in thresholds])
+    return ExceedanceCurve(thresholds=thresholds, counts=counts,
+                           levels=thresholds ** kappa * (counts / x.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +161,12 @@ class SpectralMeasure:
     kappa: float
     sample_count: int
     exceedances: int
+
+    def tail_constant(self, v) -> float:
+        """K(v) through the polar form of the tail measure:
+        (1/kappa) sum_j m_j (<v, w_j>^+)^kappa over the cell points w_j."""
+        a = np.maximum(self.grid.points @ np.asarray(v, dtype=float), 0.0)
+        return float(np.sum(self.mass * a ** self.kappa) / self.kappa)
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,13 +188,10 @@ class SpectralMeasure:
                    exceedances=doc["exceedances"])
 
 
-def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
-                   q_symmetric: bool) -> SpectralMeasure:
-    """Angular measure from exceedances of |R| over u:
-    cell mass = kappa * u^kappa * (fraction exceeding with direction in the cell)."""
-    _require_regular_variation(kappa, q_symmetric)
-    data = data_of(samples)
-    norms = np.linalg.norm(data, axis=1)
+def _exceedance_cells(data: np.ndarray, norms: np.ndarray, u: float,
+                      grid: SphereGrid) -> np.ndarray:
+    """Per grid cell, the number of draws with |R| > u whose direction lies
+    in it; fewer than 500 exceedances in all are refused."""
     exceed = norms > u
     n_exc = int(exceed.sum())
     if n_exc < 500:
@@ -179,13 +199,20 @@ def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
         raise TailRegimeError(
             f"only {n_exc} exceedances above u={u:.4g}; use u <= {suggestion:.4g}")
     dirs = data[exceed] / norms[exceed, None]
-    cells = grid.cell_index(dirs)
-    counts = np.bincount(cells, minlength=grid.n).astype(float)
-    scale = kappa * u ** kappa / data.shape[0]
-    mass = scale * counts
+    return np.bincount(grid.cell_index(dirs), minlength=grid.n).astype(float)
+
+
+def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
+                   q_symmetric: bool) -> SpectralMeasure:
+    """Angular measure from exceedances of |R| over u:
+    cell mass = kappa * u^kappa * (fraction exceeding with direction in the cell)."""
+    _require_regular_variation(kappa, q_symmetric)
+    data = data_of(samples)
+    counts = _exceedance_cells(data, np.linalg.norm(data, axis=1), u, grid)
+    mass = kappa * u ** kappa / data.shape[0] * counts
     return SpectralMeasure(grid=grid, mass=mass, threshold_used=float(u),
                            total_mass=float(mass.sum()), kappa=float(kappa),
-                           sample_count=int(data.shape[0]), exceedances=n_exc)
+                           sample_count=int(data.shape[0]), exceedances=int(counts.sum()))
 
 
 def check_sigma_invariance(sigma: SpectralMeasure, env: Environment, kappa: float,
@@ -221,146 +248,13 @@ def check_product_structure(samples, u1: float, u2: float,
         raise ConfigurationError("need thresholds 0 < u1 < u2")
     data = data_of(samples)
     norms = np.linalg.norm(data, axis=1)
-    hists = []
-    counts = []
-    for u in (u1, u2):
-        exceed = norms > u
-        n_exc = int(exceed.sum())
-        if n_exc < 500:
-            raise TailRegimeError(f"only {n_exc} exceedances above u={u:.4g}")
-        counts.append(n_exc)
-        dirs = data[exceed] / norms[exceed, None]
-        h = np.bincount(grid.cell_index(dirs), minlength=grid.n).astype(float)
-        hists.append(h / h.sum())
-    tv = 0.5 * float(np.sum(np.abs(hists[0] - hists[1])))
+    low, high = (_exceedance_cells(data, norms, u, grid) for u in (u1, u2))
+    tv = 0.5 * float(np.sum(np.abs(low / low.sum() - high / high.sum())))
     tail = norms[norms > u1]
     radial_index = 1.0 / float(np.mean(np.log(tail / u1)))
     return ProductStructureReport(angular_distance=tv, radial_index=radial_index,
-                                  exceedances_low=counts[0], exceedances_high=counts[1])
-
-
-# ---------------------------------------------------------------------------
-# whitelisted tail test functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailTestFunction:
-    """A tail test function with a certified growth bound.
-
-    Only these forms are accepted by tail_functional: each satisfies
-    sup |x|^(-kappa) |log|x||^(1+eps) |f(x)| < infinity, which keeps the
-    limit functional finite.
-    """
-
-    kind: str
-    params: tuple
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        if self.kind == "half_space":
-            (v,) = self.params
-            return (x @ np.asarray(v) > 1.0).astype(float)
-        if self.kind == "annulus_cone":
-            r_lo, r_hi, axis, min_cos = self.params
-            norms = np.linalg.norm(x, axis=1)
-            ok = (norms > r_lo) & (norms <= r_hi)
-            if axis is not None:
-                with np.errstate(invalid="ignore"):
-                    cosines = (x @ np.asarray(axis)) / np.where(norms > 0, norms, 1.0)
-                ok &= cosines >= min_cos
-            return ok.astype(float)
-        raise ConfigurationError(f"unknown test function kind {self.kind!r}")
-
-    def polar_integral(self, sigma: SpectralMeasure) -> float:
-        """integral of f against the product measure sigma x s^(-kappa-1) ds,
-        computed atom by atom with closed radial forms where available."""
-        kappa = sigma.kappa
-        w = sigma.grid.points
-        m = sigma.mass
-        if self.kind == "half_space":
-            (v,) = self.params
-            a = np.maximum(w @ np.asarray(v), 0.0)
-            return float(np.sum(m * a ** kappa) / kappa)
-        if self.kind == "annulus_cone":
-            r_lo, r_hi, axis, min_cos = self.params
-            radial = (r_lo ** -kappa - (r_hi ** -kappa if np.isfinite(r_hi) else 0.0)) / kappa
-            if axis is None:
-                ang = float(np.sum(m))
-            else:
-                ang = float(np.sum(m[(w @ np.asarray(axis)) >= min_cos]))
-            return ang * radial
-        raise ConfigurationError(f"unknown test function kind {self.kind!r}")
-
-
-def half_space(v) -> TailTestFunction:
-    v = np.asarray(v, dtype=float)
-    return TailTestFunction(kind="half_space", params=(tuple(v),))
-
-
-def annulus_cone(r_lo: float, r_hi: float = math.inf, axis=None,
-                 min_cos: float = -1.0) -> TailTestFunction:
-    if r_lo < 0 or r_hi < r_lo:
-        raise ConfigurationError("annulus bounds must satisfy 0 <= r_lo <= r_hi")
-    if r_lo == 0 and not math.isinf(r_hi):
-        raise ConfigurationError("annulus must stay away from the origin (r_lo > 0)")
-    ax = None if axis is None else tuple(np.asarray(axis, dtype=float))
-    return TailTestFunction(kind="annulus_cone", params=(float(r_lo), float(r_hi), ax, float(min_cos)))
-
-
-# ---------------------------------------------------------------------------
-# tail functionals with extrapolation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailFunctionalResult:
-    t_values: tuple
-    values: tuple
-    limit: float
-    fit_exponent: float | None
-    polar_value: float | None
-
-
-def _extrapolate(t: np.ndarray, v: np.ndarray) -> tuple[float, float | None]:
-    """Fit value(t) = L + c t^gamma through the three smallest t and return L.
-
-    Falls back to the smallest-t value when the three points do not show a
-    consistent power-law correction.
-    """
-    t3, v3 = t[:3], v[:3]
-    d1, d2 = v3[1] - v3[0], v3[2] - v3[1]
-    if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0:
-        return float(v3[0]), None
-
-    def gap(gamma: float) -> float:
-        return (t3[1] ** gamma - t3[0] ** gamma) / (t3[2] ** gamma - t3[1] ** gamma) - d1 / d2
-
-    if gap(1e-3) * gap(10.0) > 0.0:
-        return float(v3[0]), None
-    gamma = bisect(gap, 1e-3, 10.0)
-    c = d1 / (t3[1] ** gamma - t3[0] ** gamma)
-    return float(v3[0] - c * t3[0] ** gamma), float(gamma)
-
-
-def tail_functional(samples, func: TailTestFunction, kappa: float, t_grid,
-                    sigma: SpectralMeasure | None = None) -> TailFunctionalResult:
-    """Curve t -> t^(-kappa) E f(tR) with a power-law extrapolation to t -> 0.
-
-    When an angular measure is supplied, the limiting value is cross-checked
-    through the polar representation of the tail measure.
-    """
-    if not isinstance(func, TailTestFunction):
-        raise ConfigurationError(
-            "test function outside the whitelist: growth bound not certified")
-    data = data_of(samples)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if t_grid[0] <= 0:
-        raise ConfigurationError("t grid must be positive")
-    values = np.array([t ** -kappa * float(np.mean(func.evaluate(t * data)))
-                       for t in t_grid])
-    limit, gamma = _extrapolate(t_grid, values)
-    polar = func.polar_integral(sigma) if sigma is not None else None
-    return TailFunctionalResult(t_values=tuple(t_grid), values=tuple(values),
-                                limit=limit, fit_exponent=gamma, polar_value=polar)
+                                  exceedances_low=int(low.sum()),
+                                  exceedances_high=int(high.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +263,18 @@ def tail_functional(samples, func: TailTestFunction, kappa: float, t_grid,
 
 @dataclass(eq=False)
 class TailEstimate:
-    thresholds: np.ndarray
-    radial_scaled_freq: np.ndarray
-    directional_scaled_freq: dict
+    radial: ExceedanceCurve
+    directional: dict
     hill: HillEstimate
     kappa_used: float
 
     def to_json_dict(self) -> dict:
         return {
             "kappa_used": self.kappa_used,
-            "thresholds": self.thresholds.tolist(),
-            "radial_scaled_freq": self.radial_scaled_freq.tolist(),
-            "directional_scaled_freq": {k: v.tolist() for k, v in
-                                        self.directional_scaled_freq.items()},
+            "thresholds": self.radial.thresholds.tolist(),
+            "radial_scaled_freq": self.radial.levels.tolist(),
+            "directional_scaled_freq": {k: c.levels.tolist() for k, c in
+                                        self.directional.items()},
             "hill_index": self.hill.index,
             "hill_ci": [self.hill.ci_low, self.hill.ci_high],
             "hill_k": self.hill.k_used,
@@ -390,22 +283,13 @@ class TailEstimate:
 
 def summarize_tails(samples, kappa: float, directions, thresholds,
                     top_fraction: float = 0.01) -> TailEstimate:
-    """Scaled exceedance frequencies u^kappa P(|R| > u) and the directional
-    analogues, plus the Hill index, packaged for the report."""
+    """The exceedance curve of |R| and, keyed "(v_1,...,v_d)", that of
+    <v, R> for each direction v, plus the Hill index, packaged for the report."""
     data = data_of(samples)
-    thresholds = np.sort(np.asarray(thresholds, dtype=float))
-    n = data.shape[0]
-    norms = np.linalg.norm(data, axis=1)
-    radial = thresholds ** kappa * np.array([(norms > u).mean() for u in thresholds])
-    if np.any(np.diff([np.mean(norms > u) for u in thresholds]) > 0):
-        warnings.warn("exceedance frequencies are not monotone; thresholds overlap ties")
-    directional = {}
-    for v in np.atleast_2d(np.asarray(directions, dtype=float)):
-        proj = data @ v
-        key = "(" + ",".join(f"{c:.6g}" for c in v) + ")"
-        directional[key] = thresholds ** kappa * np.array(
-            [(proj > u).mean() for u in thresholds])
-    hill = hill_tail_index(samples, top_fraction)
-    return TailEstimate(thresholds=thresholds, radial_scaled_freq=radial,
-                        directional_scaled_freq=directional, hill=hill,
+    radial = exceedance_curve(np.linalg.norm(data, axis=1), kappa, thresholds)
+    directional = {"(" + ",".join(f"{c:.6g}" for c in v) + ")":
+                   exceedance_curve(data @ v, kappa, radial.thresholds)
+                   for v in np.atleast_2d(np.asarray(directions, dtype=float))}
+    return TailEstimate(radial=radial, directional=directional,
+                        hill=hill_tail_index(samples, top_fraction),
                         kappa_used=float(kappa))

@@ -18,7 +18,7 @@ from kestenlab.env_models import operator_norm
 from kestenlab.rng import substream
 from kestenlab.spectral import fixed_point_residuals
 from kestenlab.stable_limit import classify_regime
-from kestenlab.tails import half_space, tail_functional
+from kestenlab.tails import exceedance_curve
 
 BETA_TRUE = -math.log(2.0) / 3.0
 SEED = 41
@@ -171,17 +171,17 @@ def test_c06_product_structure(scalar_1m, sim_1m, scalar_solution_acc,
               "; ".join(f"tv={tv:.4f}, |radial-kappa|={gap:.4f}" for tv, gap in results))
 
 
-def test_c07_tail_constant_triangulation(scalar_env, scalar_1m, scalar_solution_acc,
-                                         scalar_sigma_acc):
+def test_c07_tail_constant_triangulation(scalar_env, scalar_1m, scalar_solution_acc):
     sol = scalar_solution_acc
     goldie = kl.goldie_constant(sol, scalar_env, scalar_1m, np.array([[1.0]]),
                                 substream(SEED, 5))
     k_goldie = float(goldie.values[0])
+    # the exceedance curve of <+1, R>: its plateau over the tail quantiles,
+    # and its limit extrapolated in t = 1/u from u = 1/t, t in 0.002...0.016
+    x = scalar_1m.data[:, 0]
     thresholds = np.quantile(scalar_1m.norms(), [0.98, 0.99, 0.995])
-    k_direct = kl.direct_K(scalar_1m, np.array([1.0]), sol.kappa, thresholds).value
-    k_func = tail_functional(scalar_1m, half_space(np.array([1.0])), sol.kappa,
-                             [0.002, 0.004, 0.008, 0.016],
-                             sigma=scalar_sigma_acc).limit
+    k_direct, _ = exceedance_curve(x, sol.kappa, thresholds).plateau()
+    k_func = exceedance_curve(x, sol.kappa, 1.0 / np.array([0.002, 0.004, 0.008, 0.016])).limit()
     trio = (k_goldie, k_direct, k_func)
     ok = all(abs(a - b) <= 0.3 * min(abs(a), abs(b))
              for i, a in enumerate(trio) for b in trio[i + 1:])

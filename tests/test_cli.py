@@ -353,6 +353,21 @@ def test_full_pipeline_green(tmp_path):
     assert 1 <= w_depths["0.5"] <= w_depths["0.9"] <= w_depths["0.99"]
     limit = report["stages"]["limit"]
     assert limit["pairs_drawn"] == limit["n"] * limit["replicas"]
+    # the keys of sigma.json and tail_estimate.json that perfbench/checks.py reads
+    sigma = json.loads((outdir / "sigma.json").read_text())
+    assert {"mass", "kappa", "threshold_used", "sample_count", "exceedances"} <= set(sigma)
+    assert sigma["grid"]["weights"] == [1.0 / len(sigma["mass"])] * len(sigma["mass"])
+    tail = json.loads((outdir / "tail_estimate.json").read_text())
+    assert {"thresholds", "kappa_used", "directional_scaled_freq", "tail_constants",
+            "hill_index", "hill_k"} <= set(tail)
+    # each direction's direct K is the count-weighted mean of its recorded levels
+    scale = np.asarray(tail["thresholds"]) ** tail["kappa_used"]
+    assert list(tail["directional_scaled_freq"]) == ["(-1)", "(1)"]
+    for key, levels in tail["directional_scaled_freq"].items():
+        levels = np.asarray(levels)
+        weights = np.maximum(np.rint(levels * sigma["sample_count"] / scale), 1.0)
+        assert tail["tail_constants"][key]["direct"] == pytest.approx(
+            float(np.sum(weights * levels) / weights.sum()), rel=1e-15)
 
 
 def test_full_pipeline_loads_no_scipy(tmp_path):
@@ -587,6 +602,18 @@ def test_report_missing_directory(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
     assert err.count("\n") == 1
     assert not missing.exists()
+
+
+def test_report_without_fragments_keeps_report(tmp_path, capsys):
+    # a directory that holds no stage fragment is refused, and the
+    # report.json already there is left as it was
+    (tmp_path / "report.json").write_text('{"keep":1}')
+    rc = cli.main(["report", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert err.count("\n") == 1
+    assert (tmp_path / "report.json").read_text() == '{"keep":1}'
 
 
 def test_threads_env_var(tmp_path, monkeypatch):

@@ -11,8 +11,7 @@ from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
 from kestenlab.tails import (RegularVariationError, SpectralMeasure, TailRegimeError,
-                             _extrapolate, annulus_cone, half_space, hill_stability,
-                             summarize_tails)
+                             _extrapolate, exceedance_curve, summarize_tails)
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +41,16 @@ def test_hill_matches_solved_kappa(scalar_batch, scalar_solution):
 
 
 def test_hill_flags_bounded_support():
+    """On bounded support the index blows up as the tail fraction shrinks;
+    on a power law it stays put."""
+    def spread(batch):
+        indices = [kl.hill_tail_index(batch, f).index for f in (0.005, 0.01, 0.02, 0.05)]
+        return max(indices) / min(indices)
+
     uniform = SampleBatch(data=substream(51).random(200_000).reshape(-1, 1),
                           kind="synthetic")
-    report = hill_stability(uniform)
-    assert not report["heavy_tail"]
-    heavy = hill_stability(pareto_batch(1.0, 200_000, 52))
-    assert heavy["heavy_tail"]
+    assert spread(uniform) > 2.0
+    assert spread(pareto_batch(1.0, 200_000, 52)) <= 2.0
 
 
 def test_hill_rejects_massive_ties():
@@ -66,37 +69,43 @@ def test_hill_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# direct directional constants
+# direct directional constants: the plateau of the exceedance curve
 # ---------------------------------------------------------------------------
 
 def test_direct_k_symmetry(scalar_batch, scalar_solution):
     norms = scalar_batch.norms()
     thresholds = np.quantile(norms, [0.98, 0.99, 0.995])
-    plus = kl.direct_K(scalar_batch, np.array([1.0]), scalar_solution.kappa, thresholds)
-    minus = kl.direct_K(scalar_batch, np.array([-1.0]), scalar_solution.kappa, thresholds)
+    x = scalar_batch.data[:, 0]
+    plus, _ = exceedance_curve(x, scalar_solution.kappa, thresholds).plateau()
+    minus, _ = exceedance_curve(-x, scalar_solution.kappa, thresholds).plateau()
     n_exc = (norms > thresholds[0]).sum()
-    se = 3 * plus.value / math.sqrt(n_exc)
-    assert abs(plus.value - minus.value) <= se
+    se = 3 * plus / math.sqrt(n_exc)
+    assert abs(plus - minus) <= se
 
 
 def test_direct_k_scaling_doubles_at_index_one(scalar_batch, scalar_solution):
     thresholds = np.quantile(scalar_batch.norms(), [0.98, 0.99, 0.995])
-    base = kl.direct_K(scalar_batch, np.array([1.0]), 1.0, thresholds)
-    doubled_batch = SampleBatch(data=2.0 * scalar_batch.data, kind="scaled")
-    doubled = kl.direct_K(doubled_batch, np.array([1.0]), 1.0, 2.0 * thresholds)
-    assert doubled.value == pytest.approx(2.0 * base.value, rel=1e-12)
+    x = scalar_batch.data[:, 0]
+    base, _ = exceedance_curve(x, 1.0, thresholds).plateau()
+    doubled, _ = exceedance_curve(2.0 * x, 1.0, 2.0 * thresholds).plateau()
+    assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_direct_k_no_plateau_error():
-    gaussian = SampleBatch(data=substream(55).standard_normal((200_000, 1)),
-                           kind="synthetic")
-    with pytest.raises(TailRegimeError):
-        kl.direct_K(gaussian, np.array([1.0]), 1.0, np.array([2.0, 3.0, 4.0]))
+    gaussian = substream(55).standard_normal(200_000)
+    with pytest.raises(TailRegimeError, match="no plateau"):
+        exceedance_curve(gaussian, 1.0, [2.0, 3.0, 4.0]).plateau()
 
 
 def test_direct_k_threshold_range(scalar_batch):
-    with pytest.raises(TailRegimeError):
-        kl.direct_K(scalar_batch, np.array([1.0]), 1.0, np.array([1e9]))
+    x = scalar_batch.data[:, 0]
+    with pytest.raises(TailRegimeError, match="outside the sample range"):
+        exceedance_curve(x, 1.0, [1e9]).plateau()
+    # a threshold at the sample maximum has no exceedance either
+    with pytest.raises(TailRegimeError, match="outside the sample range"):
+        exceedance_curve(x, 1.0, [1.0, float(x.max())]).plateau()
+    with pytest.raises(ConfigurationError):
+        exceedance_curve(x, 1.0, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,39 +227,59 @@ def test_product_structure_validation(scalar_batch, grid1):
 
 
 # ---------------------------------------------------------------------------
-# tail functionals
+# tail functionals t^(-kappa) E f(tR): the exceedance curve at u = 1/t
 # ---------------------------------------------------------------------------
 
+T_GRID = np.array([0.002, 0.004, 0.008, 0.016])
+
+
 def test_tail_functional_ball_complement(scalar_batch, scalar_solution, grid1):
+    """f = 1{|x| > 1}: the radial curve's limit is the mass of the tail
+    measure outside the unit ball, sigma's total mass / kappa."""
     kappa = scalar_solution.kappa
     u = float(np.quantile(scalar_batch.norms(), 0.99))
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, kappa, True)
-    result = kl.tail_functional(scalar_batch, annulus_cone(1.0), kappa,
-                                [0.002, 0.004, 0.008, 0.016], sigma=sigma)
     expected = sigma.total_mass / kappa
-    assert result.polar_value == pytest.approx(expected, rel=1e-12)
-    assert abs(result.limit - expected) <= 0.15 * expected
+    # at d = 1 the half-lines +-1 split the ball complement
+    polar = sigma.tail_constant([1.0]) + sigma.tail_constant([-1.0])
+    assert polar == pytest.approx(expected, rel=1e-12)
+    limit = exceedance_curve(scalar_batch.norms(), kappa, 1.0 / T_GRID).limit()
+    assert abs(limit - expected) <= 0.15 * expected
 
 
-def test_tail_functional_half_space_matches_direct(scalar_batch, scalar_solution):
+def test_tail_functional_half_space_matches_direct(scalar_batch, scalar_solution, grid1):
+    """f = 1{<v, x> > 1}: the extrapolated limit, the plateau and sigma's
+    polar form of K(v) agree."""
     kappa = scalar_solution.kappa
+    x = scalar_batch.data[:, 0]
     thresholds = np.quantile(scalar_batch.norms(), [0.98, 0.99, 0.995])
-    direct = kl.direct_K(scalar_batch, np.array([1.0]), kappa, thresholds)
-    result = kl.tail_functional(scalar_batch, half_space(np.array([1.0])), kappa,
-                                [0.002, 0.004, 0.008, 0.016])
-    assert abs(result.limit - direct.value) <= 0.3 * direct.value
+    direct, _ = exceedance_curve(x, kappa, thresholds).plateau()
+    limit = exceedance_curve(x, kappa, 1.0 / T_GRID).limit()
+    assert abs(limit - direct) <= 0.3 * direct
+    u = float(np.quantile(scalar_batch.norms(), 0.99))
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1, kappa, True)
+    assert abs(sigma.tail_constant([1.0]) - direct) <= 0.3 * direct
 
 
 def test_tail_functional_zero_function(scalar_batch):
-    zero = annulus_cone(5.0, 5.0)
-    result = kl.tail_functional(scalar_batch, zero, 1.0, [0.01, 0.02, 0.04])
-    assert result.limit == 0.0
-    assert all(v == 0.0 for v in result.values)
+    """Thresholds beyond the sample: every level is zero, and so is the limit."""
+    curve = exceedance_curve(scalar_batch.norms(), 1.0, [1e9, 2e9, 4e9])
+    assert np.all(curve.counts == 0) and np.all(curve.levels == 0.0)
+    assert curve.limit() == 0.0
 
 
-def test_tail_functional_whitelist(scalar_batch):
-    with pytest.raises(ConfigurationError):
-        kl.tail_functional(scalar_batch, lambda x: x, 1.0, [0.01, 0.02, 0.04])
+def test_exceedance_curve_levels(scalar_batch, scalar_solution):
+    """Counts over sorted thresholds and levels u^kappa * (count / n), the
+    expression summarize_tails records."""
+    kappa = scalar_solution.kappa
+    norms = scalar_batch.norms()
+    thresholds = np.quantile(norms, [0.995, 0.98, 0.99])
+    curve = exceedance_curve(norms, kappa, thresholds)
+    assert np.all(np.diff(curve.thresholds) > 0)
+    want = np.array([(norms > u).sum() for u in np.sort(thresholds)])
+    assert np.array_equal(curve.counts, want)
+    assert np.array_equal(curve.levels, np.sort(thresholds) ** kappa * (want / norms.size))
+    assert np.all(np.diff(curve.counts) <= 0)
 
 
 def test_scaling_law_of_exceedances(scalar_batch, scalar_solution):
@@ -269,11 +298,14 @@ def test_scaling_law_of_exceedances(scalar_batch, scalar_solution):
 
 def test_m_action_leaves_tail_functional_invariant(scalar_env, scalar_batch,
                                                    scalar_solution):
-    """Averaging f over the matrix action preserves the tail functional."""
+    """Averaging f over the matrix action preserves the tail functional,
+    here f = 1{1 < |x| <= 8}: t^(-kappa) P(1 < t|R| <= 8) is the level of
+    the radial curve at u = 1/t minus 8^(-kappa) times its level at 8/t."""
     kappa = scalar_solution.kappa
-    f = annulus_cone(1.0, 8.0)
     t_grid = [0.002, 0.004, 0.008]
-    base = kl.tail_functional(scalar_batch, f, kappa, t_grid)
+    inner = exceedance_curve(scalar_batch.norms(), kappa, 1.0 / np.array(t_grid))
+    outer = exceedance_curve(scalar_batch.norms(), kappa, 8.0 / np.array(t_grid))
+    base_values = inner.levels - 8.0 ** -kappa * outer.levels
     m = scalar_env.matrix_law.sample(substream(61), 256)[:, 0, 0]
     data = scalar_batch.data[:, 0]
     values = []
@@ -284,7 +316,7 @@ def test_m_action_leaves_tail_functional_invariant(scalar_env, scalar_batch,
             fx += (scaled > 1.0) & (scaled <= 8.0)
         values.append(t ** -kappa * float(np.mean(fx / m.size)))
     mixed = float(np.mean(values))
-    plain = float(np.mean(base.values))
+    plain = float(np.mean(base_values))
     assert abs(mixed - plain) <= 0.15 * plain
 
 
@@ -293,9 +325,13 @@ def test_summarize_tails(scalar_batch, scalar_solution, grid1):
     estimate = summarize_tails(scalar_batch, scalar_solution.kappa, grid1.points,
                                thresholds)
     assert estimate.hill.index > 0
-    assert estimate.radial_scaled_freq.shape == (3,)
+    assert estimate.radial.levels.shape == (3,)
+    assert list(estimate.directional) == ["(-1)", "(1)"]
     doc = estimate.to_json_dict()
     assert set(doc) >= {"hill_index", "thresholds", "radial_scaled_freq"}
+    x = scalar_batch.data[:, 0]
+    assert doc["directional_scaled_freq"]["(-1)"] == exceedance_curve(
+        -x, scalar_solution.kappa, thresholds).levels.tolist()
 
 
 def brentq_extrapolate(t, v):
