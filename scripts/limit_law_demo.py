@@ -22,7 +22,7 @@ def main() -> int:
                          kappa0_hint=1.5)
     grid = kl.build_grid(1, 2)
     sol = kl.solve_kappa(env, grid, (0.2, 3.0), 20_000, substream(1, 1))
-    batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, seed=2), 500_000)
+    batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 500_000, substream(1, 2))
     regime = classify_regime(sol.kappa)
     kappa = kl.stable_limit.effective_kappa(sol.kappa, regime)
     sigma = kl.estimate_sigma(batch, float(np.quantile(batch.norms(), 0.99)),
@@ -37,8 +37,8 @@ def main() -> int:
     previous = None
     for exp in (10, 11, 12, 13, 14):
         n = 2 ** exp
-        sums = kl.birkhoff_sums(env, kl.PathConfig(n_steps=n, start_x=(0.0,),
-                                                   replicas=replicas, seed=100 + exp))
+        sums = kl.birkhoff_sums(env, kl.PathConfig(n_steps=n, start_x=(0.0,), replicas=replicas),
+                                substream(1, 4, exp))
         ecf = kl.empirical_cf(sums, (n, law.kappa, cent), (s_values, dirs))
         fit = kl.stable_fit_check(ecf, law)
         line = f"n = 2^{exp:<3d} sup |ecf - cf| = {fit.sup_deviation:.4f}"

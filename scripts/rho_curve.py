@@ -29,8 +29,7 @@ def main() -> int:
     kappas = np.linspace(0.1, 2.5, 49)
     rows = []
     for kappa in kappas:
-        rho, _ = spectral.spectral_radius(kappa, config.env, grid, 0, None,
-                                          draws=draws)
+        rho, _ = spectral.spectral_radius(draws, kappa)
         rows.append((kappa, rho, np.log(rho)))
         marker = "  <-- rho = 1" if abs(rho - 1.0) < 0.01 else ""
         print(f"kappa={kappa:.3f}  rho={rho:.4f}{marker}")

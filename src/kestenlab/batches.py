@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-_HEADER_TAG = "# kestenlab-batch "
+_HEADER_TAG = "kestenlab-batch "
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -40,18 +40,25 @@ def _write_rows(fh, data: np.ndarray) -> None:
         fh.write((row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
+def write_csv(path, header: str, rows: np.ndarray) -> None:
+    """Each line of header after "# ", then the rows at 17 significant
+    digits, written through ``atomic_write``: the bytes of
+    ``np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header)``."""
+    with atomic_write(path) as fh:
+        fh.write("".join(f"# {line}\n" for line in header.split("\n")))
+        _write_rows(fh, np.asarray(rows, dtype=float))
+
+
 @dataclass
 class SampleBatch:
     """A matrix of i.i.d. vector draws plus how they were produced.
 
-    ``data`` has shape (count, dim).  ``info`` records seed, truncation
-    depth, step counts and similar provenance so that every downstream
-    number can be traced back to its generator state.
+    ``data`` has shape (count, dim).  ``info`` records truncation depth,
+    step counts and similar provenance of the draws.
     """
 
     data: np.ndarray
     kind: str
-    seed: int | None = None
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -74,28 +81,24 @@ class SampleBatch:
         Metadata travels in a leading comment line so the file stays a
         plain CSV for external tools.
         """
-        meta = {"kind": self.kind, "seed": self.seed, "count": self.count,
-                "dim": self.dim, **self.info}
-        header = _HEADER_TAG + json.dumps(meta, sort_keys=True, default=str)
+        meta = {"kind": self.kind, "count": self.count, "dim": self.dim, **self.info}
         cols = ",".join(f"x{i}" for i in range(self.dim))
-        with atomic_write(path) as fh:
-            fh.write(header + "\n")
-            fh.write("# " + cols + "\n")
-            _write_rows(fh, self.data)
+        write_csv(path, _HEADER_TAG + json.dumps(meta, sort_keys=True, default=str)
+                  + "\n" + cols, self.data)
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":
         with open(path) as fh:
             first = fh.readline()
-        if not first.startswith(_HEADER_TAG):
+        tag = "# " + _HEADER_TAG
+        if not first.startswith(tag):
             raise ValueError(f"{path}: not a sample-batch CSV")
-        meta = json.loads(first[len(_HEADER_TAG):])
+        meta = json.loads(first[len(tag):])
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         kind = meta.pop("kind", "unknown")
-        seed = meta.pop("seed", None)
         meta.pop("count", None)
         meta.pop("dim", None)
-        return cls(data=data, kind=kind, seed=seed, info=meta)
+        return cls(data=data, kind=kind, info=meta)
 
 
 def data_of(samples) -> np.ndarray:

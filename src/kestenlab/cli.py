@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import recursion, spectral, stable_limit, tails
-from .batches import SampleBatch, atomic_write
+from .batches import SampleBatch, atomic_write, write_csv
 from .env_models import (ConfigurationError, Environment, bounded, build_environment,
                          check_assumptions, check_field, from_block)
 from .rng import substream
@@ -113,13 +113,6 @@ def canonical_json(obj) -> str:
 def write_canonical_json(obj, path: Path) -> None:
     with atomic_write(path) as fh:
         fh.write(canonical_json(obj) + "\n")
-
-
-def _write_csv(path: Path, rows: np.ndarray, header: str) -> None:
-    """The bytes of np.savetxt, written through a temporary file so that a
-    failed write leaves the previous file in place."""
-    with atomic_write(path) as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header)
 
 
 def env_hash(env_block: dict) -> str:
@@ -284,12 +277,6 @@ def load_config(path, **overrides) -> RunConfig:
     return validate_config(raw, **overrides)
 
 
-def derive_seed(root: int, *key: int) -> int:
-    """A 63-bit integer seed derived from the root by a counter split."""
-    ss = np.random.SeedSequence(int(root), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0] >> 1)
-
-
 # ---------------------------------------------------------------------------
 # run context and artifact plumbing
 # ---------------------------------------------------------------------------
@@ -312,11 +299,8 @@ class RunContext:
     def seed(self) -> int:
         return self.config.seed
 
-    def stream(self, stage: str, *key: int):
+    def stream(self, stage: str, *key: int) -> np.random.Generator:
         return substream(self.seed, STAGE_INDEX[stage], *key)
-
-    def stage_seed(self, stage: str, *key: int) -> int:
-        return derive_seed(self.seed, STAGE_INDEX[stage], *key)
 
     def direction_set(self, n_directions: int) -> np.ndarray:
         grid = self.grid()
@@ -411,9 +395,9 @@ def stage_simulate(ctx: RunContext) -> dict:
             f"Lyapunov precheck beta = {pre.beta:.4f} >= 0: the chain has "
             "no stationary law to sample")
     block = ctx.config.mc.stationary
-    cfg = recursion.SeriesConfig(tolerance=block.tolerance,
-                                 seed=ctx.stage_seed("simulate", 1))
-    batch = recursion.sample_stationary(ctx.env, cfg, block.count, threads=ctx.threads)
+    batch = recursion.sample_stationary(
+        ctx.env, recursion.SeriesConfig(tolerance=block.tolerance), block.count,
+        ctx.stream("simulate", 1), threads=ctx.threads)
     batch.info["env_hash"] = ctx.config.env_hash
     batch.to_csv(_artifact_path(ctx, "simulate"))  # the samples are the artifact
     ctx.cache["stationary"] = batch
@@ -423,7 +407,7 @@ def stage_simulate(ctx: RunContext) -> dict:
             "depth_quantiles": batch.info["depth_quantiles"],
             "pairs_drawn": batch.info["pairs_drawn"],
             "norm_quantiles": recursion.quantiles(batch.norms()),
-            "beta_precheck": pre.beta, "seed": cfg.seed}
+            "beta_precheck": pre.beta}
 
 
 def stage_lyapunov(ctx: RunContext) -> dict:
@@ -447,8 +431,7 @@ def stage_kappa(ctx: RunContext) -> dict:
     doc["env_hash"] = ctx.config.env_hash
     doc["residuals"] = {"r_sup": r_res, "eta_tv": eta_res}
     write_canonical_json(doc, _artifact_path(ctx, "kappa"))
-    _write_csv(ctx.outdir / "rho_history.csv", np.asarray(sol.rho_history, dtype=float),
-               "kappa,rho")
+    write_csv(ctx.outdir / "rho_history.csv", "kappa,rho", sol.rho_history)
     ctx.cache["solution"] = sol
     checks = ctx.config.checks
     ctx.checks["kappa_rho_band"] = abs(sol.rho_at_kappa - 1.0) <= checks.rho_band
@@ -482,9 +465,8 @@ def stage_tail(ctx: RunContext) -> dict:
     doc["env_hash"] = ctx.config.env_hash
     doc["tail_constants"] = direct
     write_canonical_json(doc, ctx.outdir / "tail_estimate.json")
-    _write_csv(ctx.outdir / "tail_curves.csv",
-               np.column_stack([estimate.radial.thresholds, estimate.radial.levels]),
-               "threshold,scaled_freq")
+    write_csv(ctx.outdir / "tail_curves.csv", "threshold,scaled_freq",
+              np.column_stack([estimate.radial.thresholds, estimate.radial.levels]))
     ctx.checks["tail_hill_matches_kappa"] = abs(estimate.hill.index - sol.kappa) <= 0.1
     return {"hill_index": estimate.hill.index,
             "hill_ci": [estimate.hill.ci_low, estimate.hill.ci_high],
@@ -528,8 +510,8 @@ def stage_limit(ctx: RunContext) -> dict:
         ctx.env, sol.kappa, sigma, dirs, block.w_draws,
         ctx.stream("limit", 0), regime=regime, cent=cent)
     sums = recursion.birkhoff_sums(ctx.env, recursion.PathConfig(
-        n_steps=n, start_x=tuple(np.zeros(ctx.env.dim)),
-        replicas=block.replicas, seed=ctx.stage_seed("limit", 1)))
+        n_steps=n, start_x=tuple(np.zeros(ctx.env.dim)), replicas=block.replicas),
+        ctx.stream("limit", 1))
     ecf = stable_limit.empirical_cf(sums, (n, law.kappa, cent),
                                     (np.asarray(block.s_values), dirs))
     fit = stable_limit.stable_fit_check(ecf, law)
@@ -540,14 +522,13 @@ def stage_limit(ctx: RunContext) -> dict:
     write_canonical_json(doc, _artifact_path(ctx, "limit"))
     rows = [[s, j, ecf.values[i, j].real, ecf.values[i, j].imag]
             for i, s in enumerate(ecf.s_values) for j in range(dirs.shape[0])]
-    _write_csv(ctx.outdir / "ecf.csv", np.asarray(rows), "s,direction_index,re,im")
+    write_csv(ctx.outdir / "ecf.csv", "s,direction_index,re,im", rows)
     result = {"n": n, "replicas": block.replicas,
               "pairs_drawn": sums.info["pairs_drawn"],
               "sup_deviation": fit.sup_deviation,
               "error_budget": law.error_budget,
               "c_values": [[z.real, z.imag] for z in law.c_values],
-              "w_depth_quantiles": law.provenance["w_depth_quantiles"],
-              "seed": ctx.stage_seed("limit", 1)}
+              "w_depth_quantiles": law.provenance["w_depth_quantiles"]}
     ctx.checks["limit_cf_deviation"] = (
         fit.sup_deviation <= ctx.config.checks.cf_deviation_max + law.error_budget)
     ctx.cache["stable_law"] = law
@@ -666,10 +647,13 @@ def run(config_path, out_override: str | None = None,
     report; returns it."""
     config = load_config(config_path, seed_override=seed_override,
                          out_override=out_override, count_override=count_override)
+    todo = stages if stages is not None else config.pipeline
+    if not todo:
+        _fail("pipeline", "expected a non-empty list of stages to run; "
+              f"valid: {', '.join(STAGES)}")
     outdir = Path(config.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config=config, outdir=outdir, threads=threads)
-    todo = stages if stages is not None else config.pipeline
     with _Lock(outdir):
         for stage in todo:
             _run_stage(ctx, stage)

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import as_generator
 
 
 class ConfigurationError(ValueError):
@@ -375,7 +374,7 @@ class Environment:
             raise ConfigurationError("kappa0_hint must be positive")
 
 
-def sample_q(env: Environment, rng, count: int) -> np.ndarray:
+def sample_q(env: Environment, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draws of Q; with q_symmetric each raw draw gets an independent sign.
 
     The signs are packed bits, one fair bit per draw (bit 1 is -1), taken in
@@ -383,7 +382,6 @@ def sample_q(env: Environment, rng, count: int) -> np.ndarray:
     of the generator, and multiplied in place; ``rng.bytes`` would cost
     several microseconds more per call.
     """
-    rng = as_generator(rng)
     q = env.vector_law.sample(rng, count)
     if env.q_symmetric:
         words = rng.bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False)
@@ -393,9 +391,9 @@ def sample_q(env: Environment, rng, count: int) -> np.ndarray:
     return q
 
 
-def sample_pairs(env: Environment, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(env: Environment, rng: np.random.Generator,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch of (M, Q) draws; M first, then Q, then symmetrization signs."""
-    rng = as_generator(rng)
     m = env.matrix_law.sample(rng, count)
     q = sample_q(env, rng, count)
     return m, q
@@ -576,7 +574,7 @@ def _moment_diagnostic(x: np.ndarray) -> tuple[float, float, bool]:
     return mean, se, ok
 
 
-def check_assumptions(env: Environment, mc_n: int, rng,
+def check_assumptions(env: Environment, mc_n: int, rng: np.random.Generator,
                       direction_resolution: int = 64) -> AssumptionReport:
     """Monte-Carlo feasibility checks for the moment assumptions.
 
@@ -586,7 +584,6 @@ def check_assumptions(env: Environment, mc_n: int, rng,
     """
     if mc_n < 1000:
         raise ConfigurationError("check_assumptions: need mc_n >= 1000")
-    rng = as_generator(rng)
     m = env.matrix_law.sample(rng, mc_n)
     q = sample_q(env, rng, mc_n)
     m_norms = operator_norm(m)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .batches import SampleBatch
 from .env_models import ConfigurationError, Environment, sample_pairs
-from .rng import as_generator, substream
 
 _RENORM_EVERY = 50
 _OVERFLOW_LIMIT = 1e300
@@ -35,7 +34,6 @@ class PathConfig:
     n_steps: int
     start_x: tuple
     replicas: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -52,7 +50,6 @@ class SeriesConfig:
 
     truncation: int | None = None
     tolerance: float | None = None
-    seed: int = 0
     max_terms: int = 100_000
 
     def __post_init__(self):
@@ -84,7 +81,7 @@ def _check_finite(r: np.ndarray, step: int) -> None:
             "the chain looks non-contractive or the parameters are bad")
 
 
-def _forward_steps(env: Environment, cfg: PathConfig):
+def _forward_steps(env: Environment, cfg: PathConfig, rng: np.random.Generator):
     """Yield (k, R_k, S_k) for k = 1..n_steps, all replicas at once, and
     return the number of pairs drawn.
 
@@ -96,7 +93,6 @@ def _forward_steps(env: Environment, cfg: PathConfig):
     multiply-adds over contiguous rows.  The yielded arrays are reused by
     the next step.
     """
-    rng = substream(cfg.seed)
     d = env.dim
     reps = cfg.replicas
     r = np.empty((d, reps))
@@ -127,16 +123,17 @@ def _forward_steps(env: Environment, cfg: PathConfig):
     return pairs
 
 
-def birkhoff_sums(env: Environment, cfg: PathConfig) -> SampleBatch:
+def birkhoff_sums(env: Environment, cfg: PathConfig,
+                  rng: np.random.Generator) -> SampleBatch:
     """Final partial sums S_n per replica, without storing the paths; `info`
     records the pairs drawn, n_steps * replicas."""
-    steps = _forward_steps(env, cfg)
+    steps = _forward_steps(env, cfg, rng)
     try:
         while True:
             _, _, s = next(steps)
     except StopIteration as done:
         pairs = done.value
-    return SampleBatch(data=s.T.copy(), kind="birkhoff", seed=cfg.seed,
+    return SampleBatch(data=s.T.copy(), kind="birkhoff",
                        info={"n_steps": cfg.n_steps, "start_x": list(cfg.start_x),
                              "pairs_drawn": pairs})
 
@@ -280,15 +277,17 @@ def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
 
 
 def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
-                      threads: int = 1) -> SampleBatch:
+                      rng: np.random.Generator, threads: int = 1) -> SampleBatch:
     """count i.i.d. draws of the truncated backward series.
 
     Work is split into fixed-size tiles, small enough for a tile's state and
-    draws to stay in a core's cache, each with its own substream, so the
-    result is identical for any thread count.
+    draws to stay in a core's cache, each drawing from its own child of rng
+    (``rng.spawn``), so the result is identical for any thread count.
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    chunks = range(-(-count // _STATIONARY_CHUNK))
+    tile_streams = rng.spawn(len(chunks))
     data = np.empty((count, env.dim))
     depths = np.empty(count, dtype=np.int64)
 
@@ -296,10 +295,9 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
         start = chunk_idx * _STATIONARY_CHUNK
         part = slice(start, min(start + _STATIONARY_CHUNK, count))
         data[part], depths[part], pairs = _stationary_chunk(
-            env, part.stop - start, cfg, substream(cfg.seed, chunk_idx))
+            env, part.stop - start, cfg, tile_streams[chunk_idx])
         return pairs
 
-    chunks = range(-(-count // _STATIONARY_CHUNK))
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pairs = sum(pool.map(run_chunk, chunks))
@@ -313,7 +311,7 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
         "fixed_truncation": cfg.truncation,
         "pairs_drawn": int(pairs),
     }
-    return SampleBatch(data=data, kind="stationary", seed=cfg.seed, info=info)
+    return SampleBatch(data=data, kind="stationary", info=info)
 
 
 def quantiles(x: np.ndarray) -> dict:
@@ -322,7 +320,8 @@ def quantiles(x: np.ndarray) -> dict:
     return {str(p): float(v) for p, v in zip(levels, np.quantile(x, levels))}
 
 
-def lyapunov(env: Environment, n_steps: int, replicas: int, rng) -> LyapunovEstimate:
+def lyapunov(env: Environment, n_steps: int, replicas: int,
+             rng: np.random.Generator) -> LyapunovEstimate:
     """Averaged per-replica n^{-1} log ||M_1 ... M_n|| with renormalized products.
 
     The products are walked with no increment for exactly n_steps terms;
@@ -337,7 +336,7 @@ def lyapunov(env: Environment, n_steps: int, replicas: int, rng) -> LyapunovEsti
         raise ConfigurationError("lyapunov: need replicas >= 1")
     _, prod, log_scale, _, _ = _walk_products(
         lambda rng, rows: (env.matrix_law.sample(rng, rows), np.empty((rows, env.dim, 0))),
-        replicas, SeriesConfig(truncation=n_steps), as_generator(rng))
+        replicas, SeriesConfig(truncation=n_steps), rng)
     op = np.linalg.norm(prod, ord=2, axis=(1, 2))
     per_replica = (log_scale + np.log(op)) / n_steps
     beta = float(np.mean(per_replica))

@@ -17,9 +17,3 @@ def substream(root_seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(int(root_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either a Generator or a plain integer seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return substream(int(rng))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment, sample_pairs
-from .rng import as_generator
 
 ROW_ACTION = "T_kappa"        # direction of vM, weight |vM|^kappa
 COLUMN_ACTION = "T_kappa_star"  # direction of Mv, weight |Mv|^kappa
@@ -244,7 +243,7 @@ def _mapped(kind: str, points: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
-                         mc_n: int, rng) -> OperatorDraws:
+                         mc_n: int, rng: np.random.Generator) -> OperatorDraws:
     """Sample mc_n matrices per grid row and cache the mapped directions.
 
     Draws whose image is zero or non-finite are resampled and counted; more
@@ -252,7 +251,6 @@ def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
     """
     if mc_n < 100:
         raise ConfigurationError("operator draws: need mc_n >= 100")
-    rng = as_generator(rng)
     row_streams = rng.spawn(grid.n)
     n = grid.n
     norms = np.empty((n, mc_n))
@@ -320,12 +318,9 @@ def _perron(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, bool]:
     return float(vals[lead].real), r / r.max(), eta / eta.sum(), False
 
 
-def spectral_radius(kappa: float, env: Environment, grid: SphereGrid,
-                    mc_n: int, rng,
-                    draws: OperatorDraws | None = None) -> tuple[float, np.ndarray]:
-    """Leading eigenvalue and positive leading vector of the discretized operator."""
-    if draws is None:
-        draws = build_operator_draws(env, grid, ROW_ACTION, mc_n, rng)
+def spectral_radius(draws: OperatorDraws, kappa: float) -> tuple[float, np.ndarray]:
+    """Leading eigenvalue and positive leading vector of the operator built
+    from draws at exponent kappa."""
     rho, vec, _, _ = _perron(draws.matrix(kappa))
     return rho, vec
 
@@ -374,8 +369,8 @@ class SpectralSolution:
 
 
 def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float],
-                mc_n: int, rng, *, rho_tol: float = 1e-3, width_tol: float = 1e-3,
-                accept_band: float = 0.01) -> SpectralSolution:
+                mc_n: int, rng: np.random.Generator, *, rho_tol: float = 1e-3,
+                width_tol: float = 1e-3, accept_band: float = 0.01) -> SpectralSolution:
     """Bisection for rho(kappa) = 1 with shared draws across evaluations.
 
     After the root is bracketed to width_tol (or the spectral radius is
@@ -391,7 +386,7 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
     history: list[tuple[float, float]] = []
 
     def rho_at(k: float) -> float:
-        rho = _perron(draws.matrix(k))[0]
+        rho = spectral_radius(draws, k)[0]
         history.append((k, rho))
         return rho
 
@@ -446,7 +441,7 @@ def _alpha_from_draws(draws: OperatorDraws, kappa: float, r_vals: np.ndarray,
 
 
 def fixed_point_residuals(sol: SpectralSolution, env: Environment,
-                          mc_n: int, rng) -> tuple[float, float]:
+                          mc_n: int, rng: np.random.Generator) -> tuple[float, float]:
     """Residuals of r and eta under a fresh Monte-Carlo operator build:
     sup-norm for the function, total-variation mass for the measure."""
     a = build_operator_draws(env, sol.grid, ROW_ACTION, mc_n, rng).matrix(sol.kappa)
@@ -475,7 +470,7 @@ class GoldieEstimate:
 
 def goldie_constant(sol: SpectralSolution, env: Environment,
                     stationary_samples: SampleBatch, v_dirs: np.ndarray,
-                    rng, max_pairs: int = 200_000) -> GoldieEstimate:
+                    rng: np.random.Generator, max_pairs: int = 200_000) -> GoldieEstimate:
     """Tail constants K(v) from the eigen-objects and stationary draws.
 
     The inner expectation is the compensated difference
@@ -485,7 +480,6 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     of |Q| (for kappa <= 1) instead of a difference of two heavy-tailed
     terms, so the estimator has finite variance at every kappa in (0, 2).
     """
-    rng = as_generator(rng)
     kappa, alpha = sol.kappa, sol.alpha
     r_data = data_of(stationary_samples)
     n_pairs = min(r_data.shape[0], max_pairs)

@@ -16,7 +16,6 @@ import numpy as np
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment
 from .recursion import SeriesConfig, _walk_products, quantiles
-from .rng import as_generator
 from .tails import SpectralMeasure
 
 # each regime is named after its centering (CenteringResult.kind)
@@ -74,7 +73,7 @@ class WMatrixCache:
 
 
 def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
-                      rng) -> WMatrixCache:
+                      rng: np.random.Generator) -> WMatrixCache:
     """Monte-Carlo draws of the summed left-product series.
 
     With N_k = M_k^T and P_k = N_1 ... N_k, A^T = sum_{k>=1} P_{k-1} N_k is
@@ -85,7 +84,7 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
         n = np.swapaxes(env.matrix_law.sample(rng, rows), 1, 2)
         return n, n
 
-    sums, _, _, depths, _ = _walk_products(draw, count, cfg, as_generator(rng))
+    sums, _, _, depths, _ = _walk_products(draw, count, cfg, rng)
     return WMatrixCache(matrices=np.swapaxes(sums, 1, 2).copy(), max_depth=int(depths.max()),
                         mean_depth=float(depths.mean()), depth_quantiles=quantiles(depths))
 
@@ -315,11 +314,10 @@ class StableLaw:
 
 
 def compute_stable_law(env: Environment, kappa: float, sigma: SpectralMeasure,
-                       directions, mc: int, rng,
+                       directions, mc: int, rng: np.random.Generator,
                        regime: str | None = None,
                        cent: CenteringResult | None = None) -> StableLaw:
     """C(v) on a direction set with one shared matrix-series cache."""
-    rng = as_generator(rng)
     regime = regime or classify_regime(kappa)
     kappa = effective_kappa(kappa, regime)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -437,7 +435,7 @@ class TransposedPositivity:
 
 def transposed_positivity_check(env: Environment, kappa: float,
                                 sigma: SpectralMeasure, v, mc: int,
-                                rng) -> TransposedPositivity:
+                                rng: np.random.Generator) -> TransposedPositivity:
     """Positivity of the transposed-series tail brackets.
 
     With the transposed series acting on v (draws A^T v from the shared
@@ -449,7 +447,6 @@ def transposed_positivity_check(env: Environment, kappa: float,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ConfigurationError("transposed positivity check needs |v| = 1")
-    rng = as_generator(rng)
     cache = sample_w_matrices(env, SeriesConfig(tolerance=1e-10), mc, rng)
     wstar = cache.apply_transposed(v)            # (mc, d)
     pts = sigma.grid.points

@@ -18,7 +18,6 @@ import numpy as np
 
 from .batches import data_of
 from .env_models import ConfigurationError, Environment
-from .rng import as_generator
 from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws
 
 
@@ -216,12 +215,12 @@ def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
 
 
 def check_sigma_invariance(sigma: SpectralMeasure, env: Environment, kappa: float,
-                           mc_n: int, rng) -> float:
+                           mc_n: int, rng: np.random.Generator) -> float:
     """Relative total-variation residual of sigma under the column-action
     operator: ||sigma A* - sigma||_TV / total mass."""
     if sigma.total_mass <= 0:
         raise ConfigurationError("invariance check needs a measure with positive mass")
-    draws = build_operator_draws(env, sigma.grid, COLUMN_ACTION, mc_n, as_generator(rng))
+    draws = build_operator_draws(env, sigma.grid, COLUMN_ACTION, mc_n, rng)
     a = draws.matrix(kappa)
     pushed = a.T @ sigma.mass
     return float(np.sum(np.abs(pushed - sigma.mass)) / sigma.total_mass)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kestenlab as kl
+from kestenlab.rng import substream
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +44,8 @@ def grid2():
 @pytest.fixture(scope="session")
 def scalar_batch(scalar_env):
     """Medium-size stationary sample of the scalar benchmark."""
-    return kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=301),
-                                400_000)
+    return kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9),
+                                400_000, substream(301))
 
 
 @pytest.fixture(scope="session")

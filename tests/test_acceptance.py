@@ -51,14 +51,14 @@ def sim_solution_acc(similarity_env, grid2):
 
 @pytest.fixture(scope="module")
 def scalar_1m(scalar_env):
-    return kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=4101),
-                                1_000_000)
+    return kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9),
+                                1_000_000, substream(4101))
 
 
 @pytest.fixture(scope="module")
 def sim_1m(similarity_env):
-    return kl.sample_stationary(similarity_env, kl.SeriesConfig(tolerance=1e-9, seed=4102),
-                                1_000_000)
+    return kl.sample_stationary(similarity_env, kl.SeriesConfig(tolerance=1e-9),
+                                1_000_000, substream(4102))
 
 
 def _effective(sol) -> float:
@@ -97,9 +97,9 @@ def scalar_law_acc(scalar_env, scalar_solution_acc, scalar_sigma_acc,
 def birkhoff_sums_acc(scalar_env):
     t0 = time.perf_counter()
     sums13 = kl.birkhoff_sums(scalar_env, kl.PathConfig(
-        n_steps=2 ** 13, start_x=(0.0,), replicas=20_000, seed=77))
+        n_steps=2 ** 13, start_x=(0.0,), replicas=20_000), substream(77))
     sums14 = kl.birkhoff_sums(scalar_env, kl.PathConfig(
-        n_steps=2 ** 14, start_x=(0.0,), replicas=20_000, seed=78))
+        n_steps=2 ** 14, start_x=(0.0,), replicas=20_000), substream(78))
     return sums13, sums14, time.perf_counter() - t0
 
 

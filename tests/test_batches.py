@@ -9,15 +9,14 @@ from kestenlab.batches import SampleBatch
 
 def test_csv_round_trip(tmp_path):
     data = np.array([[1.0, -2.5], [3.141592653589793, 1e-17], [2.0 / 3.0, -1e300]])
-    batch = SampleBatch(data=data, kind="stationary", seed=42,
+    batch = SampleBatch(data=data, kind="stationary",
                         info={"truncation": 17, "tolerance": 1e-9})
     path = tmp_path / "batch.csv"
     batch.to_csv(path)
     loaded = SampleBatch.from_csv(path)
     assert np.array_equal(loaded.data, data)
     assert loaded.kind == "stationary"
-    assert loaded.seed == 42
-    assert loaded.info["truncation"] == 17
+    assert loaded.info == {"truncation": 17, "tolerance": 1e-9}
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
@@ -26,7 +25,7 @@ def test_csv_round_trip(tmp_path):
 @settings(max_examples=30, deadline=None)
 def test_csv_round_trip_exact_floats(tmp_path_factory, values):
     data = np.asarray(values).reshape(-1, 1)
-    batch = SampleBatch(data=data, kind="test", seed=0)
+    batch = SampleBatch(data=data, kind="test")
     path = tmp_path_factory.mktemp("csv") / "b.csv"
     batch.to_csv(path)
     assert np.array_equal(SampleBatch.from_csv(path).data, data)

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 import yaml
 
-from kestenlab import cli, recursion, stable_limit
+from kestenlab import batches, cli, recursion, stable_limit
 from kestenlab.batches import SampleBatch
-from kestenlab.cli import (CliConfigError, canonical_json, derive_seed,
-                           env_hash, load_config, validate_config)
+from kestenlab.cli import (STAGE_INDEX, CliConfigError, canonical_json, env_hash,
+                           load_config, validate_config)
 from kestenlab.env_models import Environment
+from kestenlab.rng import substream
 
 
 def mini_config(outdir, **overrides):
@@ -110,20 +111,20 @@ def test_failed_json_write_keeps_previous_file(tmp_path):
 def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "ecf.csv"
     rows = np.array([[0.1, 0.0, 1.0, -0.0], [2.0, 1.0, 1e-300, 3.5]])
-    cli._write_csv(path, rows, "s,direction_index,re,im")
+    batches.write_csv(path, "s,direction_index,re,im", rows)
     before = path.read_bytes()
     np.savetxt(tmp_path / "plain.csv", rows, fmt="%.17g", delimiter=",",
                header="s,direction_index,re,im")
     assert before == (tmp_path / "plain.csv").read_bytes()
     (tmp_path / "plain.csv").unlink()
 
-    def partial_then_fail(fh, *args, **kwargs):
+    def partial_then_fail(fh, data):
         fh.write("0.5,0,")
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.np, "savetxt", partial_then_fail)
+    monkeypatch.setattr(batches, "_write_rows", partial_then_fail)
     with pytest.raises(OSError):
-        cli._write_csv(path, 2 * rows, "s,direction_index,re,im")
+        batches.write_csv(path, "s,direction_index,re,im", 2 * rows)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ecf.csv"]
 
@@ -133,11 +134,6 @@ def test_env_hash_ignores_key_order():
     b = {"matrix_law": {"values": [1, 2], "family": "x"}, "dim": 1}
     assert env_hash(a) == env_hash(b)
     assert env_hash(a) != env_hash({**a, "dim": 2})
-
-
-def test_derive_seed_is_stable():
-    assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
-    assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
 
 def test_config_schema_diagnostics(tmp_path):
@@ -319,13 +315,21 @@ def test_validate_config_requires_env():
 # pipeline runs
 # ---------------------------------------------------------------------------
 
-def test_empty_pipeline_empty_report(tmp_path):
+def test_empty_pipeline_empty_report(tmp_path, capsys):
+    """`run` with an empty or missing pipeline is a config error and writes
+    no report, which would read as an empty, passing run; a stage
+    subcommand needs no pipeline."""
     path, outdir = write_config(tmp_path, pipeline=[])
-    rc = cli.main(["run", "--config", str(path)])
-    assert rc == 0
-    report = json.loads((outdir / "report.json").read_text())
-    assert report["stages"] == {}
-    assert report["checks"] == {}
+    raw = yaml.safe_load(path.read_text())
+    del raw["pipeline"]
+    missing = tmp_path / "missing.yaml"
+    missing.write_text(yaml.safe_dump(raw))
+    for config in (path, missing):
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "config error: pipeline: " in capsys.readouterr().err
+        assert not outdir.exists()
+    assert cli.main(["lyapunov", "--config", str(missing)]) == 0
+    assert set(json.loads((outdir / "report.json").read_text())["stages"]) == {"lyapunov"}
 
 
 def test_lyapunov_only_pipeline(tmp_path):
@@ -689,23 +693,28 @@ def test_failed_check_sets_exit_status(tmp_path, capsys):
     assert "FAILED checks: sigma_invariance" in capsys.readouterr().err
 
 
-def test_fragment_seeds_reproduce_their_draws(tmp_path):
-    """A fragment records a seed only where that seed drives its draws: the
-    simulate seed redraws the stationary samples, and the limit seed the
-    forward sums behind the fitted deviation."""
+def test_root_seed_reproduces_draws(tmp_path):
+    """report.json's root seed alone redraws a stage: the `simulate` stream
+    gives the stationary samples, the `limit` stream the forward sums
+    behind the fitted deviation; no fragment records a seed of its own."""
     path, outdir = write_config(tmp_path, pipeline=["simulate", "kappa", "sigma", "limit"])
-    assert cli.main(["run", "--config", str(path)]) == 0
-    stages = json.loads((outdir / "report.json").read_text())["stages"]
-    assert {s for s, frag in stages.items() if "seed" in frag} == {"simulate", "limit"}
+    assert cli.main(["run", "--config", str(path), "--seed", "77"]) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    seed, stages = report["seed"], report["stages"]
+    assert seed == 77
+    assert not any("seed" in frag for frag in stages.values())
     config = load_config(path)
     frag = stages["simulate"]
-    batch = recursion.sample_stationary(config.env, recursion.SeriesConfig(
-        tolerance=config.mc.stationary.tolerance, seed=frag["seed"]), frag["count"])
+    batch = recursion.sample_stationary(
+        config.env, recursion.SeriesConfig(tolerance=config.mc.stationary.tolerance),
+        frag["count"], substream(seed, STAGE_INDEX["simulate"], 1))
     written = SampleBatch.from_csv(outdir / "stationary_samples.csv")
+    assert "seed" not in written.info
     assert np.array_equal(batch.data, written.data)
     frag = stages["limit"]
     sums = recursion.birkhoff_sums(config.env, recursion.PathConfig(
-        n_steps=frag["n"], start_x=(0.0,), replicas=frag["replicas"], seed=frag["seed"]))
+        n_steps=frag["n"], start_x=(0.0,), replicas=frag["replicas"]),
+        substream(seed, STAGE_INDEX["limit"], 1))
     law = stable_limit.StableLaw.from_json_dict(
         json.loads((outdir / "stable_law.json").read_text()))
     kappa = json.loads((outdir / "spectral_solution.json").read_text())["kappa"]

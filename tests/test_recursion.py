@@ -11,8 +11,9 @@ import kestenlab as kl
 from kestenlab.env_models import ConfigurationError
 from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
-                                 _forward_steps, _stationary_chunk, _walk_products)
-from kestenlab.rng import as_generator, substream
+                                 _STATIONARY_CHUNK, _forward_steps, _stationary_chunk,
+                                 _walk_products)
+from kestenlab.rng import substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
 
@@ -30,13 +31,13 @@ class ForwardPaths:
     sums: np.ndarray
 
 
-def iterate_forward(env, cfg) -> ForwardPaths:
-    """All replicas of (R_k, S_k), k = 0..n_steps, from the configured seed."""
+def iterate_forward(env, cfg, rng) -> ForwardPaths:
+    """All replicas of (R_k, S_k), k = 0..n_steps, drawn from rng."""
     states = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
     sums = np.empty((cfg.replicas, cfg.n_steps + 1, env.dim))
     states[:, 0] = cfg.start_x
     sums[:, 0] = 0.0
-    for k, r, s in _forward_steps(env, cfg):
+    for k, r, s in _forward_steps(env, cfg, rng):
         states[:, k] = r.T
         sums[:, k] = s.T
     return ForwardPaths(states=states, sums=sums)
@@ -49,7 +50,7 @@ def iterate_forward(env, cfg) -> ForwardPaths:
 def test_forward_zero_matrix_freezes_at_q():
     env = constant_env(((0.0, 0.0), (0.0, 0.0)), (2.0, -1.0))
     paths = iterate_forward(env, kl.PathConfig(n_steps=5, start_x=(9.0, 9.0),
-                                               replicas=3, seed=1))
+                                               replicas=3), substream(1))
     q = np.array([2.0, -1.0])
     for k in range(1, 6):
         assert np.array_equal(paths.states[:, k], np.broadcast_to(q, (3, 2)))
@@ -58,7 +59,7 @@ def test_forward_zero_matrix_freezes_at_q():
 
 def test_forward_geometric_contraction():
     env = constant_env(((0.5, 0.0), (0.0, 0.5)), (1.0, 0.0))
-    paths = iterate_forward(env, kl.PathConfig(n_steps=30, start_x=(0.0, 0.0), seed=2))
+    paths = iterate_forward(env, kl.PathConfig(n_steps=30, start_x=(0.0, 0.0)), substream(2))
     for n in (1, 5, 30):
         expected = (2.0 - 2.0 ** (1 - n))
         assert paths.states[0, n, 0] == pytest.approx(expected, abs=1e-12)
@@ -66,9 +67,9 @@ def test_forward_geometric_contraction():
 
 
 def test_forward_replay_is_bit_identical(scalar_env):
-    cfg = kl.PathConfig(n_steps=64, start_x=(0.5,), replicas=7, seed=3)
-    a = iterate_forward(scalar_env, cfg)
-    b = iterate_forward(scalar_env, cfg)
+    cfg = kl.PathConfig(n_steps=64, start_x=(0.5,), replicas=7)
+    a = iterate_forward(scalar_env, cfg, substream(3))
+    b = iterate_forward(scalar_env, cfg, substream(3))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.sums, b.sums)
 
@@ -76,17 +77,17 @@ def test_forward_replay_is_bit_identical(scalar_env):
 def test_forward_overflow_aborts():
     env = constant_env(((2.0, 0.0), (0.0, 2.0)), (1.0, 0.0))
     with pytest.raises(TrajectoryOverflowError):
-        iterate_forward(env, kl.PathConfig(n_steps=1200, start_x=(1.0, 0.0), seed=4))
+        iterate_forward(env, kl.PathConfig(n_steps=1200, start_x=(1.0, 0.0)), substream(4))
 
 
 def test_forward_matches_stationary_law(scalar_env):
     """Forward chain at n = 200 vs the backward-series sampler: same law."""
     n = 200
     paths = iterate_forward(scalar_env, kl.PathConfig(
-        n_steps=n, start_x=(0.0,), replicas=100_000, seed=5))
+        n_steps=n, start_x=(0.0,), replicas=100_000), substream(5))
     forward_final = paths.states[:, n, 0]
-    backward = kl.sample_stationary(scalar_env, kl.SeriesConfig(truncation=n, seed=6),
-                                    100_000)
+    backward = kl.sample_stationary(scalar_env, kl.SeriesConfig(truncation=n),
+                                    100_000, substream(6))
     ks = stats.ks_2samp(forward_final, backward.data[:, 0]).statistic
     assert ks < 0.02
 
@@ -99,7 +100,7 @@ def test_series_zero_matrix_collapses_to_first_q():
     env = kl.Environment(dim=1, matrix_law=kl.ConstantMatrix(((0.0,),)),
                          vector_law=kl.TwoPointVector((1.0,), (-2.0,), 0.5))
     for truncation in (1, 7):
-        batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=truncation, seed=7), 64)
+        batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=truncation), 64, substream(7))
         direct = kl.sample_q(env, substream(7, 0), 64)
         assert np.array_equal(batch.data, direct)
 
@@ -109,7 +110,7 @@ def test_series_geometric_truncation_error():
     limit = np.array([2.0, 0.0])
     errors = []
     for n in (2, 4, 8, 16):
-        batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=n, seed=8), 1)
+        batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=n), 1, substream(8))
         err = np.linalg.norm(batch.data[0] - limit)
         assert err <= 2.0 ** (1 - n) + 1e-12
         errors.append(err)
@@ -117,16 +118,16 @@ def test_series_geometric_truncation_error():
 
 
 def test_series_symmetric_mean_is_centered(scalar_env):
-    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=9),
-                                 1_000_000)
+    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9),
+                                 1_000_000, substream(9))
     x = batch.data[:, 0]
     se = float(np.std(x) / math.sqrt(len(x)))
     assert abs(float(np.mean(x))) <= 3 * se
 
 
 def test_series_adaptive_depth_recorded(scalar_env):
-    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-6, seed=10), 5000)
-    deep = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-12, seed=10), 5000)
+    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-6), 5000, substream(10))
+    deep = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-12), 5000, substream(10))
     assert batch.info["truncation"] < deep.info["truncation"]
     assert 1 <= batch.info["mean_depth"] <= batch.info["truncation"]
 
@@ -134,14 +135,26 @@ def test_series_adaptive_depth_recorded(scalar_env):
 def test_series_noncontraction_error():
     env = constant_env(((2.0, 0.0), (0.0, 2.0)), (1.0, 0.0))
     with pytest.raises(NonContractionError):
-        kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, seed=11, max_terms=500), 8)
+        kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, max_terms=500), 8, substream(11))
 
 
 def test_series_thread_count_does_not_change_draws(scalar_env):
-    cfg = kl.SeriesConfig(tolerance=1e-9, seed=12)
-    a = kl.sample_stationary(scalar_env, cfg, 300_000, threads=1)
-    b = kl.sample_stationary(scalar_env, cfg, 300_000, threads=4)
+    cfg = kl.SeriesConfig(tolerance=1e-9)
+    a = kl.sample_stationary(scalar_env, cfg, 300_000, substream(12), threads=1)
+    b = kl.sample_stationary(scalar_env, cfg, 300_000, substream(12), threads=4)
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stationary_tiles_draw_from_child_substreams(scalar_env, threads):
+    # tile c draws from substream(s).spawn(n)[c], the stream substream(s, c)
+    cfg = kl.SeriesConfig(tolerance=1e-6)
+    count = 2 * _STATIONARY_CHUNK + 500
+    batch = kl.sample_stationary(scalar_env, cfg, count, substream(37), threads=threads)
+    tiles = [_stationary_chunk(scalar_env, min(_STATIONARY_CHUNK, count - start), cfg,
+                               substream(37, c))[0]
+             for c, start in enumerate(range(0, count, _STATIONARY_CHUNK))]
+    assert np.array_equal(batch.data, np.concatenate(tiles))
 
 
 def block_terms(n, lanes, cfg):
@@ -294,14 +307,14 @@ def reference_tile(env, count, cfg, rng):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9, seed=27),
-                                 kl.SeriesConfig(truncation=120, seed=27)],
+@pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
+                                 kl.SeriesConfig(truncation=120)],
                          ids=["adaptive", "fixed"])
 def test_stationary_bit_identical_to_reference_tile(scalar_env, dim, cfg):
     # 2000 draws fill one tile, drawn from substream(seed, 0)
     env = scalar_env if dim == 1 else similarity_env(dim)
     ref_values, ref_depths = reference_tile(env, 2000, cfg, substream(27, 0))
-    batch = kl.sample_stationary(env, cfg, 2000)
+    batch = kl.sample_stationary(env, cfg, 2000, substream(27))
     assert np.array_equal(batch.data, ref_values)
     assert batch.info["truncation"] == ref_depths.max()
     assert batch.info["mean_depth"] == ref_depths.mean()
@@ -310,7 +323,7 @@ def test_stationary_bit_identical_to_reference_tile(scalar_env, dim, cfg):
 def test_fixed_truncation_expanding_law_raises():
     env = constant_env(((2.0, 0.0), (0.0, 2.0)), (1.0, 0.0))
     with pytest.raises(NonContractionError, match="floating range"):
-        kl.sample_stationary(env, kl.SeriesConfig(truncation=1100, seed=28), 4)
+        kl.sample_stationary(env, kl.SeriesConfig(truncation=1100), 4, substream(28))
 
 
 def recorded_walk(env, count, cfg, seed):
@@ -358,13 +371,13 @@ def test_walker_draws_blocks_of_terms_between_renormalizations(scalar_env):
 def test_series_retires_every_lane_at_once_without_q():
     env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (0.5, 0.5)),
                          vector_law=kl.ConstantVector((0.0, 0.0)))
-    batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, seed=25), 100)
+    batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 100, substream(25))
     assert np.array_equal(batch.data, np.zeros((100, 2)))
     assert batch.info["truncation"] == 1
 
 
 def test_series_depth_quantiles_recorded(scalar_env):
-    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=26), 5000)
+    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9), 5000, substream(26))
     q = batch.info["depth_quantiles"]
     assert list(q) == ["0.5", "0.9", "0.99"]
     assert 1 <= q["0.5"] <= q["0.9"] <= q["0.99"] <= batch.info["truncation"]
@@ -373,9 +386,11 @@ def test_series_depth_quantiles_recorded(scalar_env):
 def test_series_records_pairs_drawn(scalar_env):
     # a fixed depth discards nothing; an adaptive tile discards the rest of
     # the block each retired lane was drawn for
-    fixed = kl.sample_stationary(scalar_env, kl.SeriesConfig(truncation=120, seed=32), 20_000)
+    fixed = kl.sample_stationary(scalar_env, kl.SeriesConfig(truncation=120), 20_000,
+                                 substream(32))
     assert fixed.info["pairs_drawn"] == 20_000 * 120
-    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9, seed=32), 20_000)
+    batch = kl.sample_stationary(scalar_env, kl.SeriesConfig(tolerance=1e-9), 20_000,
+                                 substream(32))
     used = round(batch.info["mean_depth"] * 20_000)
     assert used < batch.info["pairs_drawn"] <= 1.05 * used
 
@@ -417,7 +432,6 @@ def reference_lyapunov(env, n_steps, replicas, rng):
     """Per-replica log-norm growth with one matmul per step, renormalized
     every 50 steps: the loop the product walker replaced, drawing the
     matrices in the walker's blocks (block_terms)."""
-    rng = as_generator(rng)
     d = env.dim
     cfg = kl.SeriesConfig(truncation=n_steps)
     prod = np.broadcast_to(np.eye(d), (replicas, d, d)).copy()
@@ -466,30 +480,29 @@ def test_lyapunov_preconditions(scalar_env):
 def test_birkhoff_degenerate_sum():
     env = constant_env(((0.0,),), (3.0,))
     batch = kl.birkhoff_sums(env, kl.PathConfig(n_steps=11, start_x=(5.0,),
-                                                replicas=4, seed=19))
+                                                replicas=4), substream(19))
     assert np.array_equal(batch.data, np.full((4, 1), 33.0))
 
 
 def test_birkhoff_single_step_matches_pair(scalar_env):
-    cfg = kl.PathConfig(n_steps=1, start_x=(0.7,), replicas=16, seed=20)
-    batch = kl.birkhoff_sums(scalar_env, cfg)
+    cfg = kl.PathConfig(n_steps=1, start_x=(0.7,), replicas=16)
+    batch = kl.birkhoff_sums(scalar_env, cfg, substream(20))
     m, q = kl.sample_pairs(scalar_env, substream(20), 16)
     expected = m[:, 0, 0] * 0.7 + q[:, 0]
     assert np.allclose(batch.data[:, 0], expected, atol=0.0)
 
 
 def test_birkhoff_matches_forward_paths(scalar_env):
-    cfg = kl.PathConfig(n_steps=50, start_x=(0.0,), replicas=25, seed=21)
-    batch = kl.birkhoff_sums(scalar_env, cfg)
-    paths = iterate_forward(scalar_env, cfg)
+    cfg = kl.PathConfig(n_steps=50, start_x=(0.0,), replicas=25)
+    batch = kl.birkhoff_sums(scalar_env, cfg, substream(21))
+    paths = iterate_forward(scalar_env, cfg, substream(21))
     assert np.array_equal(batch.data, paths.sums[:, -1])
 
 
-def reference_birkhoff(env, cfg):
+def reference_birkhoff(env, cfg, rng):
     """S_n per replica with one matmul per step, R <- M R + Q, drawing the
     pairs in the forward blocks: max(1, 16384 // replicas) steps per call,
     the last block cut at n_steps."""
-    rng = substream(cfg.seed)
     k = max(1, 16_384 // cfg.replicas)
     r = np.broadcast_to(np.asarray(cfg.start_x), (cfg.replicas, env.dim)).copy()
     s = np.zeros_like(r)
@@ -506,10 +519,10 @@ def reference_birkhoff(env, cfg):
 @pytest.mark.parametrize("dim, replicas", [(1, 3000), (2, 700), (3, 20_000)])
 def test_birkhoff_matches_reference_loop(scalar_env, dim, replicas):
     env = scalar_env if dim == 1 else similarity_env(dim)
-    cfg = kl.PathConfig(n_steps=45, start_x=(0.5,) * dim, replicas=replicas, seed=33)
-    batch = kl.birkhoff_sums(env, cfg)
+    cfg = kl.PathConfig(n_steps=45, start_x=(0.5,) * dim, replicas=replicas)
+    batch = kl.birkhoff_sums(env, cfg, substream(33))
     assert batch.info["pairs_drawn"] == 45 * replicas
-    ref = reference_birkhoff(env, cfg)
+    ref = reference_birkhoff(env, cfg, substream(33))
     if dim == 1:
         assert np.array_equal(batch.data, ref)
     # at d >= 2 matmul may add in another order (or fuse): its rounding is
@@ -526,16 +539,16 @@ def test_forward_steps_draw_blocks_of_steps(scalar_env, monkeypatch):
 
     monkeypatch.setattr(kl.recursion, "sample_pairs", recording)
     batch = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=4096, start_x=(0.0,),
-                                                       replicas=4000, seed=34))
+                                                       replicas=4000), substream(34))
     assert calls == [4 * 4000] * 1024
     assert batch.info["pairs_drawn"] == 4096 * 4000
     calls.clear()
     kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=5, start_x=(0.0,),
-                                               replicas=20_000, seed=35))
+                                               replicas=20_000), substream(35))
     assert calls == [20_000] * 5
     calls.clear()
     kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=10, start_x=(0.0,),
-                                               replicas=4000, seed=36))
+                                               replicas=4000), substream(36))
     assert calls == [16_000, 16_000, 8000]
 
 
@@ -544,7 +557,7 @@ def test_birkhoff_symmetric_sums_have_centered_median(scalar_env):
     # the sign counts give a distribution-free check of that
     for n in (64, 512):
         batch = kl.birkhoff_sums(scalar_env, kl.PathConfig(
-            n_steps=n, start_x=(0.0,), replicas=4000, seed=22))
+            n_steps=n, start_x=(0.0,), replicas=4000), substream(22))
         positive = int(np.sum(batch.data[:, 0] > 0))
         assert abs(positive - 2000) <= 3 * math.sqrt(4000 * 0.25)
 
@@ -554,6 +567,6 @@ def test_birkhoff_symmetric_sums_have_centered_median(scalar_env):
 @settings(max_examples=20, deadline=None)
 def test_degenerate_recursion_property(q, n):
     env = constant_env(((0.0,),), (q,))
-    paths = iterate_forward(env, kl.PathConfig(n_steps=n, start_x=(1.0,), seed=23))
+    paths = iterate_forward(env, kl.PathConfig(n_steps=n, start_x=(1.0,)), substream(23))
     assert paths.states[0, n, 0] == q
     assert paths.sums[0, n, 0] == pytest.approx(n * q, rel=1e-15, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kestenlab.rng import as_generator, substream
+from kestenlab.rng import substream
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1),
@@ -26,8 +26,3 @@ def test_substream_order_independent():
     again = substream(3, 5).random(4)
     assert np.array_equal(first, again)
 
-
-def test_as_generator_accepts_both():
-    gen = substream(11)
-    assert as_generator(gen) is gen
-    assert np.array_equal(as_generator(11).random(3), substream(11).random(3))

@@ -241,9 +241,11 @@ def test_operator_matrix_reproduces_indicator_estimate(scalar_env, grid1):
 # ---------------------------------------------------------------------------
 
 def test_rho_scalar_benchmark(scalar_env, grid1):
-    rho1, _ = kl.spectral_radius(1.0, scalar_env, grid1, 20_000, substream(35))
+    rho1, _ = kl.spectral_radius(
+        build_operator_draws(scalar_env, grid1, ROW_ACTION, 20_000, substream(35)), 1.0)
     assert abs(rho1 - 1.0) < 0.02
-    rho_half, _ = kl.spectral_radius(0.5, scalar_env, grid1, 20_000, substream(36))
+    rho_half, _ = kl.spectral_radius(
+        build_operator_draws(scalar_env, grid1, ROW_ACTION, 20_000, substream(36)), 0.5)
     expected = (1 / 3) * math.sqrt(2.0) + (2 / 3) / math.sqrt(2.0)
     assert abs(rho_half - expected) < 0.02
 
@@ -251,9 +253,9 @@ def test_rho_scalar_benchmark(scalar_env, grid1):
 def test_rho_deterministic_similarity():
     env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (0.8,), (1.0,)),
                          vector_law=kl.GaussianVector(2))
-    grid = kl.build_grid(2, 16)
+    draws = build_operator_draws(env, kl.build_grid(2, 16), ROW_ACTION, 400, substream(37))
     for kappa in (0.5, 1.0, 2.0):
-        rho, lead = kl.spectral_radius(kappa, env, grid, 400, substream(37))
+        rho, lead = kl.spectral_radius(draws, kappa)
         assert rho == pytest.approx(0.8 ** kappa, rel=1e-9)
         assert np.all(lead > 0)
 
@@ -283,8 +285,7 @@ def test_rho_log_convexity_with_shared_draws(scalar_env, grid1):
     draws = build_operator_draws(scalar_env, grid1, ROW_ACTION, 20_000, substream(38))
     rhos = {}
     for kappa in (0.5, 1.0, 1.5):
-        rhos[kappa], _ = kl.spectral_radius(kappa, scalar_env, grid1, 0,
-                                            substream(38), draws=draws)
+        rhos[kappa], _ = kl.spectral_radius(draws, kappa)
     chord = 0.5 * (math.log(rhos[0.5]) + math.log(rhos[1.5]))
     assert math.log(rhos[1.0]) <= chord + 0.02
 
@@ -506,7 +507,7 @@ def test_goldie_constant_blocks_do_not_change_estimate(case, scalar_env, scalar_
     else:
         env = similarity_env
         sol = kl.solve_kappa(env, grid2, (0.2, 3.0), 2000, substream(48))
-        batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9, seed=48), 20_000)
+        batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 20_000, substream(48))
         dirs = grid2.points[:4]
     assert sol.reducible_directions == (case == "scalar_reducible")
     monkeypatch.setattr(spectral, "_GOLDIE_BLOCK", 10 ** 9)

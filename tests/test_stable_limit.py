@@ -14,7 +14,7 @@ from kestenlab.batches import SampleBatch
 from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.recursion import NonContractionError
-from kestenlab.rng import as_generator, substream
+from kestenlab.rng import substream
 from kestenlab.stable_limit import (REGIME_ABOVE_ONE, REGIME_BELOW_ONE,
                                     REGIME_ONE, CenteringResult, StableLaw,
                                     classify_regime, effective_kappa,
@@ -205,7 +205,6 @@ def reference_w_matrices(env, truncation, count, rng):
     loop the product walker replaced (fixed-truncation mode), drawing the
     matrices as the walker does: one step first, then step-major blocks of
     up to 16384 // count steps that end at each multiple of 50 steps."""
-    rng = as_generator(rng)
     prod = np.broadcast_to(np.eye(env.dim), (count, env.dim, env.dim)).copy()
     acc = np.zeros_like(prod)
     k = 0
@@ -331,8 +330,8 @@ def test_centering_below_one_is_zero(scalar_env, scalar_batch):
 
 
 def test_centering_mean_regime(heavy_mean_env):
-    batch = kl.sample_stationary(heavy_mean_env, kl.SeriesConfig(tolerance=1e-9, seed=83),
-                                 400_000)
+    batch = kl.sample_stationary(heavy_mean_env, kl.SeriesConfig(tolerance=1e-9),
+                                 400_000, substream(83))
     cent = kl.centering(heavy_mean_env, 1.222, batch)
     assert cent.kind == "mean"
     # E R = E Q / (1 - E M) = 1 / 0.05 = 20 exactly
@@ -485,7 +484,7 @@ def test_convergence_in_n(scalar_env, scalar_batch, scalar_solution, grid1):
     devs = []
     for exp in (10, 12):
         sums = kl.birkhoff_sums(scalar_env, kl.PathConfig(
-            n_steps=2 ** exp, start_x=(0.0,), replicas=reps, seed=87))
+            n_steps=2 ** exp, start_x=(0.0,), replicas=reps), substream(87))
         ecf = kl.empirical_cf(sums, (2 ** exp, law.kappa, cent),
                               (np.array([0.25, 0.5, 1.0, 2.0]), dirs))
         devs.append(kl.stable_fit_check(ecf, law).sup_deviation)
@@ -496,9 +495,9 @@ def test_self_similarity_scalar_smoke(scalar_env, scalar_batch, scalar_solution)
     regime = classify_regime(scalar_solution.kappa)
     cent = kl.centering(scalar_env, scalar_solution.kappa, scalar_batch, regime=regime)
     a = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 11, start_x=(0.0,),
-                                                   replicas=6000, seed=88))
+                                                   replicas=6000), substream(88))
     b = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 12, start_x=(0.0,),
-                                                   replicas=6000, seed=89))
+                                                   replicas=6000), substream(89))
     ss = self_similarity_check(a, b, 1.0, cent, np.array([[1.0], [-1.0]]))
     assert ss.max_ks <= 0.08
 
@@ -543,8 +542,8 @@ def test_cosine_tail_constant_values():
 
 def test_nondegeneracy_isotropic(similarity_env, grid2):
     sol_kappa = 1.0
-    batch = kl.sample_stationary(similarity_env, kl.SeriesConfig(tolerance=1e-9, seed=90),
-                                 200_000)
+    batch = kl.sample_stationary(similarity_env, kl.SeriesConfig(tolerance=1e-9),
+                                 200_000, substream(90))
     u = float(np.quantile(batch.norms(), 0.99))
     sigma = kl.estimate_sigma(batch, u, grid2, sol_kappa, True)
     cent = kl.centering(similarity_env, sol_kappa, batch)

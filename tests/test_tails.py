@@ -17,7 +17,7 @@ from kestenlab.tails import (RegularVariationError, SpectralMeasure, TailRegimeE
 @pytest.fixture(scope="module")
 def sim_batch(similarity_env):
     return kl.sample_stationary(similarity_env,
-                                kl.SeriesConfig(tolerance=1e-9, seed=310), 300_000)
+                                kl.SeriesConfig(tolerance=1e-9), 300_000, substream(310))
 
 
 def pareto_batch(index: float, count: int, seed: int) -> SampleBatch:
