@@ -12,7 +12,6 @@ import numpy as np
 
 import kestenlab as kl
 from kestenlab.rng import substream
-from kestenlab.stable_limit import classify_regime
 
 
 def main() -> int:
@@ -23,14 +22,12 @@ def main() -> int:
     grid = kl.build_grid(1, 2)
     sol = kl.solve_kappa(env, grid, (0.2, 3.0), 20_000, substream(1, 1))
     batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 500_000, substream(1, 2))
-    regime = classify_regime(sol.kappa)
-    kappa = kl.stable_limit.effective_kappa(sol.kappa, regime)
+    kappa = kl.limit_exponent(sol.kappa)
     sigma = kl.estimate_sigma(batch, float(np.quantile(batch.norms(), 0.99)),
                               grid, kappa, True)
-    cent = kl.centering(env, sol.kappa, batch, regime=regime)
+    cent = kl.centering(env, kappa, batch)
     dirs = np.array([[1.0], [-1.0]])
-    law = kl.compute_stable_law(env, sol.kappa, sigma, dirs, 4000, substream(1, 3),
-                                regime=regime, cent=cent)
+    law = kl.compute_stable_law(env, sigma, dirs, 4000, substream(1, 3), cent=cent)
     print(f"kappa = {sol.kappa:.4f}, C(+1) = {law.c_values[0]:.4f}, "
           f"budget = {law.error_budget:.4f}\n")
     s_values = np.linspace(0.1, 2.0, 16)
@@ -39,12 +36,11 @@ def main() -> int:
         n = 2 ** exp
         sums = kl.birkhoff_sums(env, kl.PathConfig(n_steps=n, start_x=(0.0,), replicas=replicas),
                                 substream(1, 4, exp))
-        ecf = kl.empirical_cf(sums, (n, law.kappa, cent), (s_values, dirs))
+        ecf = kl.empirical_cf(sums, n, cent, s_values, dirs)
         fit = kl.stable_fit_check(ecf, law)
         line = f"n = 2^{exp:<3d} sup |ecf - cf| = {fit.sup_deviation:.4f}"
         if previous is not None:
-            ks = kl.stable_limit.self_similarity_check(previous, sums, law.kappa,
-                                                       cent, dirs)
+            ks = kl.stable_limit.self_similarity_check(previous, sums, cent, dirs)
             line += f"   KS vs previous = {ks.max_ks:.4f}"
         print(line)
         previous = sums

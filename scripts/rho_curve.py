@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from kestenlab import cli, spectral
+from kestenlab.batches import write_csv
 from kestenlab.rng import substream
 
 HERE = Path(__file__).parent
@@ -34,8 +35,7 @@ def main() -> int:
         marker = "  <-- rho = 1" if abs(rho - 1.0) < 0.01 else ""
         print(f"kappa={kappa:.3f}  rho={rho:.4f}{marker}")
     arr = np.asarray(rows)
-    np.savetxt(out_path, arr, delimiter=",", fmt="%.17g",
-               header="kappa,rho,log_rho")
+    write_csv(out_path, "kappa,rho,log_rho", arr)
     # midpoint chords: log rho must sit below them (up to draw noise)
     mid = arr[1:-1, 2]
     chord = 0.5 * (arr[:-2, 2] + arr[2:, 2])

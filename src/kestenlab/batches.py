@@ -1,4 +1,4 @@
-"""Seeded i.i.d. draw collections with provenance metadata."""
+"""I.i.d. draw collections with provenance metadata, and the atomic CSV writer."""
 from __future__ import annotations
 
 import json

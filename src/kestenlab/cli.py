@@ -478,14 +478,11 @@ def stage_sigma(ctx: RunContext) -> dict:
     sol = need_solution(ctx)
     block = ctx.config.mc.sigma
     u = float(np.quantile(batch.norms(), block.threshold_quantile))
-    # resolve the exponent the way the limit stage will, so one angular
-    # measure serves the whole pipeline
-    kappa = stable_limit.effective_kappa(
-        sol.kappa, stable_limit.classify_regime(sol.kappa))
-    sigma = tails.estimate_sigma(batch, u, ctx.grid(), kappa,
+    # sigma carries the limit exponent to the limit and nondeg stages
+    sigma = tails.estimate_sigma(batch, u, ctx.grid(),
+                                 stable_limit.limit_exponent(sol.kappa),
                                  ctx.env.q_symmetric)
-    residual = tails.check_sigma_invariance(sigma, ctx.env, kappa,
-                                            block.invariance_mc,
+    residual = tails.check_sigma_invariance(sigma, ctx.env, block.invariance_mc,
                                             ctx.stream("sigma", 0))
     doc = sigma.to_json_dict()
     doc["env_hash"] = ctx.config.env_hash
@@ -499,21 +496,17 @@ def stage_sigma(ctx: RunContext) -> dict:
 
 def stage_limit(ctx: RunContext) -> dict:
     batch = need_stationary(ctx)
-    sol = need_solution(ctx)
     sigma = need_sigma(ctx)
     block = ctx.config.mc.limit
     n = 2 ** block.log2_n
     dirs = ctx.direction_set(block.n_directions)
-    regime = stable_limit.classify_regime(sol.kappa)
-    cent = stable_limit.centering(ctx.env, sol.kappa, batch, regime=regime)
-    law = stable_limit.compute_stable_law(
-        ctx.env, sol.kappa, sigma, dirs, block.w_draws,
-        ctx.stream("limit", 0), regime=regime, cent=cent)
+    cent = stable_limit.centering(ctx.env, sigma.kappa, batch)
+    law = stable_limit.compute_stable_law(ctx.env, sigma, dirs, block.w_draws,
+                                          ctx.stream("limit", 0), cent=cent)
     sums = recursion.birkhoff_sums(ctx.env, recursion.PathConfig(
         n_steps=n, start_x=tuple(np.zeros(ctx.env.dim)), replicas=block.replicas),
         ctx.stream("limit", 1))
-    ecf = stable_limit.empirical_cf(sums, (n, law.kappa, cent),
-                                    (np.asarray(block.s_values), dirs))
+    ecf = stable_limit.empirical_cf(sums, n, cent, block.s_values, dirs)
     fit = stable_limit.stable_fit_check(ecf, law)
     doc = law.to_json_dict()
     doc["env_hash"] = ctx.config.env_hash
@@ -540,8 +533,8 @@ def stage_nondeg(ctx: RunContext) -> dict:
     sigma = need_sigma(ctx)
     verdict = stable_limit.nondegeneracy(law)
     tp = stable_limit.transposed_positivity_check(
-        ctx.env, law.kappa, sigma, law.directions[0],
-        ctx.config.mc.limit.w_draws, ctx.stream("nondeg", 0))
+        ctx.env, sigma, law.directions[0], ctx.config.mc.limit.w_draws,
+        ctx.stream("nondeg", 0))
     ctx.checks["nondegenerate"] = verdict.nondegenerate
     ctx.checks["transposed_positivity"] = tp.positive
     return {"verdict": verdict.to_json_dict(),
@@ -765,7 +758,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MissingArtifactError, StageCheckFailure, ConfigurationError,
-            tails.TailRegimeError) as exc:
+            recursion.NonContractionError, recursion.TrajectoryOverflowError,
+            spectral.SpectralError, spectral.SingularDrawError,
+            tails.RegularVariationError, tails.TailRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,33 +18,29 @@ from .env_models import ConfigurationError, Environment
 from .recursion import SeriesConfig, _walk_products, quantiles
 from .tails import SpectralMeasure
 
-# each regime is named after its centering (CenteringResult.kind)
-REGIME_BELOW_ONE = "none"
-REGIME_ONE = "xi"
-REGIME_ABOVE_ONE = "mean"
-
-_REGIME_TOL = 0.02
 _EULER_GAMMA = 0.5772156649015329
 
 
-def classify_regime(kappa: float, tol: float = _REGIME_TOL) -> str:
-    """Map a numerically solved exponent onto the centering regime."""
+def limit_exponent(kappa: float) -> float:
+    """The exponent the stable limit runs at: kappa, or 1 exactly when the
+    solved kappa is within 0.02 of 1.
+
+    The centered limit at 1 uses its own compensation and normalization,
+    and mixing it with a nearby exponent would shift the n^(-1/kappa) scale
+    by several percent.  The angular measure estimated at this exponent
+    carries it on to C(v), and the centering built at it to the sums.
+    """
     if not 0.0 < kappa < 2.0:
         raise ConfigurationError("stable regime needs kappa in (0, 2)")
-    if abs(kappa - 1.0) <= tol:
-        return REGIME_ONE
-    return REGIME_BELOW_ONE if kappa < 1.0 else REGIME_ABOVE_ONE
+    return 1.0 if 0.98 <= kappa <= 1.02 else kappa
 
 
-def effective_kappa(kappa: float, regime: str) -> float:
-    """The exponent the limit computations run at.
-
-    A solved exponent within the regime tolerance of 1 is snapped to 1
-    exactly: the centered limit at 1 uses its own compensation and
-    normalization, and mixing it with a nearby exponent would shift the
-    n^(-1/kappa) scale by several percent.
-    """
-    return 1.0 if regime == REGIME_ONE else kappa
+def _centering_kind(kappa: float) -> str:
+    """No centering below 1, the truncated mean xi at 1 exactly, and the
+    stationary mean above 1."""
+    if kappa == 1.0:
+        return "xi"
+    return "none" if kappa < 1.0 else "mean"
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +98,20 @@ class CKappaValue:
         return self.value
 
 
-def _levy_radial_integral(b: np.ndarray, kappa: float, regime: str) -> np.ndarray:
+def _levy_radial_integral(b: np.ndarray, kappa: float) -> np.ndarray:
     """Exact integral over s in (0, inf) of the compensated plane wave
     (e^{ibs} - 1 - centering) against s^(-kappa-1) ds, vectorized in b.
 
-    The compensation matches the regime: none below 1, the full linear
-    term above 1, and the 1/(1+s^2)-truncated term at 1.
+    The compensation is the centering at kappa: none below 1, the full
+    linear term above 1, and the 1/(1+s^2)-truncated term at 1 exactly.
     """
+    if not 0.0 < kappa < 2.0:
+        raise ConfigurationError(f"the stable limit needs kappa in (0, 2), got {kappa}")
     b = np.asarray(b, dtype=float)
     out = np.zeros(b.shape, dtype=complex)
     nz = b != 0.0
     bb = b[nz]
-    if regime == REGIME_ONE:
+    if kappa == 1.0:
         out[nz] = (-0.5 * math.pi * np.abs(bb)
                    + 1j * bb * (1.0 - _EULER_GAMMA - np.log(np.abs(bb))))
         return out
@@ -125,10 +123,11 @@ def _levy_radial_integral(b: np.ndarray, kappa: float, regime: str) -> np.ndarra
     return out
 
 
-def c_kappa(v, kappa: float, sigma: SpectralMeasure, env: Environment,
-            cache: WMatrixCache, regime: str | None = None) -> CKappaValue:
-    """Limit exponent C(v): the integral of the corrected plane-wave
-    increment against the product tail measure in polar form.
+def c_kappa(v, sigma: SpectralMeasure, env: Environment,
+            cache: WMatrixCache) -> CKappaValue:
+    """Limit exponent C(v) at sigma's exponent kappa: the integral of the
+    corrected plane-wave increment against the product tail measure in
+    polar form.
 
     Per angular atom w the radial integrand along direction w is
         (exp(i s <v,w>) - 1) h_v(s w) - centering(s, <v,w>)
@@ -140,23 +139,18 @@ def c_kappa(v, kappa: float, sigma: SpectralMeasure, env: Environment,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ConfigurationError("c_kappa needs a unit direction v")
-    regime = regime or classify_regime(kappa)
-    if regime == REGIME_ONE and not env.q_symmetric:
+    kappa = sigma.kappa
+    if kappa == 1.0 and not env.q_symmetric:
         raise ConfigurationError(
             "kappa = 1 requires a symmetric Q law for the centered limit")
-    kappa = effective_kappa(kappa, regime)
-    if abs(sigma.kappa - kappa) > 1e-9:
-        raise ConfigurationError(
-            f"angular measure was estimated at exponent {sigma.kappa}, but the "
-            f"limit runs at {kappa}; re-estimate it at the matching exponent")
     per_draw = np.zeros(cache.count, dtype=complex)
     for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
         if mass_j == 0.0:
             continue
         a = float(v @ w_j)
         u = cache.apply(w_j) @ v            # (mc,) phases of W(w_j) along v
-        per_draw += mass_j * (_levy_radial_integral(a + u, kappa, regime)
-                              - _levy_radial_integral(u, kappa, regime))
+        per_draw += mass_j * (_levy_radial_integral(a + u, kappa)
+                              - _levy_radial_integral(u, kappa))
     value = complex(np.mean(per_draw))
     se = float(np.sqrt(np.var(per_draw.real) + np.var(per_draw.imag))
                / math.sqrt(cache.count))
@@ -168,11 +162,7 @@ def cos_tail_constant(kappa: float) -> float:
     the real part of the radial integral at b = 1, which no centering
     changes.  That is Gamma(2 - kappa) cos(pi kappa / 2) / (kappa (kappa - 1)),
     and -pi/2 at kappa = 1 exactly."""
-    if not 0.0 < kappa < 2.0:
-        raise ConfigurationError("the cosine tail constant needs kappa in (0, 2)")
-    # tol = 0: the kappa = 1 branch only at 1 exactly, not in the snap band
-    regime = classify_regime(kappa, tol=0.0)
-    return float(_levy_radial_integral(np.ones(1), kappa, regime)[0].real)
+    return float(_levy_radial_integral(np.ones(1), kappa)[0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +171,14 @@ def cos_tail_constant(kappa: float) -> float:
 
 @dataclass(eq=False)
 class CenteringResult:
-    kind: str                       # the regime: "none" | "mean" | "xi"
+    kappa: float                    # the limit exponent the sums are scaled by
     m: np.ndarray | None = None
     m_se: np.ndarray | None = None
     samples: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        return _centering_kind(self.kappa)
 
     def xi(self, t: float) -> np.ndarray:
         if self.kind != "xi":
@@ -201,39 +195,38 @@ class CenteringResult:
         return n * n * self.xi(1.0 / n)
 
 
-def centering(env: Environment, kappa: float, samples,
-              regime: str | None = None) -> CenteringResult:
-    """Centering data per regime: nothing below 1, the stationary mean in
-    (1, 2), and the truncated-mean function xi at 1.
+def centering(env: Environment, kappa: float, samples) -> CenteringResult:
+    """Centering data at the limit exponent kappa: nothing below 1, the
+    stationary mean above 1, and the truncated-mean function xi at 1.
 
     For symmetric Q the stationary law is symmetric, so the draws are
     augmented with their reflections; the odd centering integrands then
     average to zero exactly instead of carrying O(n * se) noise into the
     normalized sums.
     """
-    regime = regime or classify_regime(kappa)
+    kind = _centering_kind(kappa)
+    if kind == "none":
+        return CenteringResult(kappa)
+    if kind == "xi" and not env.q_symmetric:
+        raise ConfigurationError(
+            "kappa = 1 centering requires a symmetric Q law")
     data = data_of(samples)
     if env.q_symmetric:
         data = np.concatenate([data, -data], axis=0)
-    if regime == REGIME_BELOW_ONE:
-        return CenteringResult(kind=regime)
-    if regime == REGIME_ABOVE_ONE:
-        m = data.mean(axis=0)
-        se = data.std(axis=0) / math.sqrt(data.shape[0])
-        return CenteringResult(kind=regime, m=m, m_se=se)
-    if not env.q_symmetric:
-        raise ConfigurationError(
-            "kappa = 1 centering requires a symmetric Q law")
-    return CenteringResult(kind=regime, samples=data)
+    if kind == "xi":
+        return CenteringResult(kappa, samples=data)
+    return CenteringResult(kappa, m=data.mean(axis=0),
+                           m_se=data.std(axis=0) / math.sqrt(data.shape[0]))
 
 
-def normalized_sums(sums, n: int, kappa: float, cent: CenteringResult) -> np.ndarray:
-    """n^(-1/kappa) (S_n - d_n); at kappa = 1 this is S_n / n - n xi(1/n)."""
+def normalized_sums(sums, n: int, cent: CenteringResult) -> np.ndarray:
+    """n^(-1/kappa) (S_n - d_n) at the centering's exponent kappa; at
+    kappa = 1 this is S_n / n - n xi(1/n)."""
     data = data_of(sums)
     if cent.kind == "xi":
         return data / n - n * cent.xi(1.0 / n)[None, :]
     shift = cent.shift(n, data.shape[1])
-    return (data - shift[None, :]) / n ** (1.0 / kappa)
+    return (data - shift[None, :]) / n ** (1.0 / cent.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +240,13 @@ class EcfGrid:
     values: np.ndarray              # (n_s, n_dirs) complex
 
 
-def empirical_cf(sums, normalization: tuple, sv_grid: tuple) -> EcfGrid:
+def empirical_cf(sums, n: int, cent: CenteringResult, s_values,
+                 directions) -> EcfGrid:
     """Empirical characteristic function of the normalized sums on a
-    (radii s, unit directions v) grid.
-
-    normalization = (n, kappa, CenteringResult); sv_grid = (s values, directions).
-    """
-    n, kappa, cent = normalization
-    s_values, directions = sv_grid
+    (radii s, unit directions v) grid."""
     s_values = np.asarray(s_values, dtype=float)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    y = normalized_sums(sums, n, kappa, cent)
+    y = normalized_sums(sums, n, cent)
     phases = y @ directions.T                     # (count, n_dirs)
     out = np.empty((s_values.size, directions.shape[0]), dtype=complex)
     for i, s in enumerate(s_values):
@@ -273,7 +262,6 @@ class StableLaw:
     kappa: float
     directions: np.ndarray
     c_values: np.ndarray
-    centering_kind: str
     m_kappa: np.ndarray | None = None
     error_budget: float = 0.0
     provenance: dict | None = None
@@ -297,7 +285,7 @@ class StableLaw:
             "kappa": self.kappa,
             "directions": self.directions.tolist(),
             "c_values": [[z.real, z.imag] for z in self.c_values],
-            "centering_kind": self.centering_kind,
+            "centering_kind": _centering_kind(self.kappa),
             "m_kappa": None if self.m_kappa is None else np.asarray(self.m_kappa).tolist(),
             "error_budget": self.error_budget,
             "provenance": self.provenance or {},
@@ -305,32 +293,29 @@ class StableLaw:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StableLaw":
-        return cls(kappa=doc["kappa"],
+        return cls(kappa=float(doc["kappa"]),
                    directions=np.asarray(doc["directions"], dtype=float),
                    c_values=np.asarray([complex(re, im) for re, im in doc["c_values"]]),
-                   centering_kind=doc["centering_kind"],
                    m_kappa=None if doc["m_kappa"] is None else np.asarray(doc["m_kappa"]),
                    error_budget=doc["error_budget"], provenance=doc.get("provenance"))
 
 
-def compute_stable_law(env: Environment, kappa: float, sigma: SpectralMeasure,
-                       directions, mc: int, rng: np.random.Generator,
-                       regime: str | None = None,
+def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
+                       mc: int, rng: np.random.Generator,
                        cent: CenteringResult | None = None) -> StableLaw:
-    """C(v) on a direction set with one shared matrix-series cache."""
-    regime = regime or classify_regime(kappa)
-    kappa = effective_kappa(kappa, regime)
+    """C(v) at sigma's exponent on a direction set with one shared
+    matrix-series cache."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     cache = sample_w_matrices(env, SeriesConfig(tolerance=1e-10), mc, rng)
     c_vals = np.empty(directions.shape[0], dtype=complex)
     budget = 0.0
     for i, v in enumerate(directions):
-        ck = c_kappa(v, kappa, sigma, env, cache, regime=regime)
+        ck = c_kappa(v, sigma, env, cache)
         c_vals[i] = ck.value
         budget = max(budget, ck.error_budget)
     m_kappa = cent.m if (cent is not None and cent.kind == "mean") else None
-    return StableLaw(kappa=kappa, directions=directions, c_values=c_vals,
-                     centering_kind=regime, m_kappa=m_kappa, error_budget=budget,
+    return StableLaw(kappa=sigma.kappa, directions=directions, c_values=c_vals,
+                     m_kappa=m_kappa, error_budget=budget,
                      provenance={"w_draws": mc, "w_depth": cache.max_depth,
                                  "w_depth_quantiles": cache.depth_quantiles,
                                  "sigma_threshold": sigma.threshold_used})
@@ -356,15 +341,14 @@ class SelfSimilarity:
 
 
 def self_similarity_check(sums_small: SampleBatch, sums_large: SampleBatch,
-                          kappa: float, cent: CenteringResult,
-                          directions) -> SelfSimilarity:
+                          cent: CenteringResult, directions) -> SelfSimilarity:
     """Model-free stability check: normalized sums at n and 2n should agree
     in law, so each one-dimensional projection is compared by a two-sample
     Kolmogorov distance after the n^(-1/kappa) rescalings."""
     n_small = int(sums_small.info["n_steps"])
     n_large = int(sums_large.info["n_steps"])
-    y_small = normalized_sums(sums_small, n_small, kappa, cent)
-    y_large = normalized_sums(sums_large, n_large, kappa, cent)
+    y_small = normalized_sums(sums_small, n_small, cent)
+    y_large = normalized_sums(sums_large, n_large, cent)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     ks = np.empty(directions.shape[0])
     for i, v in enumerate(directions):
@@ -433,10 +417,9 @@ class TransposedPositivity:
                 and self.minus_integral > 3.0 * self.minus_se)
 
 
-def transposed_positivity_check(env: Environment, kappa: float,
-                                sigma: SpectralMeasure, v, mc: int,
-                                rng: np.random.Generator) -> TransposedPositivity:
-    """Positivity of the transposed-series tail brackets.
+def transposed_positivity_check(env: Environment, sigma: SpectralMeasure, v,
+                                mc: int, rng: np.random.Generator) -> TransposedPositivity:
+    """Positivity of the transposed-series tail brackets at sigma's exponent.
 
     With the transposed series acting on v (draws A^T v from the shared
     matrix cache), both
@@ -451,6 +434,7 @@ def transposed_positivity_check(env: Environment, kappa: float,
     wstar = cache.apply_transposed(v)            # (mc, d)
     pts = sigma.grid.points
     mass = sigma.mass
+    kappa = sigma.kappa
 
     def integral(sign: float) -> tuple[float, float]:
         shifted = (sign * (wstar + v)) @ pts.T   # (mc, n_cells)

@@ -183,7 +183,7 @@ class SpectralMeasure:
         return cls(grid=SphereGrid.from_json_dict(doc["grid"]),
                    mass=np.asarray(doc["mass"], dtype=float),
                    threshold_used=doc["threshold_used"], total_mass=doc["total_mass"],
-                   kappa=doc["kappa"], sample_count=doc["sample_count"],
+                   kappa=float(doc["kappa"]), sample_count=doc["sample_count"],
                    exceedances=doc["exceedances"])
 
 
@@ -214,14 +214,14 @@ def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
                            sample_count=int(data.shape[0]), exceedances=int(counts.sum()))
 
 
-def check_sigma_invariance(sigma: SpectralMeasure, env: Environment, kappa: float,
-                           mc_n: int, rng: np.random.Generator) -> float:
+def check_sigma_invariance(sigma: SpectralMeasure, env: Environment, mc_n: int,
+                           rng: np.random.Generator) -> float:
     """Relative total-variation residual of sigma under the column-action
-    operator: ||sigma A* - sigma||_TV / total mass."""
+    operator at sigma's exponent: ||sigma A* - sigma||_TV / total mass."""
     if sigma.total_mass <= 0:
         raise ConfigurationError("invariance check needs a measure with positive mass")
     draws = build_operator_draws(env, sigma.grid, COLUMN_ACTION, mc_n, rng)
-    a = draws.matrix(kappa)
+    a = draws.matrix(sigma.kappa)
     pushed = a.T @ sigma.mass
     return float(np.sum(np.abs(pushed - sigma.mass)) / sigma.total_mass)
 

@@ -17,7 +17,6 @@ from kestenlab import cli
 from kestenlab.env_models import operator_norm
 from kestenlab.rng import substream
 from kestenlab.spectral import fixed_point_residuals
-from kestenlab.stable_limit import classify_regime
 from kestenlab.tails import exceedance_curve
 
 BETA_TRUE = -math.log(2.0) / 3.0
@@ -61,36 +60,28 @@ def sim_1m(similarity_env):
                                 1_000_000, substream(4102))
 
 
-def _effective(sol) -> float:
-    return kl.stable_limit.effective_kappa(sol.kappa, classify_regime(sol.kappa))
-
-
 @pytest.fixture(scope="module")
 def scalar_sigma_acc(scalar_1m, scalar_solution_acc, grid1):
     u = float(np.quantile(scalar_1m.norms(), 0.99))
-    return kl.estimate_sigma(scalar_1m, u, grid1, _effective(scalar_solution_acc), True)
+    return kl.estimate_sigma(scalar_1m, u, grid1, kl.limit_exponent(scalar_solution_acc.kappa),
+                             True)
 
 
 @pytest.fixture(scope="module")
 def sim_sigma_acc(sim_1m, sim_solution_acc, grid2):
     u = float(np.quantile(sim_1m.norms(), 0.99))
-    return kl.estimate_sigma(sim_1m, u, grid2, _effective(sim_solution_acc), True)
+    return kl.estimate_sigma(sim_1m, u, grid2, kl.limit_exponent(sim_solution_acc.kappa), True)
 
 
 @pytest.fixture(scope="module")
 def scalar_centering_acc(scalar_env, scalar_1m, scalar_solution_acc):
-    regime = classify_regime(scalar_solution_acc.kappa)
-    return kl.centering(scalar_env, scalar_solution_acc.kappa, scalar_1m, regime=regime)
+    return kl.centering(scalar_env, kl.limit_exponent(scalar_solution_acc.kappa), scalar_1m)
 
 
 @pytest.fixture(scope="module")
-def scalar_law_acc(scalar_env, scalar_solution_acc, scalar_sigma_acc,
-                   scalar_centering_acc):
-    regime = classify_regime(scalar_solution_acc.kappa)
-    return kl.compute_stable_law(scalar_env, scalar_solution_acc.kappa,
-                                 scalar_sigma_acc, np.array([[1.0], [-1.0]]),
-                                 4000, substream(SEED, 10), regime=regime,
-                                 cent=scalar_centering_acc)
+def scalar_law_acc(scalar_env, scalar_sigma_acc, scalar_centering_acc):
+    return kl.compute_stable_law(scalar_env, scalar_sigma_acc, np.array([[1.0], [-1.0]]),
+                                 4000, substream(SEED, 10), cent=scalar_centering_acc)
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +137,9 @@ def test_c04_eigen_residuals(scalar_env, similarity_env, scalar_solution_acc,
 
 def test_c05_sigma_invariance(scalar_env, similarity_env, scalar_solution_acc,
                               sim_solution_acc, scalar_sigma_acc, sim_sigma_acc):
-    res1 = kl.check_sigma_invariance(scalar_sigma_acc, scalar_env,
-                                     scalar_sigma_acc.kappa, 10_000,
+    res1 = kl.check_sigma_invariance(scalar_sigma_acc, scalar_env, 10_000,
                                      substream(SEED, 4))
-    res2 = kl.check_sigma_invariance(sim_sigma_acc, similarity_env,
-                                     sim_sigma_acc.kappa, 10_000,
+    res2 = kl.check_sigma_invariance(sim_sigma_acc, similarity_env, 10_000,
                                      substream(SEED, 9))
     ok = res1 <= 0.10 and res2 <= 0.10
     criterion(5, "angular-measure invariance", ok,
@@ -201,8 +190,7 @@ def test_c09_self_similarity(birkhoff_sums_acc, scalar_law_acc, scalar_centering
     sums13, sums14, sim_time = birkhoff_sums_acc
     t0 = time.perf_counter()
     ss = kl.stable_limit.self_similarity_check(
-        sums13, sums14, scalar_law_acc.kappa, scalar_centering_acc,
-        np.array([[1.0], [-1.0]]))
+        sums13, sums14, scalar_centering_acc, np.array([[1.0], [-1.0]]))
     runtime = sim_time + (time.perf_counter() - t0)
     ok = ss.max_ks <= 0.05 and runtime < 600.0
     criterion(9, "stable-limit self-similarity", ok,
@@ -212,8 +200,8 @@ def test_c09_self_similarity(birkhoff_sums_acc, scalar_law_acc, scalar_centering
 def test_c10_cf_convergence(birkhoff_sums_acc, scalar_law_acc, scalar_centering_acc):
     _, sums14, _ = birkhoff_sums_acc
     s_values = np.linspace(0.1, 2.0, 16)
-    ecf = kl.empirical_cf(sums14, (2 ** 14, scalar_law_acc.kappa, scalar_centering_acc),
-                          (s_values, scalar_law_acc.directions))
+    ecf = kl.empirical_cf(sums14, 2 ** 14, scalar_centering_acc, s_values,
+                          scalar_law_acc.directions)
     fit = kl.stable_fit_check(ecf, scalar_law_acc)
     band = 0.15 + scalar_law_acc.error_budget
     ok = fit.sup_deviation <= band
@@ -225,20 +213,16 @@ def test_c10_cf_convergence(birkhoff_sums_acc, scalar_law_acc, scalar_centering_
 def test_c11_nondegeneracy(scalar_env, similarity_env, scalar_law_acc,
                            sim_solution_acc, sim_sigma_acc, sim_1m,
                            scalar_solution_acc, scalar_sigma_acc, grid2):
-    regime = classify_regime(sim_solution_acc.kappa)
-    cent = kl.centering(similarity_env, sim_solution_acc.kappa, sim_1m, regime=regime)
-    sim_law = kl.compute_stable_law(similarity_env, sim_solution_acc.kappa,
-                                    sim_sigma_acc, grid2.points[::4], 3000,
-                                    substream(SEED, 11), regime=regime, cent=cent)
+    cent = kl.centering(similarity_env, sim_sigma_acc.kappa, sim_1m)
+    sim_law = kl.compute_stable_law(similarity_env, sim_sigma_acc, grid2.points[::4], 3000,
+                                    substream(SEED, 11), cent=cent)
     verdict_scalar = kl.nondegeneracy(scalar_law_acc)
     verdict_sim = kl.nondegeneracy(sim_law)
     c1 = kl.cos_tail_constant(1.0)
     tp_scalar = kl.transposed_positivity_check(
-        scalar_env, scalar_law_acc.kappa, scalar_sigma_acc, np.array([1.0]),
-        4000, substream(SEED, 12))
+        scalar_env, scalar_sigma_acc, np.array([1.0]), 4000, substream(SEED, 12))
     tp_sim = kl.transposed_positivity_check(
-        similarity_env, sim_law.kappa, sim_sigma_acc, grid2.points[0],
-        4000, substream(SEED, 13))
+        similarity_env, sim_sigma_acc, grid2.points[0], 4000, substream(SEED, 13))
     ok = (verdict_scalar.all_negative and verdict_sim.all_negative
           and verdict_scalar.nondegenerate and verdict_sim.nondegenerate
           and abs(c1 + math.pi / 2) <= 1e-4

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+import kestenlab
 from kestenlab import batches, cli, recursion, stable_limit
 from kestenlab.batches import SampleBatch
 from kestenlab.cli import (STAGE_INDEX, CliConfigError, canonical_json, env_hash,
@@ -465,13 +468,20 @@ def test_kappa_subcommand_sign_flip(tmp_path, capsys):
 
 
 def test_stagewise_run_matches_full_run(tmp_path):
-    path, outdir = write_config(tmp_path, pipeline=["simulate", "kappa", "sigma"])
+    # the staged limit reads its exponent from sigma.json, not from the
+    # solution, and the staged nondeg reads it from stable_law.json
+    stages = ["simulate", "kappa", "sigma", "limit", "nondeg"]
+    path, outdir = write_config(tmp_path, pipeline=stages)
     assert cli.main(["run", "--config", str(path)]) == 0
-    full = (outdir / "sigma.json").read_bytes()
     outdir2 = tmp_path / "out2"
-    for stage in ("simulate", "kappa", "sigma"):
+    for stage in stages:
         assert cli.main([stage, "--config", str(path), "--out", str(outdir2)]) == 0
-    assert (outdir2 / "sigma.json").read_bytes() == full
+    for name in ("sigma.json", "stable_law.json", "ecf.csv"):
+        assert (outdir2 / name).read_bytes() == (outdir / name).read_bytes(), name
+    for stage in ("limit", "nondeg"):
+        full, staged = (json.loads((out / f"stage_{stage}.json").read_text())
+                        for out in (outdir, outdir2))
+        assert staged == full, stage
 
 
 def test_missing_upstream_artifact_names_file(tmp_path, capsys):
@@ -666,6 +676,42 @@ def test_too_few_exceedances_is_a_named_error(tmp_path, capsys):
     assert not (outdir / "sigma.json").exists()
 
 
+def _package_exceptions():
+    found = {}
+    for info in pkgutil.iter_modules(kestenlab.__path__):
+        module = importlib.import_module(f"kestenlab.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[obj.__qualname__] = obj
+    return [found[name] for name in sorted(found)]
+
+
+@pytest.mark.parametrize("exc_class", _package_exceptions(), ids=lambda c: c.__name__)
+def test_package_errors_exit_with_one_line(tmp_path, monkeypatch, capsys, exc_class):
+    """Every error class the package defines ends the command with one
+    line on stderr and exit 1 (2 for config errors), never a traceback."""
+    def failing_stage(ctx):
+        raise exc_class("injected failure")
+
+    monkeypatch.setitem(cli.STAGE_FUNCS, "assumptions", failing_stage)
+    path, _ = write_config(tmp_path)
+    rc = cli.main(["assumptions", "--config", str(path)])
+    assert rc in (1, 2)
+    err = capsys.readouterr().err
+    assert "error: injected failure" in err and err.count("\n") == 1
+
+
+def test_sigma_without_symmetric_q_is_a_named_error(tmp_path, capsys):
+    # kappa ~ 1 is an odd integer: the angular measure needs a symmetric Q law
+    path, outdir = write_config(tmp_path, pipeline=["simulate", "kappa", "sigma"],
+                                **{"env.q_symmetric": False})
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kappa ~ 1 is an odd integer") and err.count("\n") == 1
+    assert not (outdir / "sigma.json").exists()
+
+
 def test_reproducibility_smoke(tmp_path):
     path, _ = write_config(tmp_path, pipeline=["simulate", "kappa"])
     out_a, out_b = tmp_path / "ra", tmp_path / "rb"
@@ -717,11 +763,9 @@ def test_root_seed_reproduces_draws(tmp_path):
         substream(seed, STAGE_INDEX["limit"], 1))
     law = stable_limit.StableLaw.from_json_dict(
         json.loads((outdir / "stable_law.json").read_text()))
-    kappa = json.loads((outdir / "spectral_solution.json").read_text())["kappa"]
-    cent = stable_limit.centering(config.env, kappa, written,
-                                  regime=stable_limit.classify_regime(kappa))
-    ecf = stable_limit.empirical_cf(sums, (frag["n"], law.kappa, cent),
-                                    (np.asarray(config.mc.limit.s_values), law.directions))
+    cent = stable_limit.centering(config.env, law.kappa, written)
+    ecf = stable_limit.empirical_cf(sums, frag["n"], cent, config.mc.limit.s_values,
+                                    law.directions)
     assert stable_limit.stable_fit_check(ecf, law).sup_deviation == frag["sup_deviation"]
 
 

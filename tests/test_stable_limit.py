@@ -15,11 +15,8 @@ from kestenlab.cli import canonical_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.recursion import NonContractionError
 from kestenlab.rng import substream
-from kestenlab.stable_limit import (REGIME_ABOVE_ONE, REGIME_BELOW_ONE,
-                                    REGIME_ONE, CenteringResult, StableLaw,
-                                    classify_regime, effective_kappa,
-                                    normalized_sums, sample_w_matrices,
-                                    self_similarity_check)
+from kestenlab.stable_limit import (CenteringResult, StableLaw, normalized_sums,
+                                    sample_w_matrices, self_similarity_check)
 from kestenlab.tails import SpectralMeasure
 
 
@@ -53,11 +50,11 @@ class RadialQuadrature:
     points_per_panel: int = 16
     panels_per_log_unit: float = 2.0
 
-    def nodes(self, kappa: float, regime: str) -> tuple[np.ndarray, np.ndarray, float]:
+    def nodes(self, kappa: float, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
         """(s nodes, weights including the s^(-kappa-1) ds factor, s_min)."""
         # pick s_min so the analytic bound on the (0, s_min] head is tiny:
         # the combined integrand is O(s^2) with centering and O(s) without
-        head_order = 1.0 - kappa if regime == REGIME_BELOW_ONE else 2.0 - kappa
+        head_order = 1.0 - kappa if kind == "none" else 2.0 - kappa
         s_min = min(1e-8, 10.0 ** (-9.0 / head_order))
         y_lo, y_hi = math.log(s_min), math.log(self.s_max)
         n_panels = max(8, int(math.ceil((y_hi - y_lo) * self.panels_per_log_unit)))
@@ -73,30 +70,30 @@ class RadialQuadrature:
         return s, weights, s_min
 
 
-def _centering_term(regime: str, s: np.ndarray, a: float) -> np.ndarray:
-    if regime == REGIME_ABOVE_ONE:
+def _centering_term(kind: str, s: np.ndarray, a: float) -> np.ndarray:
+    if kind == "mean":
         return 1j * s * a
-    if regime == REGIME_ONE:
+    if kind == "xi":
         return 1j * s * a / (1.0 + s * s)
     return np.zeros_like(s, dtype=complex)
 
 
-def _tail_correction(regime: str, kappa: float, s_max: float, a: float) -> complex:
+def _tail_correction(kind: str, kappa: float, s_max: float, a: float) -> complex:
     """Exact integral of the centering term over (s_max, inf)."""
-    if regime == REGIME_ABOVE_ONE:
+    if kind == "mean":
         return -1j * a * s_max ** (1.0 - kappa) / (kappa - 1.0)
-    if regime == REGIME_ONE:
+    if kind == "xi":
         return -1j * a * 0.5 * math.log1p(s_max ** -2)
     return 0.0 + 0.0j
 
 
 def c_kappa_panels(v: np.ndarray, kappa: float, sigma: SpectralMeasure,
-                   radial_quadrature: RadialQuadrature, cache, regime: str):
+                   radial_quadrature: RadialQuadrature, cache, kind: str):
     """(value, budget) of C(v) by panel quadrature of the polar integral,
     h_v averaged over the cache draws node by node, with the unresolved
     head, the bounded tail factor, and the uniform Monte-Carlo error of h
     folded into a certified budget."""
-    s, wq, s_min = radial_quadrature.nodes(kappa, regime)
+    s, wq, s_min = radial_quadrature.nodes(kappa, kind)
     total_mass = float(np.sum(sigma.mass))
     value = 0.0 + 0.0j
     head_budget = 0.0
@@ -111,12 +108,12 @@ def c_kappa_panels(v: np.ndarray, kappa: float, sigma: SpectralMeasure,
             hi = min(lo + 256, s.size)
             sb, wb = s[lo:hi], wq[lo:hi]
             h_vals = np.mean(np.exp(1j * np.outer(sb, u)), axis=1)
-            g = (np.exp(1j * sb * a) - 1.0) * h_vals - _centering_term(regime, sb, a)
+            g = (np.exp(1j * sb * a) - 1.0) * h_vals - _centering_term(kind, sb, a)
             integral += complex(np.sum(wb * g))
-        integral += _tail_correction(regime, kappa, radial_quadrature.s_max, a)
+        integral += _tail_correction(kind, kappa, radial_quadrature.s_max, a)
         value += mass_j * integral
         mean_abs_u = float(np.mean(np.abs(u)))
-        if regime == REGIME_BELOW_ONE:
+        if kind == "none":
             head = abs(a) * s_min ** (1.0 - kappa) / (1.0 - kappa)
         else:
             head = (0.5 * a * a + abs(a) * mean_abs_u) * s_min ** (2.0 - kappa) / (2.0 - kappa)
@@ -266,7 +263,7 @@ def test_c_kappa_classical_oracle_below_one(grid1):
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
     kappa = 0.5
     sigma = uniform_sigma(grid1, kappa)
-    ck = kl.c_kappa(np.array([1.0]), kappa, sigma, env, w_cache(env, 400, substream(79)))
+    ck = kl.c_kappa(np.array([1.0]), sigma, env, w_cache(env, 400, substream(79)))
     # oracle: int_0^inf (cos s - 1) s^(-1-kappa) ds over both antipodes
     finite = integrate.quad(lambda s: (math.cos(s) - 1.0) * s ** (-1 - kappa),
                             0, 50, limit=400)[0]
@@ -282,11 +279,9 @@ def test_c_kappa_panel_route_agrees_within_budget(scalar_env, grid1):
     kappa = 0.5
     sigma = uniform_sigma(grid1, kappa)
     cache = w_cache(scalar_env, 1000, substream(80))
-    exact = kl.c_kappa(np.array([1.0]), kappa, sigma, scalar_env, cache,
-                       regime=REGIME_BELOW_ONE)
+    exact = kl.c_kappa(np.array([1.0]), sigma, scalar_env, cache)
     panels, panels_budget = c_kappa_panels(np.array([1.0]), kappa, sigma,
-                                           RadialQuadrature(s_max=200.0), cache,
-                                           REGIME_BELOW_ONE)
+                                           RadialQuadrature(s_max=200.0), cache, "none")
     assert abs(exact.value - panels) <= panels_budget + exact.error_budget
 
 
@@ -300,7 +295,7 @@ def test_c_kappa_symmetric_sigma_gives_real_exponent(scalar_env, scalar_batch,
                                 total_mass=float(sigma.mass.mean() * 2),
                                 kappa=1.0, sample_count=sigma.sample_count,
                                 exceedances=sigma.exceedances)
-    ck = kl.c_kappa(np.array([1.0]), 1.0, symmetric, scalar_env,
+    ck = kl.c_kappa(np.array([1.0]), symmetric, scalar_env,
                     w_cache(scalar_env, 2000, substream(81)))
     assert ck.value.real < 0
     assert abs(ck.value.imag) <= 1e-12 * abs(ck.value.real)
@@ -310,13 +305,22 @@ def test_c_kappa_requires_symmetry_at_one(grid1):
     env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (1 / 3, 2 / 3)),
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=False)
     with pytest.raises(ConfigurationError):
-        kl.c_kappa(np.array([1.0]), 1.0, uniform_sigma(grid1, 1.0), env,
+        kl.c_kappa(np.array([1.0]), uniform_sigma(grid1, 1.0), env,
                    w_cache(env, 200, substream(82)))
 
 
-def test_effective_kappa_snaps_to_one():
-    assert effective_kappa(0.99, classify_regime(0.99)) == 1.0
-    assert effective_kappa(1.4, classify_regime(1.4)) == 1.4
+def test_limit_exponent_snap_boundary():
+    for kappa in (0.98, 0.99, 1.02):
+        assert kl.limit_exponent(kappa) == 1.0
+    for kappa in (0.9799, 1.0201, 1.4):
+        assert kl.limit_exponent(kappa) == kappa
+    for kappa in (0.0, 2.0):
+        with pytest.raises(ConfigurationError):
+            kl.limit_exponent(kappa)
+    # the centering is decided exactly at the exponent it is given: no band
+    assert CenteringResult(kappa=0.99).kind == "none"
+    assert CenteringResult(kappa=1.0).kind == "xi"
+    assert CenteringResult(kappa=1.01).kind == "mean"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,7 @@ def test_effective_kappa_snaps_to_one():
 # ---------------------------------------------------------------------------
 
 def test_centering_below_one_is_zero(scalar_env, scalar_batch):
-    cent = kl.centering(scalar_env, 0.7, scalar_batch, regime=REGIME_BELOW_ONE)
+    cent = kl.centering(scalar_env, 0.7, scalar_batch)
     assert cent.kind == "none"
     assert np.array_equal(cent.shift(1000, 1), np.zeros(1))
 
@@ -371,8 +375,8 @@ def test_centering_xi_needs_symmetry(scalar_batch):
 # ---------------------------------------------------------------------------
 
 def _ecf(batch, s_values, dirs):
-    cent = CenteringResult(kind="none")
-    return kl.empirical_cf(batch, (1, 1.0, cent), (s_values, dirs))
+    # n = 1 rescales by nothing at any exponent, and below 1 nothing centers
+    return kl.empirical_cf(batch, 1, CenteringResult(kappa=0.5), s_values, dirs)
 
 
 def test_ecf_at_zero_is_one(scalar_batch):
@@ -390,8 +394,7 @@ def test_ecf_conjugate_symmetry(scalar_batch):
 def test_normalized_sums_scaling():
     data = np.arange(10.0).reshape(-1, 1)
     batch = SampleBatch(data=data, kind="sums", info={"n_steps": 16})
-    cent = CenteringResult(kind="none")
-    y = normalized_sums(batch, 16, 0.5, cent)
+    y = normalized_sums(batch, 16, CenteringResult(kappa=0.5))
     assert np.allclose(y, data / 16.0 ** 2)
 
 
@@ -414,8 +417,7 @@ def test_stable_fit_on_exact_synthetic_samples():
     count = 250_000
     samples = cms_symmetric_stable(alpha, count, 84)
     law = StableLaw(kappa=alpha, directions=np.array([[1.0], [-1.0]]),
-                    c_values=np.array([-1.0 + 0.0j, -1.0 + 0.0j]),
-                    centering_kind="none")
+                    c_values=np.array([-1.0 + 0.0j, -1.0 + 0.0j]))
     batch = SampleBatch(data=samples.reshape(-1, 1), kind="synthetic",
                         info={"n_steps": 1})
     ecf = _ecf(batch, np.linspace(0.1, 2.0, 12), law.directions)
@@ -427,7 +429,7 @@ def test_stable_fit_rejects_light_tails():
     gaussian = SampleBatch(data=substream(85).standard_normal((100_000, 1)),
                            kind="synthetic", info={"n_steps": 1})
     law = StableLaw(kappa=1.5, directions=np.array([[1.0]]),
-                    c_values=np.array([-1.0 + 0.0j]), centering_kind="none")
+                    c_values=np.array([-1.0 + 0.0j]))
     ecf = _ecf(gaussian, np.linspace(0.1, 2.0, 12), law.directions)
     fit = kl.stable_fit_check(ecf, law)
     assert fit.sup_deviation > 0.15
@@ -436,14 +438,14 @@ def test_stable_fit_rejects_light_tails():
 def test_stable_law_validates_damping():
     with pytest.raises(ConfigurationError):
         StableLaw(kappa=1.0, directions=np.array([[1.0]]),
-                  c_values=np.array([0.5 + 0.0j]), centering_kind="none")
+                  c_values=np.array([0.5 + 0.0j]))
 
 
 @pytest.mark.parametrize("law", [
     StableLaw(kappa=0.7, directions=np.array([[1.0], [-1.0]]),
-              c_values=np.array([-1.0 + 0.25j, -1.0 - 0.25j]), centering_kind="none"),
+              c_values=np.array([-1.0 + 0.25j, -1.0 - 0.25j])),
     StableLaw(kappa=1.3, directions=np.array([[0.6, 0.8], [-0.8, 0.6]]),
-              c_values=np.array([-0.5 + 0.1j, -1 / 3 + 0.0j]), centering_kind="mean",
+              c_values=np.array([-0.5 + 0.1j, -1 / 3 + 0.0j]),
               m_kappa=np.array([0.25, -1 / 7]), error_budget=0.01,
               provenance={"w_draws": 2000, "w_depth": 41}),
 ])
@@ -461,8 +463,7 @@ def test_stable_law_json_round_trip(law):
 def test_stability_functional_equation(kappa, c_re, c_im, power):
     """(CF(s v))^n = CF(n^(1/kappa) s v) holds identically in the representation."""
     law = StableLaw(kappa=kappa, directions=np.array([[1.0]]),
-                    c_values=np.array([complex(-c_re, c_im)]),
-                    centering_kind="none")
+                    c_values=np.array([complex(-c_re, c_im)]))
     s = np.array([0.7])
     lhs = law.cf(s)[0, 0] ** power
     rhs = law.cf(power ** (1.0 / kappa) * s)[0, 0]
@@ -473,41 +474,37 @@ def test_stability_functional_equation(kappa, c_re, c_im, power):
 def test_convergence_in_n(scalar_env, scalar_batch, scalar_solution, grid1):
     """Deviation from the fitted law does not grow along a doubling ladder."""
     u = float(np.quantile(scalar_batch.norms(), 0.99))
-    regime = classify_regime(scalar_solution.kappa)
-    sigma = kl.estimate_sigma(scalar_batch, u, grid1,
-                              effective_kappa(scalar_solution.kappa, regime), True)
-    cent = kl.centering(scalar_env, scalar_solution.kappa, scalar_batch, regime=regime)
+    kappa = kl.limit_exponent(scalar_solution.kappa)
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1, kappa, True)
+    cent = kl.centering(scalar_env, kappa, scalar_batch)
     dirs = np.array([[1.0], [-1.0]])
-    law = kl.compute_stable_law(scalar_env, scalar_solution.kappa, sigma, dirs,
-                                2000, substream(86), regime=regime, cent=cent)
+    law = kl.compute_stable_law(scalar_env, sigma, dirs, 2000, substream(86), cent=cent)
     reps = 4000
     devs = []
     for exp in (10, 12):
         sums = kl.birkhoff_sums(scalar_env, kl.PathConfig(
             n_steps=2 ** exp, start_x=(0.0,), replicas=reps), substream(87))
-        ecf = kl.empirical_cf(sums, (2 ** exp, law.kappa, cent),
-                              (np.array([0.25, 0.5, 1.0, 2.0]), dirs))
+        ecf = kl.empirical_cf(sums, 2 ** exp, cent, [0.25, 0.5, 1.0, 2.0], dirs)
         devs.append(kl.stable_fit_check(ecf, law).sup_deviation)
     assert devs[1] <= devs[0] + 2.0 / math.sqrt(reps)
 
 
 def test_self_similarity_scalar_smoke(scalar_env, scalar_batch, scalar_solution):
-    regime = classify_regime(scalar_solution.kappa)
-    cent = kl.centering(scalar_env, scalar_solution.kappa, scalar_batch, regime=regime)
+    cent = kl.centering(scalar_env, kl.limit_exponent(scalar_solution.kappa), scalar_batch)
     a = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 11, start_x=(0.0,),
                                                    replicas=6000), substream(88))
     b = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 12, start_x=(0.0,),
                                                    replicas=6000), substream(89))
-    ss = self_similarity_check(a, b, 1.0, cent, np.array([[1.0], [-1.0]]))
+    ss = self_similarity_check(a, b, cent, np.array([[1.0], [-1.0]]))
     assert ss.max_ks <= 0.08
 
 
 def test_self_similarity_ks_matches_scipy():
-    # with n_steps = 1, kappa = 1 and no centering the normalized sums are
-    # the data, so each entry is the Kolmogorov distance of two samples
+    # with n_steps = 1 and no centering the normalized sums are the data,
+    # so each entry is the Kolmogorov distance of two samples
     rng = np.random.default_rng(90)
     dirs = np.array([[1.0, 0.0], [0.6, 0.8]])
-    cent = CenteringResult(kind="none")
+    cent = CenteringResult(kappa=0.5)
     for trial in range(40):
         sizes = rng.integers(1, 400, size=2)
         if trial % 2:   # integer draws: ties within and across the samples
@@ -516,7 +513,7 @@ def test_self_similarity_ks_matches_scipy():
             small, large = (rng.standard_cauchy((m, 2)) for m in sizes)
         ss = self_similarity_check(SampleBatch(small, "sums", info={"n_steps": 1}),
                                    SampleBatch(large, "sums", info={"n_steps": 1}),
-                                   1.0, cent, dirs)
+                                   cent, dirs)
         want = [stats.ks_2samp(small @ v, large @ v).statistic for v in dirs]
         np.testing.assert_allclose(ss.ks_by_direction, want, rtol=0.0, atol=1e-12)
 
@@ -548,8 +545,7 @@ def test_nondegeneracy_isotropic(similarity_env, grid2):
     sigma = kl.estimate_sigma(batch, u, grid2, sol_kappa, True)
     cent = kl.centering(similarity_env, sol_kappa, batch)
     dirs = grid2.points[::8]
-    law = kl.compute_stable_law(similarity_env, sol_kappa, sigma, dirs, 1500,
-                                substream(91), cent=cent)
+    law = kl.compute_stable_law(similarity_env, sigma, dirs, 1500, substream(91), cent=cent)
     verdict = kl.nondegeneracy(law)
     assert verdict.nondegenerate
     assert verdict.span_rank == 2
@@ -561,8 +557,7 @@ def test_nondegeneracy_isotropic(similarity_env, grid2):
 def test_nondegeneracy_detects_collapsed_span():
     law = StableLaw(kappa=1.2, directions=np.array([[1.0, 0.0], [-1.0, 0.0],
                                                     [0.0, 1.0], [0.0, -1.0]]),
-                    c_values=np.array([-1.0, -1.0, -1e-9, -1e-9], dtype=complex),
-                    centering_kind="none")
+                    c_values=np.array([-1.0, -1.0, -1e-9, -1e-9], dtype=complex))
     verdict = kl.nondegeneracy(law, span_tol=1e-6)
     assert not verdict.nondegenerate
     assert verdict.span_rank == 1
@@ -577,8 +572,9 @@ def test_nondegeneracy_detects_collapsed_span():
 
 def test_transposed_positivity_scalar(scalar_env, scalar_batch, scalar_solution, grid1):
     u = float(np.quantile(scalar_batch.norms(), 0.99))
-    sigma = kl.estimate_sigma(scalar_batch, u, grid1, scalar_solution.kappa, True)
-    check = kl.transposed_positivity_check(scalar_env, 1.0, sigma, np.array([1.0]),
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1,
+                              kl.limit_exponent(scalar_solution.kappa), True)
+    check = kl.transposed_positivity_check(scalar_env, sigma, np.array([1.0]),
                                            2000, substream(92))
     assert check.positive
     assert check.plus_integral > 0 and check.minus_integral > 0
@@ -588,7 +584,7 @@ def test_transposed_positivity_symmetric_matrix_law(grid1):
     env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((0.6, -0.6), (0.5, 0.5)),
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
     sigma = uniform_sigma(grid1, 1.3)
-    check = kl.transposed_positivity_check(env, 1.3, sigma, np.array([1.0]),
+    check = kl.transposed_positivity_check(env, sigma, np.array([1.0]),
                                            20_000, substream(93))
     spread = abs(check.plus_integral - check.minus_integral)
     assert spread <= 3 * math.hypot(check.plus_se, check.minus_se)
@@ -596,5 +592,5 @@ def test_transposed_positivity_symmetric_matrix_law(grid1):
 
 def test_transposed_positivity_rejects_non_unit(scalar_env, grid1):
     with pytest.raises(ConfigurationError):
-        kl.transposed_positivity_check(scalar_env, 1.0, uniform_sigma(grid1, 1.0),
+        kl.transposed_positivity_check(scalar_env, uniform_sigma(grid1, 1.0),
                                        np.array([0.0]), 200, substream(94))

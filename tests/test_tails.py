@@ -163,15 +163,14 @@ def test_sigma_invariance_exact_for_deterministic_rotation(grid2):
     sigma = kl.SpectralMeasure(grid=grid2, mass=np.full(32, 1.0 / 32),
                                threshold_used=1.0, total_mass=1.0, kappa=1.0,
                                sample_count=0, exceedances=0)
-    residual = kl.check_sigma_invariance(sigma, env, 1.0, 500, substream(56))
+    residual = kl.check_sigma_invariance(sigma, env, 500, substream(56))
     assert residual <= 1e-12
 
 
 def test_sigma_invariance_scalar(scalar_batch, scalar_solution, scalar_env, grid1):
     u = float(np.quantile(scalar_batch.norms(), 0.99))
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, scalar_solution.kappa, True)
-    residual = kl.check_sigma_invariance(sigma, scalar_env, scalar_solution.kappa,
-                                         10_000, substream(57))
+    residual = kl.check_sigma_invariance(sigma, scalar_env, 10_000, substream(57))
     assert residual <= 0.10
 
 
@@ -180,7 +179,7 @@ def test_sigma_invariance_rejects_zero_mass(scalar_env, grid1):
                                total_mass=0.0, kappa=1.0, sample_count=0,
                                exceedances=0)
     with pytest.raises(ConfigurationError):
-        kl.check_sigma_invariance(sigma, scalar_env, 1.0, 500, substream(58))
+        kl.check_sigma_invariance(sigma, scalar_env, 500, substream(58))
 
 
 # ---------------------------------------------------------------------------
