@@ -1,8 +1,17 @@
-"""I.i.d. draw collections with provenance metadata, and the atomic CSV writer."""
+"""The file formats: canonical JSON, the atomic CSV writer, and the i.i.d.
+draw collections with provenance metadata.
+
+Each JSON artifact is a dataclass written as its fields (`canonical_json`)
+and rebuilt from them by their annotations (`from_json`).
+"""
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +38,82 @@ def atomic_write(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _jsonable(obj):
+    if hasattr(obj, "to_json_dict"):
+        return _jsonable(obj.to_json_dict())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _jsonable(obj.item())
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON text: sorted keys, floats at 17 significant digits;
+    a dataclass is written as its fields, or its own `to_json_dict`."""
+    obj = _jsonable(obj)
+
+    def emit(x) -> str:
+        if x is None:
+            return "null"
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, float):
+            if not math.isfinite(x):
+                return json.dumps(str(x))
+            return format(x, ".17g")
+        if isinstance(x, str):
+            return json.dumps(x)
+        if isinstance(x, list):
+            return "[" + ",".join(emit(v) for v in x) + "]"
+        if isinstance(x, dict):
+            return "{" + ",".join(
+                f"{json.dumps(k)}:{emit(v)}" for k, v in sorted(x.items())) + "}"
+        raise TypeError(f"cannot serialize {type(x)!r}")
+
+    return emit(obj)
+
+
+def write_canonical_json(obj, path: Path) -> None:
+    with atomic_write(path) as fh:
+        fh.write(canonical_json(obj) + "\n")
+
+
+def _from_jsonable(hint, value):
+    if value is None:
+        return None
+    if isinstance(hint, types.UnionType):       # X | None
+        hint, = (a for a in typing.get_args(hint) if a is not type(None))
+    if hint is np.ndarray:
+        return np.asarray(value, dtype=float)
+    if hint is float:               # canonical JSON writes 1.0 as 1
+        return float(value)
+    if dataclasses.is_dataclass(hint):
+        return hint.from_json_dict(value) if hasattr(hint, "from_json_dict") \
+            else from_json(hint, value)
+    return value
+
+
+def from_json(cls, doc: dict):
+    """The dataclass ``cls`` rebuilt from the fields `canonical_json` wrote:
+    a nested dataclass through its own reader, an array as floats and a
+    float as a float.  Keys that are not fields are ignored; a missing
+    field raises KeyError."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _from_jsonable(hints[f.name], doc[f.name])
+                  for f in dataclasses.fields(cls)})
 
 
 def _write_rows(fh, data: np.ndarray) -> None:
@@ -83,8 +168,7 @@ class SampleBatch:
         """
         meta = {"kind": self.kind, "count": self.count, "dim": self.dim, **self.info}
         cols = ",".join(f"x{i}" for i in range(self.dim))
-        write_csv(path, _HEADER_TAG + json.dumps(meta, sort_keys=True, default=str)
-                  + "\n" + cols, self.data)
+        write_csv(path, _HEADER_TAG + canonical_json(meta) + "\n" + cols, self.data)
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":

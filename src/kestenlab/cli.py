@@ -12,24 +12,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import recursion, spectral, stable_limit, tails
-from .batches import SampleBatch, atomic_write, write_csv
+from .batches import (SampleBatch, _jsonable, canonical_json, from_json, write_canonical_json,
+                      write_csv)
 from .env_models import (ConfigurationError, Environment, bounded, build_environment,
                          check_assumptions, check_field, from_block)
 from .rng import substream
 from .spectral import build_grid
 
-THREADS_ENV_VAR = "KESTENLAB_THREADS"
 LOCK_NAME = ".kestenlab.lock"
 
 STAGES = ("assumptions", "simulate", "lyapunov", "kappa", "tail", "sigma",
@@ -45,11 +45,12 @@ STAGE_DEPENDENCIES = {
     "limit": ("simulate", "kappa", "sigma"),
     "nondeg": ("limit",),
 }
+# stage -> the file it leaves for later stages, and the class in that file
 ARTIFACTS = {
-    "simulate": "stationary_samples.csv",
-    "kappa": "spectral_solution.json",
-    "sigma": "sigma.json",
-    "limit": "stable_law.json",
+    "simulate": ("stationary_samples.csv", SampleBatch),
+    "kappa": ("spectral_solution.json", spectral.SpectralSolution),
+    "sigma": ("sigma.json", tails.SpectralMeasure),
+    "limit": ("stable_law.json", stable_limit.StableLaw),
 }
 
 
@@ -57,62 +58,12 @@ class CliConfigError(ConfigurationError):
     """Schema violation; the message carries the offending field path."""
 
 
-class MissingArtifactError(FileNotFoundError):
-    """A stage needs an upstream output that is not on disk."""
+class MissingArtifactError(RuntimeError):
+    """An output a stage or `report` needs is missing or unreadable."""
 
 
 class StageCheckFailure(RuntimeError):
     """An invariant check requested by the configuration failed."""
-
-
-# ---------------------------------------------------------------------------
-# canonical JSON
-# ---------------------------------------------------------------------------
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _jsonable(obj.item())
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
-    obj = _jsonable(obj)
-
-    def emit(x) -> str:
-        if x is None:
-            return "null"
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        if isinstance(x, int):
-            return str(x)
-        if isinstance(x, float):
-            if not math.isfinite(x):
-                return json.dumps(str(x))
-            return format(x, ".17g")
-        if isinstance(x, str):
-            return json.dumps(x)
-        if isinstance(x, list):
-            return "[" + ",".join(emit(v) for v in x) + "]"
-        if isinstance(x, dict):
-            return "{" + ",".join(
-                f"{json.dumps(k)}:{emit(v)}" for k, v in sorted(x.items())) + "}"
-        raise TypeError(f"cannot serialize {type(x)!r}")
-
-    return emit(obj)
-
-
-def write_canonical_json(obj, path: Path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(canonical_json(obj) + "\n")
 
 
 def env_hash(env_block: dict) -> str:
@@ -315,62 +266,71 @@ class RunContext:
         return self.cache["grid"]
 
 
-def _artifact_path(ctx: RunContext, stage: str) -> Path:
-    return ctx.outdir / ARTIFACTS[stage]
-
-
-def _require_artifact(ctx: RunContext, stage: str) -> Path:
-    path = _artifact_path(ctx, stage)
-    if not path.exists():
+@contextmanager
+def _reading(path: Path):
+    """Refuse, with its name, a file that does not parse as the artifact
+    its reader expects."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
         raise MissingArtifactError(
-            f"stage needs '{path}' from the '{stage}' stage; run it first")
-    return path
+            f"'{path}' is unreadable ({type(exc).__name__}: {exc})") from exc
 
 
-def _check_env_hash(ctx: RunContext, recorded, source: str) -> None:
-    if recorded != ctx.config.env_hash:
-        raise StageCheckFailure(
-            f"{source}: environment hash {recorded!r} does not match the "
-            f"current config ({ctx.config.env_hash!r}); refusing to mix runs")
+def need(ctx: RunContext, stage: str):
+    """The artifact an upstream stage left (see ARTIFACTS): this run's, or
+    the one on disk, refused when it is missing, unreadable or written for
+    a different environment."""
+    if stage not in ctx.cache:
+        name, cls = ARTIFACTS[stage]
+        path = ctx.outdir / name
+        if not path.exists():
+            raise MissingArtifactError(
+                f"stage needs '{path}' from the '{stage}' stage; run it first")
+        with _reading(path):
+            if cls is SampleBatch:
+                obj = SampleBatch.from_csv(path)
+                recorded = obj.info.get("env_hash")
+            else:
+                doc = json.loads(path.read_text())
+                obj, recorded = from_json(cls, doc), doc.get("env_hash")
+        if recorded != ctx.config.env_hash:
+            raise StageCheckFailure(
+                f"{path}: environment hash {recorded!r} does not match the "
+                f"current config ({ctx.config.env_hash!r}); refusing to mix runs")
+        ctx.cache[stage] = obj
+    return ctx.cache[stage]
 
 
+# The stages load through these typed names, which perfbench's tracer times
+# as `cli.artifact_load`.
 def need_stationary(ctx: RunContext) -> SampleBatch:
-    if "stationary" not in ctx.cache:
-        path = _require_artifact(ctx, "simulate")
-        batch = SampleBatch.from_csv(path)
-        _check_env_hash(ctx, batch.info.get("env_hash"), str(path))
-        ctx.cache["stationary"] = batch
-    return ctx.cache["stationary"]
-
-
-def _read_artifact(ctx: RunContext, stage: str) -> dict:
-    """The parsed JSON artifact of an upstream stage, refused when it was
-    written for a different environment."""
-    path = _require_artifact(ctx, stage)
-    doc = json.loads(path.read_text())
-    _check_env_hash(ctx, doc.get("env_hash"), str(path))
-    return doc
+    return need(ctx, "simulate")
 
 
 def need_solution(ctx: RunContext) -> spectral.SpectralSolution:
-    if "solution" not in ctx.cache:
-        ctx.cache["solution"] = spectral.SpectralSolution.from_json_dict(
-            _read_artifact(ctx, "kappa"))
-    return ctx.cache["solution"]
+    return need(ctx, "kappa")
 
 
 def need_sigma(ctx: RunContext) -> tails.SpectralMeasure:
-    if "sigma" not in ctx.cache:
-        ctx.cache["sigma"] = tails.SpectralMeasure.from_json_dict(
-            _read_artifact(ctx, "sigma"))
-    return ctx.cache["sigma"]
+    return need(ctx, "sigma")
 
 
 def need_stable_law(ctx: RunContext) -> stable_limit.StableLaw:
-    if "stable_law" not in ctx.cache:
-        ctx.cache["stable_law"] = stable_limit.StableLaw.from_json_dict(
-            _read_artifact(ctx, "limit"))
-    return ctx.cache["stable_law"]
+    return need(ctx, "limit")
+
+
+def _save(ctx: RunContext, stage: str, obj, **extra) -> None:
+    """Write obj as the stage's artifact, its fields beside the env hash and
+    the extras, and keep it for the stages after."""
+    path = ctx.outdir / ARTIFACTS[stage][0]
+    if isinstance(obj, SampleBatch):
+        obj.info["env_hash"] = ctx.config.env_hash
+        obj.to_csv(path)
+    else:
+        write_canonical_json({**_jsonable(obj), "env_hash": ctx.config.env_hash, **extra},
+                             path)
+    ctx.cache[stage] = obj
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +358,7 @@ def stage_simulate(ctx: RunContext) -> dict:
     batch = recursion.sample_stationary(
         ctx.env, recursion.SeriesConfig(tolerance=block.tolerance), block.count,
         ctx.stream("simulate", 1), threads=ctx.threads)
-    batch.info["env_hash"] = ctx.config.env_hash
-    batch.to_csv(_artifact_path(ctx, "simulate"))  # the samples are the artifact
-    ctx.cache["stationary"] = batch
+    _save(ctx, "simulate", batch)  # the samples are the artifact
     # quantiles, not a mean: at kappa <= 1 the law of R has no mean
     return {"count": batch.count, "truncation": batch.info["truncation"],
             "mean_depth": batch.info["mean_depth"],
@@ -427,12 +385,8 @@ def stage_kappa(ctx: RunContext) -> dict:
                                ctx.stream("kappa", 0))
     r_res, eta_res = spectral.fixed_point_residuals(
         sol, ctx.env, block.mc_per_point, ctx.stream("kappa", 1))
-    doc = sol.to_json_dict()
-    doc["env_hash"] = ctx.config.env_hash
-    doc["residuals"] = {"r_sup": r_res, "eta_tv": eta_res}
-    write_canonical_json(doc, _artifact_path(ctx, "kappa"))
+    _save(ctx, "kappa", sol, residuals={"r_sup": r_res, "eta_tv": eta_res})
     write_csv(ctx.outdir / "rho_history.csv", "kappa,rho", sol.rho_history)
-    ctx.cache["solution"] = sol
     checks = ctx.config.checks
     ctx.checks["kappa_rho_band"] = abs(sol.rho_at_kappa - 1.0) <= checks.rho_band
     ctx.checks["kappa_eigen_residuals"] = (r_res <= checks.eigen_residual_max
@@ -461,10 +415,8 @@ def stage_tail(ctx: RunContext) -> dict:
             direct[key] = {"direct": value, "goldie": float(k_g), "dispersion": dispersion}
         except tails.TailRegimeError as exc:
             direct[key] = {"direct": None, "goldie": float(k_g), "error": str(exc)}
-    doc = estimate.to_json_dict()
-    doc["env_hash"] = ctx.config.env_hash
-    doc["tail_constants"] = direct
-    write_canonical_json(doc, ctx.outdir / "tail_estimate.json")
+    write_canonical_json({**estimate.to_json_dict(), "env_hash": ctx.config.env_hash,
+                          "tail_constants": direct}, ctx.outdir / "tail_estimate.json")
     write_csv(ctx.outdir / "tail_curves.csv", "threshold,scaled_freq",
               np.column_stack([estimate.radial.thresholds, estimate.radial.levels]))
     ctx.checks["tail_hill_matches_kappa"] = abs(estimate.hill.index - sol.kappa) <= 0.1
@@ -484,11 +436,7 @@ def stage_sigma(ctx: RunContext) -> dict:
                                  ctx.env.q_symmetric)
     residual = tails.check_sigma_invariance(sigma, ctx.env, block.invariance_mc,
                                             ctx.stream("sigma", 0))
-    doc = sigma.to_json_dict()
-    doc["env_hash"] = ctx.config.env_hash
-    doc["invariance_residual"] = residual
-    write_canonical_json(doc, _artifact_path(ctx, "sigma"))
-    ctx.cache["sigma"] = sigma
+    _save(ctx, "sigma", sigma, invariance_residual=residual)
     ctx.checks["sigma_invariance"] = residual <= ctx.config.checks.sigma_invariance_max
     return {"threshold": u, "total_mass": sigma.total_mass,
             "exceedances": sigma.exceedances, "invariance_residual": residual}
@@ -508,11 +456,7 @@ def stage_limit(ctx: RunContext) -> dict:
         ctx.stream("limit", 1))
     ecf = stable_limit.empirical_cf(sums, n, cent, block.s_values, dirs)
     fit = stable_limit.stable_fit_check(ecf, law)
-    doc = law.to_json_dict()
-    doc["env_hash"] = ctx.config.env_hash
-    doc["fit_sup_deviation"] = fit.sup_deviation
-    doc["n"] = n
-    write_canonical_json(doc, _artifact_path(ctx, "limit"))
+    _save(ctx, "limit", law, fit_sup_deviation=fit.sup_deviation, n=n)
     rows = [[s, j, ecf.values[i, j].real, ecf.values[i, j].imag]
             for i, s in enumerate(ecf.s_values) for j in range(dirs.shape[0])]
     write_csv(ctx.outdir / "ecf.csv", "s,direction_index,re,im", rows)
@@ -524,7 +468,6 @@ def stage_limit(ctx: RunContext) -> dict:
               "w_depth_quantiles": law.provenance["w_depth_quantiles"]}
     ctx.checks["limit_cf_deviation"] = (
         fit.sup_deviation <= ctx.config.checks.cf_deviation_max + law.error_budget)
-    ctx.cache["stable_law"] = law
     return result
 
 
@@ -537,7 +480,7 @@ def stage_nondeg(ctx: RunContext) -> dict:
         ctx.stream("nondeg", 0))
     ctx.checks["nondegenerate"] = verdict.nondegenerate
     ctx.checks["transposed_positivity"] = tp.positive
-    return {"verdict": verdict.to_json_dict(),
+    return {"verdict": asdict(verdict),
             "plus_integral": tp.plus_integral, "plus_se": tp.plus_se,
             "minus_integral": tp.minus_integral, "minus_se": tp.minus_se}
 
@@ -665,10 +608,11 @@ def aggregate_report(outdir: Path) -> dict:
     for stage in STAGES:
         path = outdir / f"stage_{stage}.json"
         if path.exists():
-            doc = json.loads(path.read_text())
-            fragments[stage] = doc["result"]
-            checks.update(doc.get("checks", {}))
-            env_hashes.add(doc["env_hash"])
+            with _reading(path):
+                doc = json.loads(path.read_text())
+                fragments[stage] = doc["result"]
+                checks.update(doc.get("checks", {}))
+                env_hashes.add(doc["env_hash"])
     if not fragments:
         raise MissingArtifactError(f"output directory '{outdir}' holds no stage_*.json")
     if len(env_hashes) > 1:
@@ -689,24 +633,15 @@ def aggregate_report(outdir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _threads_from(args) -> int:
-    """--threads, else $KESTENLAB_THREADS, else the cores this process may
-    use; results do not depend on it.  A value that is not an integer >= 1
-    is refused with the flag or variable it came from."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    elif os.environ.get(THREADS_ENV_VAR):
-        source, value = THREADS_ENV_VAR, os.environ[THREADS_ENV_VAR]
-    elif hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    else:
+    """--threads, else the cores this process may use; results do not
+    depend on it.  A value below 1 is refused."""
+    if args.threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        _fail(source, f"expected an integer >= 1, got {value!r}")
-    return threads
+    if args.threads < 1:
+        _fail("--threads", f"expected an integer >= 1, got {args.threads!r}")
+    return args.threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -720,8 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (fallback: ${THREADS_ENV_VAR}, "
-                            "then the available cores)")
+                       help="worker threads (default: the available cores)")
 
     add_common(sub.add_parser("run", help="execute the configured pipeline"))
     for name in STAGES:

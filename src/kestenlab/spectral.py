@@ -341,32 +341,6 @@ class SpectralSolution:
     mc_per_point: int
     reducible_directions: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "rho_at_kappa": self.rho_at_kappa,
-            "alpha": self.alpha,
-            "grid": self.grid.to_json_dict(),
-            "r": self.r.tolist(),
-            "eta": self.eta.tolist(),
-            "pi": self.pi.tolist(),
-            "rho_history": [[k, r] for k, r in self.rho_history],
-            "mc_per_point": self.mc_per_point,
-            "reducible_directions": self.reducible_directions,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SpectralSolution":
-        return cls(
-            kappa=doc["kappa"], rho_at_kappa=doc["rho_at_kappa"],
-            rho_history=[tuple(x) for x in doc["rho_history"]],
-            grid=SphereGrid.from_json_dict(doc["grid"]),
-            r=np.asarray(doc["r"], dtype=float),
-            eta=np.asarray(doc["eta"], dtype=float),
-            pi=np.asarray(doc["pi"], dtype=float),
-            alpha=doc["alpha"], mc_per_point=doc["mc_per_point"],
-            reducible_directions=doc["reducible_directions"])
-
 
 def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float],
                 mc_n: int, rng: np.random.Generator, *, rho_tol: float = 1e-3,

@@ -94,9 +94,6 @@ class CKappaValue:
     value: complex
     error_budget: float
 
-    def __complex__(self):
-        return self.value
-
 
 def _levy_radial_integral(b: np.ndarray, kappa: float) -> np.ndarray:
     """Exact integral over s in (0, inf) of the compensated plane wave
@@ -268,7 +265,10 @@ class StableLaw:
 
     def __post_init__(self):
         self.directions = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        self.c_values = np.asarray(self.c_values, dtype=complex)
+        c = np.asarray(self.c_values)
+        if c.ndim == 2:                 # [re, im] pairs, as canonical JSON writes them
+            c = np.array([complex(re, im) for re, im in c])
+        self.c_values = np.asarray(c, dtype=complex)
         worst = float(np.max(self.c_values.real))
         if worst > self.error_budget + 1e-12:
             raise ConfigurationError(
@@ -279,25 +279,6 @@ class StableLaw:
         """exp(s^kappa C(v)) on the outer grid, shape (n_s, n_dirs)."""
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
         return np.exp(s[:, None] ** self.kappa * self.c_values[None, :])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "directions": self.directions.tolist(),
-            "c_values": [[z.real, z.imag] for z in self.c_values],
-            "centering_kind": _centering_kind(self.kappa),
-            "m_kappa": None if self.m_kappa is None else np.asarray(self.m_kappa).tolist(),
-            "error_budget": self.error_budget,
-            "provenance": self.provenance or {},
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "StableLaw":
-        return cls(kappa=float(doc["kappa"]),
-                   directions=np.asarray(doc["directions"], dtype=float),
-                   c_values=np.asarray([complex(re, im) for re, im in doc["c_values"]]),
-                   m_kappa=None if doc["m_kappa"] is None else np.asarray(doc["m_kappa"]),
-                   error_budget=doc["error_budget"], provenance=doc.get("provenance"))
 
 
 def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
@@ -324,14 +305,13 @@ def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
 @dataclass(frozen=True)
 class StableFit:
     sup_deviation: float
-    deviations: np.ndarray
 
 
 def stable_fit_check(ecf: EcfGrid, law: StableLaw) -> StableFit:
     """Sup over the (s, v) grid of |empirical CF - exp(s^kappa C(v))|."""
     model = law.cf(ecf.s_values)
     dev = np.abs(ecf.values - model)
-    return StableFit(sup_deviation=float(dev.max()), deviations=dev)
+    return StableFit(sup_deviation=float(dev.max()))
 
 
 @dataclass(frozen=True)
@@ -372,17 +352,6 @@ class NondegeneracyVerdict:
     dim: int
     c_of_kappa: float
     offending_basis: np.ndarray | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nondegenerate": self.nondegenerate,
-            "all_negative": self.all_negative,
-            "span_rank": self.span_rank,
-            "dim": self.dim,
-            "c_of_kappa": self.c_of_kappa,
-            "offending_basis": None if self.offending_basis is None
-            else self.offending_basis.tolist(),
-        }
 
 
 def nondegeneracy(law: StableLaw, span_tol: float = 1e-6) -> NondegeneracyVerdict:

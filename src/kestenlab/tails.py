@@ -167,25 +167,6 @@ class SpectralMeasure:
         a = np.maximum(self.grid.points @ np.asarray(v, dtype=float), 0.0)
         return float(np.sum(self.mass * a ** self.kappa) / self.kappa)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "threshold_used": self.threshold_used,
-            "total_mass": self.total_mass,
-            "mass": self.mass.tolist(),
-            "sample_count": self.sample_count,
-            "exceedances": self.exceedances,
-            "grid": self.grid.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SpectralMeasure":
-        return cls(grid=SphereGrid.from_json_dict(doc["grid"]),
-                   mass=np.asarray(doc["mass"], dtype=float),
-                   threshold_used=doc["threshold_used"], total_mass=doc["total_mass"],
-                   kappa=float(doc["kappa"]), sample_count=doc["sample_count"],
-                   exceedances=doc["exceedances"])
-
 
 def _exceedance_cells(data: np.ndarray, norms: np.ndarray, u: float,
                       grid: SphereGrid) -> np.ndarray:

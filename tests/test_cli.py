@@ -5,6 +5,7 @@ import math
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,8 @@ import yaml
 
 import kestenlab
 from kestenlab import batches, cli, recursion, stable_limit
-from kestenlab.batches import SampleBatch
-from kestenlab.cli import (STAGE_INDEX, CliConfigError, canonical_json, env_hash,
-                           load_config, validate_config)
+from kestenlab.batches import SampleBatch, canonical_json, from_json
+from kestenlab.cli import STAGE_INDEX, CliConfigError, env_hash, load_config, validate_config
 from kestenlab.env_models import Environment
 from kestenlab.rng import substream
 
@@ -103,10 +103,10 @@ def test_canonical_json_is_sorted_and_precise():
 
 def test_failed_json_write_keeps_previous_file(tmp_path):
     path = tmp_path / "doc.json"
-    cli.write_canonical_json({"a": 1}, path)
+    batches.write_canonical_json({"a": 1}, path)
     before = path.read_bytes()
     with pytest.raises(TypeError):
-        cli.write_canonical_json({"a": 2, "b": object()}, path)
+        batches.write_canonical_json({"a": 2, "b": object()}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
@@ -360,7 +360,15 @@ def test_full_pipeline_green(tmp_path):
     assert 1 <= w_depths["0.5"] <= w_depths["0.9"] <= w_depths["0.99"]
     limit = report["stages"]["limit"]
     assert limit["pairs_drawn"] == limit["n"] * limit["replicas"]
-    # the keys of sigma.json and tail_estimate.json that perfbench/checks.py reads
+    # the artifact keys that perfbench/checks.py reads
+    solution = json.loads((outdir / "spectral_solution.json").read_text())
+    assert {"kappa", "alpha", "rho_at_kappa", "mc_per_point", "r", "eta"} <= set(solution)
+    assert len(solution["grid"]["points"]) == len(solution["r"]) == len(solution["eta"])
+    law = json.loads((outdir / "stable_law.json").read_text())
+    assert np.asarray(law["c_values"], dtype=float).shape == (len(law["directions"]), 2)
+    assert law["error_budget"] >= 0.0
+    nondeg = json.loads((outdir / "stage_nondeg.json").read_text())
+    assert nondeg["result"]["verdict"]["nondegenerate"] is True
     sigma = json.loads((outdir / "sigma.json").read_text())
     assert {"mass", "kappa", "threshold_used", "sample_count", "exceedances"} <= set(sigma)
     assert sigma["grid"]["weights"] == [1.0 / len(sigma["mass"])] * len(sigma["mass"])
@@ -490,6 +498,55 @@ def test_missing_upstream_artifact_names_file(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "stationary_samples.csv" in err and "simulate" in err
+
+
+@pytest.fixture(scope="module")
+def upstream_outputs(tmp_path_factory):
+    """A config and the output directory of its simulate, kappa, tail and
+    sigma stages."""
+    path, outdir = write_config(tmp_path_factory.mktemp("upstream"),
+                                pipeline=["simulate", "kappa", "tail", "sigma"])
+    assert cli.main(["run", "--config", str(path)]) == 0
+    return path, outdir
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _drop_first_line(path):
+    path.write_text(path.read_text().split("\n", 1)[1])
+
+
+def _drop_key(key):
+    def drop(path):
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+    return drop
+
+
+@pytest.mark.parametrize("command, name, corrupt", [
+    ("tail", "spectral_solution.json", _truncate),
+    ("limit", "sigma.json", _drop_key("mass")),
+    ("sigma", "stationary_samples.csv", _drop_first_line),
+    ("report", "stage_tail.json", _truncate),
+    ("report", "stage_tail.json", _drop_key("result")),
+], ids=["truncated-solution", "sigma-without-mass", "csv-without-header",
+        "truncated-fragment", "fragment-without-result"])
+def test_unreadable_artifact_is_a_named_error(upstream_outputs, tmp_path, capsys,
+                                              command, name, corrupt):
+    path, upstream = upstream_outputs
+    outdir = tmp_path / "out"
+    shutil.copytree(upstream, outdir)
+    corrupt(outdir / name)
+    args = ["--out", str(outdir)]
+    if command != "report":
+        args += ["--config", str(path)]
+    assert cli.main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(outdir / name) in err
+    assert err.count("\n") == 1
 
 
 def test_env_hash_mismatch_refused(tmp_path, capsys):
@@ -630,34 +687,20 @@ def test_report_without_fragments_keeps_report(tmp_path, capsys):
     assert (tmp_path / "report.json").read_text() == '{"keep":1}'
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    path, outdir = write_config(tmp_path, pipeline=["simulate"])
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "2")
-    assert cli.main(["run", "--config", str(path)]) == 0
-    report = json.loads((outdir / "report.json").read_text())
-    assert report["threads"] == 2
-
-
 @pytest.mark.parametrize("argv, env_value, source", [
     (["--threads", "0"], None, "--threads"),
     (["--threads", "-2"], None, "--threads"),
-    ([], "two", cli.THREADS_ENV_VAR),
-    ([], "1.5", cli.THREADS_ENV_VAR),
-    ([], "0", cli.THREADS_ENV_VAR),
 ])
-def test_bad_thread_count_is_refused(tmp_path, monkeypatch, capsys, argv, env_value, source):
+def test_bad_thread_count_is_refused(tmp_path, capsys, argv, env_value, source):
     path, outdir = write_config(tmp_path, pipeline=["simulate"])
-    if env_value is not None:
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, env_value)
     assert cli.main(["run", "--config", str(path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {source}:") and err.count("\n") == 1
     assert not outdir.exists()
 
 
-def test_threads_default_to_available_cores(tmp_path, monkeypatch):
+def test_threads_default_to_available_cores(tmp_path):
     path, outdir = write_config(tmp_path, pipeline=["simulate"])
-    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
     assert cli.main(["run", "--config", str(path)]) == 0
     report = json.loads((outdir / "report.json").read_text())
     assert report["threads"] == len(os.sched_getaffinity(0))
@@ -761,8 +804,8 @@ def test_root_seed_reproduces_draws(tmp_path):
     sums = recursion.birkhoff_sums(config.env, recursion.PathConfig(
         n_steps=frag["n"], start_x=(0.0,), replicas=frag["replicas"]),
         substream(seed, STAGE_INDEX["limit"], 1))
-    law = stable_limit.StableLaw.from_json_dict(
-        json.loads((outdir / "stable_law.json").read_text()))
+    law = from_json(stable_limit.StableLaw,
+                    json.loads((outdir / "stable_law.json").read_text()))
     cent = stable_limit.centering(config.env, law.kappa, written)
     ecf = stable_limit.empirical_cf(sums, frag["n"], cent, config.mc.limit.s_values,
                                     law.directions)

@@ -9,7 +9,7 @@ from scipy import special, stats
 
 import kestenlab as kl
 from kestenlab import spectral
-from kestenlab.cli import canonical_json
+from kestenlab.batches import canonical_json, from_json
 from kestenlab.env_models import ConfigurationError, operator_norm
 from kestenlab.rng import substream
 from kestenlab.spectral import (COLUMN_ACTION, ROW_ACTION, SpectralBracketError,
@@ -374,9 +374,9 @@ def test_rho_consistent_with_products_similarity(similarity_env, grid2):
 
 
 def test_solution_json_round_trip(scalar_solution):
-    text = canonical_json(scalar_solution.to_json_dict())
-    back = SpectralSolution.from_json_dict(json.loads(text))
-    assert canonical_json(back.to_json_dict()) == text
+    text = canonical_json(scalar_solution)
+    back = from_json(SpectralSolution, json.loads(text))
+    assert canonical_json(back) == text
 
 
 def test_grid_json_round_trip():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import kestenlab as kl
-from kestenlab.batches import SampleBatch
-from kestenlab.cli import canonical_json
+from kestenlab.batches import SampleBatch, canonical_json, from_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.recursion import NonContractionError
 from kestenlab.rng import substream
@@ -448,11 +447,15 @@ def test_stable_law_validates_damping():
               c_values=np.array([-0.5 + 0.1j, -1 / 3 + 0.0j]),
               m_kappa=np.array([0.25, -1 / 7]), error_budget=0.01,
               provenance={"w_draws": 2000, "w_depth": 41}),
+    # canonical JSON writes kappa = 1.0 as 1
+    StableLaw(kappa=1.0, directions=np.array([[1.0], [-1.0]]),
+              c_values=np.array([-1.5 + 0.5j, -1.5 - 0.5j])),
 ])
 def test_stable_law_json_round_trip(law):
-    text = canonical_json(law.to_json_dict())
-    back = StableLaw.from_json_dict(json.loads(text))
-    assert canonical_json(back.to_json_dict()) == text
+    text = canonical_json(law)
+    back = from_json(StableLaw, json.loads(text))
+    assert canonical_json(back) == text
+    assert type(back.kappa) is float
 
 
 @given(st.floats(min_value=0.2, max_value=1.9),

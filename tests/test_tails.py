@@ -6,8 +6,7 @@ import pytest
 from scipy import optimize
 
 import kestenlab as kl
-from kestenlab.batches import SampleBatch
-from kestenlab.cli import canonical_json
+from kestenlab.batches import SampleBatch, canonical_json, from_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
 from kestenlab.tails import (RegularVariationError, SpectralMeasure, TailRegimeError,
@@ -136,9 +135,9 @@ def test_sigma_isotropic_is_uniform(sim_batch):
 def test_sigma_json_round_trip(scalar_batch, grid1):
     u = float(np.quantile(scalar_batch.norms(), 0.99))
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, 1.0, True)
-    text = canonical_json(sigma.to_json_dict())
-    back = SpectralMeasure.from_json_dict(json.loads(text))
-    assert canonical_json(back.to_json_dict()) == text
+    text = canonical_json(sigma)
+    back = from_json(SpectralMeasure, json.loads(text))
+    assert canonical_json(back) == text
 
 
 def test_sigma_requires_enough_exceedances(scalar_batch, grid1):
