@@ -223,6 +223,8 @@ def load_config(path, **overrides) -> RunConfig:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:
         raise CliConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, say, or not UTF-8
+        raise CliConfigError(f"config file {path} is unreadable ({exc})")
     except yaml.YAMLError as exc:
         raise CliConfigError(f"config: not parseable YAML ({exc})")
     return validate_config(raw, **overrides)
@@ -450,24 +452,24 @@ def stage_limit(ctx: RunContext) -> dict:
     dirs = ctx.direction_set(block.n_directions)
     cent = stable_limit.centering(ctx.env, sigma.kappa, batch)
     law = stable_limit.compute_stable_law(ctx.env, sigma, dirs, block.w_draws,
-                                          ctx.stream("limit", 0), cent=cent)
+                                          ctx.stream("limit", 0))
     sums = recursion.birkhoff_sums(ctx.env, recursion.PathConfig(
         n_steps=n, start_x=tuple(np.zeros(ctx.env.dim)), replicas=block.replicas),
         ctx.stream("limit", 1))
     ecf = stable_limit.empirical_cf(sums, n, cent, block.s_values, dirs)
-    fit = stable_limit.stable_fit_check(ecf, law)
-    _save(ctx, "limit", law, fit_sup_deviation=fit.sup_deviation, n=n)
+    deviation = stable_limit.stable_fit_check(ecf, law)
+    _save(ctx, "limit", law, fit_sup_deviation=deviation, n=n)
     rows = [[s, j, ecf.values[i, j].real, ecf.values[i, j].imag]
             for i, s in enumerate(ecf.s_values) for j in range(dirs.shape[0])]
     write_csv(ctx.outdir / "ecf.csv", "s,direction_index,re,im", rows)
     result = {"n": n, "replicas": block.replicas,
               "pairs_drawn": sums.info["pairs_drawn"],
-              "sup_deviation": fit.sup_deviation,
+              "sup_deviation": deviation,
               "error_budget": law.error_budget,
               "c_values": [[z.real, z.imag] for z in law.c_values],
               "w_depth_quantiles": law.provenance["w_depth_quantiles"]}
     ctx.checks["limit_cf_deviation"] = (
-        fit.sup_deviation <= ctx.config.checks.cf_deviation_max + law.error_budget)
+        deviation <= ctx.config.checks.cf_deviation_max + law.error_budget)
     return result
 
 
@@ -588,7 +590,11 @@ def run(config_path, out_override: str | None = None,
         _fail("pipeline", "expected a non-empty list of stages to run; "
               f"valid: {', '.join(STAGES)}")
     outdir = Path(config.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail("--out" if out_override else "output.directory",
+              f"cannot make the directory '{outdir}' ({exc.strerror})")
     ctx = RunContext(config=config, outdir=outdir, threads=threads)
     with _Lock(outdir):
         for stage in todo:
@@ -602,7 +608,8 @@ def aggregate_report(outdir: Path) -> dict:
     """Rebuild report.json, verdicts included, from the stage fragments
     present on disk."""
     if not outdir.is_dir():
-        raise MissingArtifactError(f"output directory '{outdir}' does not exist")
+        problem = "is not a directory" if outdir.exists() else "does not exist"
+        raise MissingArtifactError(f"output directory '{outdir}' {problem}")
     fragments, checks = {}, {}
     env_hashes = set()
     for stage in STAGES:

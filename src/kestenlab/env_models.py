@@ -530,6 +530,7 @@ def build_environment(block, path: str) -> Environment:
 # ---------------------------------------------------------------------------
 
 NOT_CHECKABLE = "not-checkable"
+_DIRECTION_RESOLUTION = 64  # grid resolution of the inf over directions in A7
 
 
 @dataclass
@@ -574,8 +575,8 @@ def _moment_diagnostic(x: np.ndarray) -> tuple[float, float, bool]:
     return mean, se, ok
 
 
-def check_assumptions(env: Environment, mc_n: int, rng: np.random.Generator,
-                      direction_resolution: int = 64) -> AssumptionReport:
+def check_assumptions(env: Environment, mc_n: int,
+                      rng: np.random.Generator) -> AssumptionReport:
     """Monte-Carlo feasibility checks for the moment assumptions.
 
     Support/density conditions cannot be certified from draws alone, so
@@ -611,7 +612,7 @@ def check_assumptions(env: Environment, mc_n: int, rng: np.random.Generator,
     entries["A6"] = _check_a6(env, m, q)
 
     # A7: moment conditions at the candidate exponent
-    entries["A7"] = _check_a7(env, m, q, m_norms, q_norms, direction_resolution)
+    entries["A7"] = _check_a7(env, m, q, m_norms, q_norms)
 
     return AssumptionReport(entries=entries, mc_n=mc_n)
 
@@ -639,12 +640,11 @@ def _check_a6(env: Environment, m: np.ndarray, q: np.ndarray) -> AssumptionEntry
 
 
 def _check_a7(env: Environment, m: np.ndarray, q: np.ndarray,
-              m_norms: np.ndarray, q_norms: np.ndarray,
-              direction_resolution: int) -> AssumptionEntry:
+              m_norms: np.ndarray, q_norms: np.ndarray) -> AssumptionEntry:
     from .spectral import build_grid  # local import; spectral does not import back
 
     k0 = env.kappa0_hint
-    grid = build_grid(env.dim, direction_resolution)
+    grid = build_grid(env.dim, _DIRECTION_RESOLUTION)
     # inf over grid directions of |vM| per draw (row action)
     vm = np.einsum("gj,njk->ngk", grid.points, m)
     inf_norms = np.linalg.norm(vm, axis=2).min(axis=1)

@@ -22,6 +22,9 @@ from .env_models import ConfigurationError, Environment, sample_pairs
 ROW_ACTION = "T_kappa"        # direction of vM, weight |vM|^kappa
 COLUMN_ACTION = "T_kappa_star"  # direction of Mv, weight |Mv|^kappa
 _GOLDIE_BLOCK = 8192          # stationary samples per block of the K(v) brackets
+_RHO_TOL = 1e-3               # the kappa bisection stops once |rho - 1| is this small
+_WIDTH_TOL = 1e-3             # ... or once its bracket is this narrow
+_ACCEPT_BAND = 0.01           # warn when rho at the solved kappa is further from 1
 
 
 class SpectralBracketError(ConfigurationError):
@@ -343,12 +346,11 @@ class SpectralSolution:
 
 
 def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float],
-                mc_n: int, rng: np.random.Generator, *, rho_tol: float = 1e-3,
-                width_tol: float = 1e-3, accept_band: float = 0.01) -> SpectralSolution:
+                mc_n: int, rng: np.random.Generator) -> SpectralSolution:
     """Bisection for rho(kappa) = 1 with shared draws across evaluations.
 
-    After the root is bracketed to width_tol (or the spectral radius is
-    within rho_tol of 1), the eigen-objects are extracted at the solved
+    After the root is bracketed to _WIDTH_TOL (or the spectral radius is
+    within _RHO_TOL of 1), the eigen-objects are extracted at the solved
     exponent: right vector r (normalized so its eta-integral is 1), left
     probability eta, the twisted stationary law pi = r * eta, and the mean
     log-expansion alpha under the kappa-shifted kernel.
@@ -374,10 +376,10 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
             f"rho({hi}) = {rho_hi:.4f} <= 1; increase the upper bracket "
             "(the moment condition may fail below this exponent)")
     kappa = 0.5 * (lo + hi)
-    while hi - lo > width_tol:
+    while hi - lo > _WIDTH_TOL:
         kappa = 0.5 * (lo + hi)
         rho_mid = rho_at(kappa)
-        if abs(rho_mid - 1.0) <= rho_tol:
+        if abs(rho_mid - 1.0) <= _RHO_TOL:
             break
         if math.log(rho_mid) > 0.0:
             hi = kappa
@@ -387,7 +389,7 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
         kappa = 0.5 * (lo + hi)
 
     rho_final, r_vals, eta, reducible = _perron(draws.matrix(kappa))
-    if abs(rho_final - 1.0) > accept_band:
+    if abs(rho_final - 1.0) > _ACCEPT_BAND:
         warnings.warn(f"rho at the solved kappa is {rho_final:.4f}; "
                       "the fixed point is outside the acceptance band")
     r_vals = r_vals / float(r_vals @ eta)

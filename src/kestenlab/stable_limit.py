@@ -19,6 +19,7 @@ from .recursion import SeriesConfig, _walk_products, quantiles
 from .tails import SpectralMeasure
 
 _EULER_GAMMA = 0.5772156649015329
+_SPAN_TOL = 1e-6      # Re C(v) below -_SPAN_TOL counts v as strictly damped
 
 
 def limit_exponent(kappa: float) -> float:
@@ -33,14 +34,6 @@ def limit_exponent(kappa: float) -> float:
     if not 0.0 < kappa < 2.0:
         raise ConfigurationError("stable regime needs kappa in (0, 2)")
     return 1.0 if 0.98 <= kappa <= 1.02 else kappa
-
-
-def _centering_kind(kappa: float) -> str:
-    """No centering below 1, the truncated mean xi at 1 exactly, and the
-    stationary mean above 1."""
-    if kappa == 1.0:
-        return "xi"
-    return "none" if kappa < 1.0 else "mean"
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +82,6 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
 # the limit exponent C(v)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CKappaValue:
-    value: complex
-    error_budget: float
-
-
 def _levy_radial_integral(b: np.ndarray, kappa: float) -> np.ndarray:
     """Exact integral over s in (0, inf) of the compensated plane wave
     (e^{ibs} - 1 - centering) against s^(-kappa-1) ds, vectorized in b.
@@ -121,10 +108,10 @@ def _levy_radial_integral(b: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def c_kappa(v, sigma: SpectralMeasure, env: Environment,
-            cache: WMatrixCache) -> CKappaValue:
-    """Limit exponent C(v) at sigma's exponent kappa: the integral of the
-    corrected plane-wave increment against the product tail measure in
-    polar form.
+            cache: WMatrixCache) -> tuple[complex, float]:
+    """Limit exponent C(v) at sigma's exponent kappa, with its error budget:
+    the integral of the corrected plane-wave increment against the product
+    tail measure in polar form.
 
     Per angular atom w the radial integrand along direction w is
         (exp(i s <v,w>) - 1) h_v(s w) - centering(s, <v,w>)
@@ -151,7 +138,7 @@ def c_kappa(v, sigma: SpectralMeasure, env: Environment,
     value = complex(np.mean(per_draw))
     se = float(np.sqrt(np.var(per_draw.real) + np.var(per_draw.imag))
                / math.sqrt(cache.count))
-    return CKappaValue(value=value, error_budget=3.0 * se)
+    return value, 3.0 * se
 
 
 def cos_tail_constant(kappa: float) -> float:
@@ -169,61 +156,31 @@ def cos_tail_constant(kappa: float) -> float:
 @dataclass(eq=False)
 class CenteringResult:
     kappa: float                    # the limit exponent the sums are scaled by
-    m: np.ndarray | None = None
-    m_se: np.ndarray | None = None
-    samples: np.ndarray | None = None
-
-    @property
-    def kind(self) -> str:
-        return _centering_kind(self.kappa)
-
-    def xi(self, t: float) -> np.ndarray:
-        if self.kind != "xi":
-            raise ConfigurationError("xi is only defined in the kappa = 1 regime")
-        tr = t * self.samples
-        return np.mean(tr / (1.0 + np.sum(tr * tr, axis=1))[:, None], axis=0)
-
-    def shift(self, n: int, dim: int) -> np.ndarray:
-        """d_n: the additive centering of S_n before rescaling."""
-        if self.kind == "none":
-            return np.zeros(dim)
-        if self.kind == "mean":
-            return n * self.m
-        return n * n * self.xi(1.0 / n)
+    m: np.ndarray | None = None     # the stationary mean, or None: no centering
 
 
 def centering(env: Environment, kappa: float, samples) -> CenteringResult:
-    """Centering data at the limit exponent kappa: nothing below 1, the
-    stationary mean above 1, and the truncated-mean function xi at 1.
+    """The centering of S_n at the limit exponent kappa: n E R above 1 and
+    n xi(1/n) at 1, with xi(t) = E[tR / (1 + |tR|^2)], none below 1.
 
-    For symmetric Q the stationary law is symmetric, so the draws are
-    augmented with their reflections; the odd centering integrands then
-    average to zero exactly instead of carrying O(n * se) noise into the
-    normalized sums.
+    A symmetric Q makes R symmetric, so both centerings vanish exactly and
+    nothing is subtracted; the limit at 1 needs that symmetry.  Otherwise,
+    above 1, m is the stationary sample mean.
     """
-    kind = _centering_kind(kappa)
-    if kind == "none":
-        return CenteringResult(kappa)
-    if kind == "xi" and not env.q_symmetric:
+    if kappa == 1.0 and not env.q_symmetric:
         raise ConfigurationError(
             "kappa = 1 centering requires a symmetric Q law")
-    data = data_of(samples)
-    if env.q_symmetric:
-        data = np.concatenate([data, -data], axis=0)
-    if kind == "xi":
-        return CenteringResult(kappa, samples=data)
-    return CenteringResult(kappa, m=data.mean(axis=0),
-                           m_se=data.std(axis=0) / math.sqrt(data.shape[0]))
+    if env.q_symmetric or kappa < 1.0:
+        return CenteringResult(kappa)
+    return CenteringResult(kappa, m=data_of(samples).mean(axis=0))
 
 
 def normalized_sums(sums, n: int, cent: CenteringResult) -> np.ndarray:
-    """n^(-1/kappa) (S_n - d_n) at the centering's exponent kappa; at
-    kappa = 1 this is S_n / n - n xi(1/n)."""
+    """(S_n - n m) / n^(1/kappa) at the centering's exponent kappa."""
     data = data_of(sums)
-    if cent.kind == "xi":
-        return data / n - n * cent.xi(1.0 / n)[None, :]
-    shift = cent.shift(n, data.shape[1])
-    return (data - shift[None, :]) / n ** (1.0 / cent.kappa)
+    if cent.m is not None:
+        data = data - n * cent.m
+    return data / n ** (1.0 / cent.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +216,6 @@ class StableLaw:
     kappa: float
     directions: np.ndarray
     c_values: np.ndarray
-    m_kappa: np.ndarray | None = None
     error_budget: float = 0.0
     provenance: dict | None = None
 
@@ -282,8 +238,7 @@ class StableLaw:
 
 
 def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
-                       mc: int, rng: np.random.Generator,
-                       cent: CenteringResult | None = None) -> StableLaw:
+                       mc: int, rng: np.random.Generator) -> StableLaw:
     """C(v) at sigma's exponent on a direction set with one shared
     matrix-series cache."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -291,40 +246,26 @@ def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
     c_vals = np.empty(directions.shape[0], dtype=complex)
     budget = 0.0
     for i, v in enumerate(directions):
-        ck = c_kappa(v, sigma, env, cache)
-        c_vals[i] = ck.value
-        budget = max(budget, ck.error_budget)
-    m_kappa = cent.m if (cent is not None and cent.kind == "mean") else None
+        c_vals[i], error_budget = c_kappa(v, sigma, env, cache)
+        budget = max(budget, error_budget)
     return StableLaw(kappa=sigma.kappa, directions=directions, c_values=c_vals,
-                     m_kappa=m_kappa, error_budget=budget,
+                     error_budget=budget,
                      provenance={"w_draws": mc, "w_depth": cache.max_depth,
                                  "w_depth_quantiles": cache.depth_quantiles,
                                  "sigma_threshold": sigma.threshold_used})
 
 
-@dataclass(frozen=True)
-class StableFit:
-    sup_deviation: float
-
-
-def stable_fit_check(ecf: EcfGrid, law: StableLaw) -> StableFit:
+def stable_fit_check(ecf: EcfGrid, law: StableLaw) -> float:
     """Sup over the (s, v) grid of |empirical CF - exp(s^kappa C(v))|."""
-    model = law.cf(ecf.s_values)
-    dev = np.abs(ecf.values - model)
-    return StableFit(sup_deviation=float(dev.max()))
-
-
-@dataclass(frozen=True)
-class SelfSimilarity:
-    ks_by_direction: np.ndarray
-    max_ks: float
+    return float(np.abs(ecf.values - law.cf(ecf.s_values)).max())
 
 
 def self_similarity_check(sums_small: SampleBatch, sums_large: SampleBatch,
-                          cent: CenteringResult, directions) -> SelfSimilarity:
+                          cent: CenteringResult, directions) -> np.ndarray:
     """Model-free stability check: normalized sums at n and 2n should agree
     in law, so each one-dimensional projection is compared by a two-sample
-    Kolmogorov distance after the n^(-1/kappa) rescalings."""
+    Kolmogorov distance after the n^(-1/kappa) rescalings; one distance
+    per direction."""
     n_small = int(sums_small.info["n_steps"])
     n_large = int(sums_large.info["n_steps"])
     y_small = normalized_sums(sums_small, n_small, cent)
@@ -337,7 +278,7 @@ def self_similarity_check(sums_small: SampleBatch, sums_large: SampleBatch,
         pooled = np.concatenate([a, b])
         ks[i] = np.max(np.abs(np.searchsorted(a, pooled, side="right") / a.size
                               - np.searchsorted(b, pooled, side="right") / b.size))
-    return SelfSimilarity(ks_by_direction=ks, max_ks=float(ks.max()))
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +295,12 @@ class NondegeneracyVerdict:
     offending_basis: np.ndarray | None
 
 
-def nondegeneracy(law: StableLaw, span_tol: float = 1e-6) -> NondegeneracyVerdict:
+def nondegeneracy(law: StableLaw) -> NondegeneracyVerdict:
     """Support spans the whole space iff the strictly-damped directions do:
-    Re C(v) < 0 everywhere and {v : Re C(v) < -span_tol} has full rank."""
+    Re C(v) < 0 everywhere and {v : Re C(v) < -_SPAN_TOL} has full rank."""
     re = law.c_values.real
     all_negative = bool(np.all(re < 0.0))
-    active = law.directions[re < -span_tol]
+    active = law.directions[re < -_SPAN_TOL]
     rank = int(np.linalg.matrix_rank(active)) if active.size else 0
     dim = law.directions.shape[1]
     offending = None

@@ -20,6 +20,8 @@ from .batches import data_of
 from .env_models import ConfigurationError, Environment
 from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws
 
+_INTEGER_TOL = 0.05  # a kappa this close to an integer is treated as that integer
+
 
 class TailRegimeError(RuntimeError):
     """The requested statistic is outside the resolvable tail regime."""
@@ -29,10 +31,9 @@ class RegularVariationError(ValueError):
     """The exponent/symmetry combination does not guarantee a product tail."""
 
 
-def _require_regular_variation(kappa: float, q_symmetric: bool,
-                               integer_tol: float = 0.05) -> None:
+def _require_regular_variation(kappa: float, q_symmetric: bool) -> None:
     nearest = round(kappa)
-    if nearest >= 1 and abs(kappa - nearest) <= integer_tol:
+    if nearest >= 1 and abs(kappa - nearest) <= _INTEGER_TOL:
         if nearest % 2 == 0:
             raise RegularVariationError(
                 f"kappa ~ {nearest} is an even integer; the angular tail "

@@ -675,6 +675,27 @@ def test_report_missing_directory(tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("case", ["config-is-directory", "config-not-utf8",
+                                  "out-is-file", "out-under-file", "report-out-is-file"])
+def test_unusable_config_or_output_path_is_one_line(tmp_path, capsys, case):
+    path, _ = write_config(tmp_path, pipeline=["lyapunov"])
+    blocker = tmp_path / "blocker"      # a file, and not UTF-8 text
+    blocker.write_bytes(b"env: \xff\xfe\n")
+    argv = {"config-is-directory": ["run", "--config", str(tmp_path)],
+            "config-not-utf8": ["run", "--config", str(blocker)],
+            "out-is-file": ["run", "--config", str(path), "--out", str(blocker)],
+            "out-under-file": ["run", "--config", str(path), "--out", str(blocker / "x")],
+            "report-out-is-file": ["report", "--out", str(blocker)]}[case]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if case == "report-out-is-file":
+        assert rc == 1 and err.startswith("error:") and "is not a directory" in err
+    else:
+        assert rc == 2 and err.startswith("config error:")
+        assert ("--out" if case.startswith("out") else "config file") in err
+
+
 def test_report_without_fragments_keeps_report(tmp_path, capsys):
     # a directory that holds no stage fragment is refused, and the
     # report.json already there is left as it was
@@ -809,7 +830,7 @@ def test_root_seed_reproduces_draws(tmp_path):
     cent = stable_limit.centering(config.env, law.kappa, written)
     ecf = stable_limit.empirical_cf(sums, frag["n"], cent, config.mc.limit.s_values,
                                     law.directions)
-    assert stable_limit.stable_fit_check(ecf, law).sup_deviation == frag["sup_deviation"]
+    assert stable_limit.stable_fit_check(ecf, law) == frag["sup_deviation"]
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -1,7 +1,7 @@
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -262,7 +262,7 @@ def test_c_kappa_classical_oracle_below_one(grid1):
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
     kappa = 0.5
     sigma = uniform_sigma(grid1, kappa)
-    ck = kl.c_kappa(np.array([1.0]), sigma, env, w_cache(env, 400, substream(79)))
+    value, _ = kl.c_kappa(np.array([1.0]), sigma, env, w_cache(env, 400, substream(79)))
     # oracle: int_0^inf (cos s - 1) s^(-1-kappa) ds over both antipodes
     finite = integrate.quad(lambda s: (math.cos(s) - 1.0) * s ** (-1 - kappa),
                             0, 50, limit=400)[0]
@@ -270,18 +270,18 @@ def test_c_kappa_classical_oracle_below_one(grid1):
                          weight="cos", wvar=1.0)[0]
     drop = -(50.0 ** -kappa) / kappa
     oracle = finite + osc + drop
-    assert ck.value.imag == pytest.approx(0.0, abs=1e-12)
-    assert ck.value.real == pytest.approx(oracle, rel=1e-6)
+    assert value.imag == pytest.approx(0.0, abs=1e-12)
+    assert value.real == pytest.approx(oracle, rel=1e-6)
 
 
 def test_c_kappa_panel_route_agrees_within_budget(scalar_env, grid1):
     kappa = 0.5
     sigma = uniform_sigma(grid1, kappa)
     cache = w_cache(scalar_env, 1000, substream(80))
-    exact = kl.c_kappa(np.array([1.0]), sigma, scalar_env, cache)
+    exact, budget = kl.c_kappa(np.array([1.0]), sigma, scalar_env, cache)
     panels, panels_budget = c_kappa_panels(np.array([1.0]), kappa, sigma,
                                            RadialQuadrature(s_max=200.0), cache, "none")
-    assert abs(exact.value - panels) <= panels_budget + exact.error_budget
+    assert abs(exact - panels) <= panels_budget + budget
 
 
 def test_c_kappa_symmetric_sigma_gives_real_exponent(scalar_env, scalar_batch,
@@ -294,10 +294,10 @@ def test_c_kappa_symmetric_sigma_gives_real_exponent(scalar_env, scalar_batch,
                                 total_mass=float(sigma.mass.mean() * 2),
                                 kappa=1.0, sample_count=sigma.sample_count,
                                 exceedances=sigma.exceedances)
-    ck = kl.c_kappa(np.array([1.0]), symmetric, scalar_env,
-                    w_cache(scalar_env, 2000, substream(81)))
-    assert ck.value.real < 0
-    assert abs(ck.value.imag) <= 1e-12 * abs(ck.value.real)
+    value, _ = kl.c_kappa(np.array([1.0]), symmetric, scalar_env,
+                          w_cache(scalar_env, 2000, substream(81)))
+    assert value.real < 0
+    assert abs(value.imag) <= 1e-12 * abs(value.real)
 
 
 def test_c_kappa_requires_symmetry_at_one(grid1):
@@ -317,9 +317,13 @@ def test_limit_exponent_snap_boundary():
         with pytest.raises(ConfigurationError):
             kl.limit_exponent(kappa)
     # the centering is decided exactly at the exponent it is given: no band
-    assert CenteringResult(kappa=0.99).kind == "none"
-    assert CenteringResult(kappa=1.0).kind == "xi"
-    assert CenteringResult(kappa=1.01).kind == "mean"
+    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (0.3, 0.7)),
+                         vector_law=kl.ConstantVector((1.0,)))
+    samples = np.ones((3, 1))
+    assert kl.centering(env, 0.99, samples).m is None
+    assert kl.centering(env, 1.01, samples).m is not None
+    with pytest.raises(ConfigurationError):
+        kl.centering(env, 1.0, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -328,45 +332,36 @@ def test_limit_exponent_snap_boundary():
 
 def test_centering_below_one_is_zero(scalar_env, scalar_batch):
     cent = kl.centering(scalar_env, 0.7, scalar_batch)
-    assert cent.kind == "none"
-    assert np.array_equal(cent.shift(1000, 1), np.zeros(1))
+    assert cent.m is None
+    assert np.array_equal(normalized_sums(scalar_batch, 1000, cent),
+                          scalar_batch.data / 1000 ** (1 / 0.7))
 
 
 def test_centering_mean_regime(heavy_mean_env):
     batch = kl.sample_stationary(heavy_mean_env, kl.SeriesConfig(tolerance=1e-9),
                                  400_000, substream(83))
     cent = kl.centering(heavy_mean_env, 1.222, batch)
-    assert cent.kind == "mean"
     # E R = E Q / (1 - E M) = 1 / 0.05 = 20 exactly
-    assert abs(cent.m[0] - 20.0) <= 3 * cent.m_se[0]
-    assert np.allclose(cent.shift(100, 1), 100 * cent.m)
+    se = float(batch.data[:, 0].std()) / math.sqrt(batch.count)
+    assert abs(cent.m[0] - 20.0) <= 3 * se
+    # S_n = n m maps to 0, and one scale unit n^(1/kappa) above it to 1
+    n = 100
+    sums = n * cent.m + np.array([[0.0], [n ** (1 / 1.222)]])
+    np.testing.assert_allclose(normalized_sums(sums, n, cent), [[0.0], [1.0]],
+                               rtol=0.0, atol=1e-12)
 
 
-def test_centering_symmetric_mean_vanishes(scalar_batch):
-    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (0.3, 0.7)),
-                         vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
-    cent = kl.centering(env, 1.222, scalar_batch)
-    assert cent.kind == "mean"
-    # reflection pairing leaves only summation-order dust
-    assert float(np.abs(cent.m).max()) <= 1e-12
-    assert float(np.abs(cent.m).max()) <= 3 * float(cent.m_se.max())
-
-
-def test_centering_xi_regime(scalar_env, scalar_batch):
-    cent = kl.centering(scalar_env, 1.0, scalar_batch)
-    assert cent.kind == "xi"
-    raw = scalar_batch.data[:, 0]
-    for t in (1e-2, 1e-3, 1e-4):
-        tr = t * raw
-        se = float(np.std(tr / (1 + tr * tr)) / math.sqrt(raw.size))
-        assert abs(cent.xi(t)[0]) <= 3 * se + 1e-15
-
-
-def test_centering_xi_needs_symmetry(scalar_batch):
-    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (1 / 3, 2 / 3)),
-                         vector_law=kl.ConstantVector((1.0,)), q_symmetric=False)
+def test_centering_symmetric_mean_vanishes(similarity_env):
+    """A symmetric Q makes R symmetric, so neither the kappa = 1 nor the
+    mean centering subtracts anything, not even summation dust."""
+    batch = kl.sample_stationary(similarity_env, kl.SeriesConfig(tolerance=1e-9),
+                                 20_000, substream(83, 1))
+    n = 4096
+    assert np.array_equal(normalized_sums(batch, n, kl.centering(similarity_env, 1.0, batch)),
+                          batch.data / n)
+    assert kl.centering(similarity_env, 1.3, batch).m is None
     with pytest.raises(ConfigurationError):
-        kl.centering(env, 1.0, scalar_batch)
+        kl.centering(replace(similarity_env, q_symmetric=False), 1.0, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +415,7 @@ def test_stable_fit_on_exact_synthetic_samples():
     batch = SampleBatch(data=samples.reshape(-1, 1), kind="synthetic",
                         info={"n_steps": 1})
     ecf = _ecf(batch, np.linspace(0.1, 2.0, 12), law.directions)
-    fit = kl.stable_fit_check(ecf, law)
-    assert fit.sup_deviation <= 4.0 / math.sqrt(count)
+    assert kl.stable_fit_check(ecf, law) <= 4.0 / math.sqrt(count)
 
 
 def test_stable_fit_rejects_light_tails():
@@ -430,8 +424,7 @@ def test_stable_fit_rejects_light_tails():
     law = StableLaw(kappa=1.5, directions=np.array([[1.0]]),
                     c_values=np.array([-1.0 + 0.0j]))
     ecf = _ecf(gaussian, np.linspace(0.1, 2.0, 12), law.directions)
-    fit = kl.stable_fit_check(ecf, law)
-    assert fit.sup_deviation > 0.15
+    assert kl.stable_fit_check(ecf, law) > 0.15
 
 
 def test_stable_law_validates_damping():
@@ -445,7 +438,7 @@ def test_stable_law_validates_damping():
               c_values=np.array([-1.0 + 0.25j, -1.0 - 0.25j])),
     StableLaw(kappa=1.3, directions=np.array([[0.6, 0.8], [-0.8, 0.6]]),
               c_values=np.array([-0.5 + 0.1j, -1 / 3 + 0.0j]),
-              m_kappa=np.array([0.25, -1 / 7]), error_budget=0.01,
+              error_budget=0.01,
               provenance={"w_draws": 2000, "w_depth": 41}),
     # canonical JSON writes kappa = 1.0 as 1
     StableLaw(kappa=1.0, directions=np.array([[1.0], [-1.0]]),
@@ -481,14 +474,14 @@ def test_convergence_in_n(scalar_env, scalar_batch, scalar_solution, grid1):
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, kappa, True)
     cent = kl.centering(scalar_env, kappa, scalar_batch)
     dirs = np.array([[1.0], [-1.0]])
-    law = kl.compute_stable_law(scalar_env, sigma, dirs, 2000, substream(86), cent=cent)
+    law = kl.compute_stable_law(scalar_env, sigma, dirs, 2000, substream(86))
     reps = 4000
     devs = []
     for exp in (10, 12):
         sums = kl.birkhoff_sums(scalar_env, kl.PathConfig(
             n_steps=2 ** exp, start_x=(0.0,), replicas=reps), substream(87))
         ecf = kl.empirical_cf(sums, 2 ** exp, cent, [0.25, 0.5, 1.0, 2.0], dirs)
-        devs.append(kl.stable_fit_check(ecf, law).sup_deviation)
+        devs.append(kl.stable_fit_check(ecf, law))
     assert devs[1] <= devs[0] + 2.0 / math.sqrt(reps)
 
 
@@ -498,8 +491,8 @@ def test_self_similarity_scalar_smoke(scalar_env, scalar_batch, scalar_solution)
                                                    replicas=6000), substream(88))
     b = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 12, start_x=(0.0,),
                                                    replicas=6000), substream(89))
-    ss = self_similarity_check(a, b, cent, np.array([[1.0], [-1.0]]))
-    assert ss.max_ks <= 0.08
+    ks = self_similarity_check(a, b, cent, np.array([[1.0], [-1.0]]))
+    assert ks.max() <= 0.08
 
 
 def test_self_similarity_ks_matches_scipy():
@@ -514,11 +507,11 @@ def test_self_similarity_ks_matches_scipy():
             small, large = (rng.integers(-3, 4, size=(m, 2)).astype(float) for m in sizes)
         else:
             small, large = (rng.standard_cauchy((m, 2)) for m in sizes)
-        ss = self_similarity_check(SampleBatch(small, "sums", info={"n_steps": 1}),
+        ks = self_similarity_check(SampleBatch(small, "sums", info={"n_steps": 1}),
                                    SampleBatch(large, "sums", info={"n_steps": 1}),
                                    cent, dirs)
         want = [stats.ks_2samp(small @ v, large @ v).statistic for v in dirs]
-        np.testing.assert_allclose(ss.ks_by_direction, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(ks, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +539,8 @@ def test_nondegeneracy_isotropic(similarity_env, grid2):
                                  200_000, substream(90))
     u = float(np.quantile(batch.norms(), 0.99))
     sigma = kl.estimate_sigma(batch, u, grid2, sol_kappa, True)
-    cent = kl.centering(similarity_env, sol_kappa, batch)
     dirs = grid2.points[::8]
-    law = kl.compute_stable_law(similarity_env, sigma, dirs, 1500, substream(91), cent=cent)
+    law = kl.compute_stable_law(similarity_env, sigma, dirs, 1500, substream(91))
     verdict = kl.nondegeneracy(law)
     assert verdict.nondegenerate
     assert verdict.span_rank == 2
@@ -561,7 +553,7 @@ def test_nondegeneracy_detects_collapsed_span():
     law = StableLaw(kappa=1.2, directions=np.array([[1.0, 0.0], [-1.0, 0.0],
                                                     [0.0, 1.0], [0.0, -1.0]]),
                     c_values=np.array([-1.0, -1.0, -1e-9, -1e-9], dtype=complex))
-    verdict = kl.nondegeneracy(law, span_tol=1e-6)
+    verdict = kl.nondegeneracy(law)
     assert not verdict.nondegenerate
     assert verdict.span_rank == 1
     assert verdict.offending_basis is not None
