@@ -364,6 +364,13 @@ def test_centering_symmetric_mean_vanishes(similarity_env):
         kl.centering(replace(similarity_env, q_symmetric=False), 1.0, batch)
 
 
+def test_centering_xi_needs_symmetry(scalar_batch):
+    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (1 / 3, 2 / 3)),
+                         vector_law=kl.ConstantVector((1.0,)), q_symmetric=False)
+    with pytest.raises(ConfigurationError):
+        kl.centering(env, 1.0, scalar_batch)
+
+
 # ---------------------------------------------------------------------------
 # empirical characteristic function
 # ---------------------------------------------------------------------------
