@@ -194,11 +194,10 @@ class Similarity:
 
 @dataclass(frozen=True)
 class GaussianMatrix:
-    """i.i.d. N(0, scale^2) entries, resampled while |det| < min_abs_det."""
+    """i.i.d. N(0, scale^2) entries (Ginibre); a singular draw has probability 0."""
 
     dim: int
     scale: float = 1.0
-    min_abs_det: float = 1e-6
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -207,14 +206,7 @@ class GaussianMatrix:
             raise ConfigurationError("gaussian matrix: dim must be >= 1")
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        out = self.scale * rng.standard_normal((count, self.dim, self.dim))
-        for _ in range(100):
-            bad = np.abs(np.linalg.det(out)) < self.min_abs_det
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                return out
-            out[bad] = self.scale * rng.standard_normal((n_bad, self.dim, self.dim))
-        raise ConfigurationError("gaussian matrix: determinant rejection did not terminate")
+        return self.scale * rng.standard_normal((count, self.dim, self.dim))
 
 
 @dataclass(frozen=True)

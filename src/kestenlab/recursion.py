@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batches import SampleBatch
-from .env_models import ConfigurationError, Environment, sample_pairs
+from .env_models import ConfigurationError, Environment, GaussianVector, sample_pairs
 
 _RENORM_EVERY = 50
 _OVERFLOW_LIMIT = 1e300
@@ -138,33 +138,40 @@ def birkhoff_sums(env: Environment, cfg: PathConfig,
                              "pairs_drawn": pairs})
 
 
-def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator):
+def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator,
+                   gram_q: np.ndarray | None = None):
     """The one random-product loop: count lanes of P_n = M_1 ... M_n, each
     summing sum_n P_{n-1} Q_n, with draw(rng, rows) -> (M, Q) of shapes
-    (rows, d, d) and (rows, d, c); c = 0 walks the products alone.
+    (rows, d, d) and (rows, d, c); c = 0 walks the products alone.  Given
+    gram_q, count draws of Q that serve the stop rule alone, draw returns
+    (M, None) and the lanes sum the Gram matrices
+    e^{2 log_scale} P_{n-1} P_{n-1}^T instead (c = d).
 
     A lane retires at cfg.truncation terms or, adaptively, once the
     0.99-quantile bound |P_n| q99(|Q|) on its next term is under the
     tolerance.  The state is packed component-major into one array whose
     columns are the active lanes: rows sum and product (row-major),
-    log_scale, exp(log_scale), the squared-norm threshold under which a lane
-    retires, and the lane index.  P Q and P M take one broadcast
-    multiply-add per column of P over a (d, c or d, lanes) block, reading
-    the draws through views.
+    log_scale, the term weight exp(log_scale) (exp(2 log_scale) for Gram
+    sums), the squared-norm threshold under which a lane retires, and the
+    lane index.  P Q and P M take one broadcast multiply-add per column of P
+    over a (d, c or d, lanes) block, reading the draws through views; the
+    weighted P P^T is one einsum.
 
-    The first call draws one term for every lane (it also gives q99); each
-    later call draws a block of k terms for the active lanes in step-major
-    order, k = _STATIONARY_CHUNK // lanes at least 1, and a block never
-    crosses a renormalization step, the truncation or max_terms.  Terms are
-    applied one at a time; a lane that retires inside a block is copied out
-    at its term, and retired lanes are compacted out with one take at the
-    block end, their remaining draws discarded.
+    The first call draws one term for every lane (its Q, or gram_q, gives
+    q99); each later call draws a block of k terms for the active lanes in
+    step-major order, k = _STATIONARY_CHUNK // lanes at least 1, and a block
+    never crosses a renormalization step, the truncation or max_terms.
+    Terms are applied one at a time; a lane that retires inside a block is
+    copied out at its term, and retired lanes are compacted out with one
+    take at the block end, their remaining draws discarded.
     Returns per lane the sum (count, d, c), the final product P / e^log_scale
     (count, d, d), log_scale and the depth, and the number of pairs drawn.
     """
     m, q = draw(rng, count)
     pairs = count
-    d, c = q.shape[1], q.shape[2]
+    gram = gram_q is not None
+    d = m.shape[1]
+    c = d if gram else q.shape[2]
     dd, dc = d * d, d * c
     log_row, scale_row, thr_row, lane_row = dd + dc, dd + dc + 1, dd + dc + 2, dd + dc + 3
     state = np.zeros((dd + dc + 4, count))
@@ -178,7 +185,9 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     adaptive = cfg.tolerance is not None
     last_term = cfg.max_terms if adaptive else cfg.truncation
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
-    q99 = float(np.quantile(np.linalg.norm(q.reshape(count, dc), axis=1), 0.99))
+    weight = 2.0 if gram else 1.0          # a term's weight is exp(weight * log_scale)
+    q_first = (gram_q if gram else q).reshape(count, -1)
+    q99 = float(np.quantile(np.linalg.norm(q_first, axis=1), 0.99))
     log_q99 = math.log(q99) if q99 > 0 else -math.inf
 
     def refresh_threshold(state):
@@ -202,16 +211,19 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
             m_rows = [m4[:, j:j + 1] for j in range(d)]
             block, part = nxt[..., :lanes], tmp[..., :lanes]
             if c:
-                q4 = q.reshape(k, lanes, d, c).transpose(0, 2, 3, 1)
-                q_rows = [q4[:, j:j + 1] for j in range(d)]
                 acc, acc_part = nxt[:, :c, :lanes], tmp[:, :c, :lanes]
                 s3 = state[:dc].reshape(d, c, lanes)
+            if c and not gram:
+                q4 = q.reshape(k, lanes, d, c).transpose(0, 2, 3, 1)
+                q_rows = [q4[:, j:j + 1] for j in range(d)]
             prod = state[dc:dc + dd]
             live = None             # lanes not yet retired in this block
             for t in range(k):
                 n += 1
-                # sum += exp(log_scale) * prod @ Q, then prod <- prod @ M
-                if c:
+                # sum += weight * prod @ Q (or prod @ prod^T), then prod <- prod @ M
+                if gram:
+                    s3 += np.einsum("ikl,jkl,l->ijl", p3, p3, state[scale_row], out=acc)
+                elif c:
                     np.multiply(p_cols[0], q_rows[0][t], out=acc)
                     for j in range(1, d):
                         acc += np.multiply(p_cols[j], q_rows[j][t], out=acc_part)
@@ -250,7 +262,7 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
                 safe = np.maximum(np.sqrt(np.einsum("ij,ij->j", prod, prod)), 1e-290)
                 prod /= safe
                 state[log_row] += np.log(safe)
-                np.exp(state[log_row], out=state[scale_row])
+                np.exp(weight * state[log_row], out=state[scale_row])
                 refresh_threshold(state)
             if adaptive and n >= cfg.max_terms:
                 raise NonContractionError(
@@ -264,10 +276,34 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
             out[log_row], depths, pairs)
 
 
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """Per lane a square root L of G, L L^T = G.  G >= I, since its first
+    term is the identity, so the Cholesky factor exists; but where G holds
+    eigenvalues beyond 1e16 times its least, rounding can lose that one, and
+    then the whole tile takes the eigen-root with the lost values as 0."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(gram)
+        return v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+
+
 def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Backward-series draws for one tile; returns (values, realized depths,
-    pairs drawn)."""
+    pairs drawn).  A Gaussian Q is integrated out of the series, and pairs
+    then counts the matrix draws."""
+    law = env.vector_law
+    if isinstance(law, GaussianVector):
+        # given the M's, sum_n P_{n-1} Q_n with i.i.d. N(0, s^2 I) Q's is
+        # N(0, s^2 G), G = sum_n P_{n-1} P_{n-1}^T, and a random sign keeps Q
+        # Gaussian: count Q's for the stop rule, then one z per lane
+        q = law.sample(rng, count)
+        gram, _, _, depths, pairs = _walk_products(
+            lambda rng, rows: (env.matrix_law.sample(rng, rows), None), count, cfg, rng, q)
+        z = rng.standard_normal((count, env.dim, 1))
+        return law.scale * np.matmul(_gram_root(gram), z)[:, :, 0], depths, pairs
+
     def draw(rng, rows):
         m, q = sample_pairs(env, rng, rows)
         return m, q[:, :, None]

@@ -118,7 +118,9 @@ def c_kappa(v, sigma: SpectralMeasure, env: Environment,
     against s^(-kappa-1) ds.  Expanding h_v(s w) over the matrix-series
     draws of the cache turns each draw into a compensated plane-wave
     integral with a closed form, so there is no radial discretization error
-    at all; the budget is three standard errors of the draw mean.
+    at all; the budget is three standard errors of the draw mean.  A
+    symmetric Q makes the limit law symmetric and C(v) real, so then each
+    draw keeps its real part alone.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
@@ -135,6 +137,8 @@ def c_kappa(v, sigma: SpectralMeasure, env: Environment,
         u = cache.apply(w_j) @ v            # (mc,) phases of W(w_j) along v
         per_draw += mass_j * (_levy_radial_integral(a + u, kappa)
                               - _levy_radial_integral(u, kappa))
+    if env.q_symmetric:
+        per_draw = per_draw.real
     value = complex(np.mean(per_draw))
     se = float(np.sqrt(np.var(per_draw.real) + np.var(per_draw.imag))
                / math.sqrt(cache.count))

@@ -170,9 +170,10 @@ class SpectralMeasure:
 
 
 def _exceedance_cells(data: np.ndarray, norms: np.ndarray, u: float,
-                      grid: SphereGrid) -> np.ndarray:
+                      grid: SphereGrid, symmetric: bool = False) -> np.ndarray:
     """Per grid cell, the number of draws with |R| > u whose direction lies
-    in it; fewer than 500 exceedances in all are refused."""
+    in it, averaged with the count of -R when symmetric; fewer than 500
+    exceedances in all are refused."""
     exceed = norms > u
     n_exc = int(exceed.sum())
     if n_exc < 500:
@@ -180,16 +181,21 @@ def _exceedance_cells(data: np.ndarray, norms: np.ndarray, u: float,
         raise TailRegimeError(
             f"only {n_exc} exceedances above u={u:.4g}; use u <= {suggestion:.4g}")
     dirs = data[exceed] / norms[exceed, None]
-    return np.bincount(grid.cell_index(dirs), minlength=grid.n).astype(float)
+    counts = np.bincount(grid.cell_index(dirs), minlength=grid.n).astype(float)
+    if symmetric:
+        counts = 0.5 * (counts + np.bincount(grid.cell_index(-dirs), minlength=grid.n))
+    return counts
 
 
 def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
                    q_symmetric: bool) -> SpectralMeasure:
     """Angular measure from exceedances of |R| over u:
-    cell mass = kappa * u^kappa * (fraction exceeding with direction in the cell)."""
+    cell mass = kappa * u^kappa * (fraction exceeding with direction in the cell).
+    A symmetric Q makes R symmetric, so then the cell counts are those of R
+    and of -R averaged, and sigma(A) = sigma(-A) holds on an antipodal grid."""
     _require_regular_variation(kappa, q_symmetric)
     data = data_of(samples)
-    counts = _exceedance_cells(data, np.linalg.norm(data, axis=1), u, grid)
+    counts = _exceedance_cells(data, np.linalg.norm(data, axis=1), u, grid, q_symmetric)
     mass = kappa * u ** kappa / data.shape[0] * counts
     return SpectralMeasure(grid=grid, mass=mass, threshold_used=float(u),
                            total_mass=float(mass.sum()), kappa=float(kappa),

@@ -803,6 +803,25 @@ def test_failed_check_sets_exit_status(tmp_path, capsys):
     assert "FAILED checks: sigma_invariance" in capsys.readouterr().err
 
 
+def test_scalar_limit_check_passes_off_the_snap(tmp_path):
+    """At seed 0 the scalar config's kappa-hat, 0.9766, is not snapped to 1.
+    Unpooled, the exceedance counts of R and -R differed by noise, Gamma(-kappa)
+    blew that up into Im C(v), and limit_cf_deviation read 0.264 against its
+    0.15 band; sigma and C(v) from the law's symmetry read 0.0375."""
+    config = ROOT / "scripts" / "configs" / "scalar_two_point.yaml"
+    for stage in ("simulate", "kappa", "sigma", "limit"):
+        assert cli.main([stage, "--config", str(config), "--seed", "0",
+                         "--out", str(tmp_path), "--threads", "1"]) == 0
+    kappa = json.loads((tmp_path / "stage_kappa.json").read_text())["result"]["kappa"]
+    sigma = json.loads((tmp_path / "sigma.json").read_text())
+    limit = json.loads((tmp_path / "stage_limit.json").read_text())
+    assert kappa == pytest.approx(0.9766, abs=1e-4) and sigma["kappa"] == kappa
+    assert sigma["mass"][0] == sigma["mass"][1]
+    assert limit["checks"]["limit_cf_deviation"] is True
+    assert limit["result"]["sup_deviation"] == pytest.approx(0.0375, abs=1e-4)
+    assert all(im == 0.0 for _, im in limit["result"]["c_values"])
+
+
 def test_root_seed_reproduces_draws(tmp_path):
     """report.json's root seed alone redraws a stage: the `simulate` stream
     gives the stationary samples, the `limit` stream the forward sums

@@ -11,8 +11,8 @@ import kestenlab as kl
 from kestenlab.env_models import ConfigurationError
 from kestenlab.env_models import sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
-                                 _STATIONARY_CHUNK, _forward_steps, _stationary_chunk,
-                                 _walk_products)
+                                 _STATIONARY_CHUNK, _forward_steps, _gram_root,
+                                 _stationary_chunk, _walk_products)
 from kestenlab.rng import substream
 
 BETA_SCALAR = -math.log(2.0) / 3.0  # (1/3) log 2 + (2/3) log (1/2)
@@ -217,12 +217,20 @@ def similarity_env(dim):
                           vector_law=kl.GaussianVector(dim), q_symmetric=True)
 
 
+def two_point_q_env(dim):
+    """The similarity law with a two-point Q whose atoms are not parallel:
+    a Gaussian Q would take the Gram path, this one the general walker."""
+    q = kl.TwoPointVector((1.0, -0.5, 0.25)[:dim], (0.3, 2.0, -1.0)[:dim], 0.4)
+    return kl.Environment(dim=dim, matrix_law=kl.Similarity(dim, (2.0, 0.5), (1 / 3, 2 / 3)),
+                          vector_law=q, q_symmetric=True)
+
+
 @pytest.mark.parametrize("env_name", ["scalar", "similarity_2d", "similarity_3d"])
 @pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
                                  kl.SeriesConfig(truncation=120)],
                          ids=["adaptive", "fixed"])
 def test_tile_matches_per_lane_series(scalar_env, env_name, cfg):
-    env = scalar_env if env_name == "scalar" else similarity_env(int(env_name[-2]))
+    env = scalar_env if env_name == "scalar" else two_point_q_env(int(env_name[-2]))
     ref_values, ref_depths = per_lane_series(env, 3000, cfg, substream(24, 3))
     values, depths, _ = _stationary_chunk(env, 3000, cfg, substream(24, 3))
     assert np.array_equal(depths, ref_depths)
@@ -312,7 +320,7 @@ def reference_tile(env, count, cfg, rng):
                          ids=["adaptive", "fixed"])
 def test_stationary_bit_identical_to_reference_tile(scalar_env, dim, cfg):
     # 2000 draws fill one tile, drawn from substream(seed, 0)
-    env = scalar_env if dim == 1 else similarity_env(dim)
+    env = scalar_env if dim == 1 else two_point_q_env(dim)
     ref_values, ref_depths = reference_tile(env, 2000, cfg, substream(27, 0))
     batch = kl.sample_stationary(env, cfg, 2000, substream(27))
     assert np.array_equal(batch.data, ref_values)
@@ -324,6 +332,108 @@ def test_fixed_truncation_expanding_law_raises():
     env = constant_env(((2.0, 0.0), (0.0, 2.0)), (1.0, 0.0))
     with pytest.raises(NonContractionError, match="floating range"):
         kl.sample_stationary(env, kl.SeriesConfig(truncation=1100), 4, substream(28))
+
+
+# ---------------------------------------------------------------------------
+# a Gaussian Q integrated out: the Gram path
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PlainGaussian:
+    """N(0, scale^2 I) Q's that are not a GaussianVector, so the series
+    draws them term by term on the general walker."""
+    dim: int
+    scale: float = 1.0
+
+    def sample(self, rng, count):
+        return self.scale * rng.standard_normal((count, self.dim))
+
+
+def test_gram_path_closed_form_covariance():
+    # M = I / 2 at depth n: R = sum_k 2^-k Q_k, so Cov R = s^2 (1 - 4^-n) / (3/4) I
+    s, n, count = 1.5, 3, 200_000
+    env = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5))),
+                         vector_law=kl.GaussianVector(2, s))
+    batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=n), count, substream(40))
+    var = s * s * (1.0 - 4.0 ** -n) / 0.75
+    cov = np.cov(batch.data.T)
+    # sd of a sample variance is var sqrt(2 / count), of a covariance var / sqrt(count)
+    np.testing.assert_allclose(np.diag(cov), var, rtol=0.0, atol=4 * var * math.sqrt(2 / count))
+    assert abs(cov[0, 1]) <= 4 * var / math.sqrt(count)
+    assert (batch.info["truncation"], batch.info["pairs_drawn"]) == (n, n * count)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gram_tiles_draw_from_child_substreams(threads):
+    env, cfg = similarity_env(2), kl.SeriesConfig(tolerance=1e-9)
+    count = 2 * _STATIONARY_CHUNK + 500
+    batch = kl.sample_stationary(env, cfg, count, substream(41), threads=threads)
+    tiles = [_stationary_chunk(env, min(_STATIONARY_CHUNK, count - start), cfg,
+                               substream(41, c))[0]
+             for c, start in enumerate(range(0, count, _STATIONARY_CHUNK))]
+    assert np.array_equal(batch.data, np.concatenate(tiles))
+
+
+@pytest.mark.parametrize("cfg", [kl.SeriesConfig(truncation=1100),
+                                 kl.SeriesConfig(tolerance=1e-9, max_terms=500)],
+                         ids=["fixed", "adaptive"])
+def test_gram_path_expanding_law_raises(cfg):
+    env = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((2.0, 0.0), (0.0, 2.0))),
+                         vector_law=kl.GaussianVector(2))
+    with pytest.raises(NonContractionError):
+        kl.sample_stationary(env, cfg, 4, substream(42))
+
+
+def test_gram_path_matches_general_walker_in_law():
+    env, cfg = similarity_env(2), kl.SeriesConfig(tolerance=1e-9)
+    plain = kl.Environment(dim=2, matrix_law=env.matrix_law,
+                           vector_law=PlainGaussian(2), q_symmetric=True)
+    gram = kl.sample_stationary(env, cfg, 200_000, substream(43))
+    walked = kl.sample_stationary(plain, cfg, 200_000, substream(44))
+    for i in range(2):
+        assert stats.ks_2samp(gram.data[:, i], walked.data[:, i]).pvalue > 1e-3
+    r_gram, r_walked = np.linalg.norm(gram.data, axis=1), np.linalg.norm(walked.data, axis=1)
+    for level in (0.99, 0.999):
+        u = np.quantile(r_walked, level)
+        p, q = np.mean(r_gram > u), 1.0 - level
+        assert abs(p - q) <= 4 * math.sqrt(2 * q * (1 - q) / 200_000)
+
+
+@pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
+                                 kl.SeriesConfig(truncation=120)],
+                         ids=["adaptive", "fixed"])
+def test_gram_walk_keeps_the_stop_rule(cfg):
+    # the same M's and the same first Q's, which give q99: every lane
+    # retires at the same term on the Gram walk as on the general walk
+    law = similarity_env(2).matrix_law
+    q_first = substream(47, 1).standard_normal((3000, 2, 1))
+
+    def draws():
+        stream, first = substream(47, 0), [q_first]
+        return lambda rng, rows: (law.sample(stream, rows),
+                                  first.pop() if first else np.zeros((rows, 2, 1)))
+
+    walked = _walk_products(draws(), 3000, cfg, None)
+    gram = _walk_products(draws(), 3000, cfg, None, gram_q=q_first[:, :, 0])
+    assert np.array_equal(gram[3], walked[3]) and gram[4] == walked[4]
+    # P_{n-1} = c O gives P P^T = c^2 I, so G is a multiple of I, at least I
+    g = gram[0]
+    np.testing.assert_allclose(g, g[:, :1, :1] * np.eye(2), rtol=0.0, atol=1e-12 * g.max())
+    assert (g[:, 0, 0] >= 1.0).all()
+
+
+def test_gram_root_survives_lost_eigenvalues():
+    # I + 1e20 (1 1; 1 1) rounds to a singular G, which has no Cholesky factor
+    gram = np.stack([np.eye(2), np.eye(2) + np.full((2, 2), 1e20)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    root = _gram_root(gram)
+    np.testing.assert_allclose(root @ root.transpose(0, 2, 1), gram, rtol=1e-12, atol=1e5)
+    # a heavy-tailed Ginibre law (kappa near 1/2) meets such a G in this tile
+    env = kl.Environment(dim=2, matrix_law=kl.GaussianMatrix(2, 0.8607),
+                         vector_law=kl.GaussianVector(2))
+    batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 16_384, substream(46))
+    assert np.isfinite(batch.data).all()
 
 
 def recorded_walk(env, count, cfg, seed):

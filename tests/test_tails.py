@@ -122,6 +122,17 @@ def test_sigma_scalar_symmetric(scalar_batch, grid1):
     assert sigma.total_mass == pytest.approx(float(sigma.mass.sum()), abs=1e-15)
 
 
+def test_pooled_sigma_is_antipodally_symmetric(scalar_batch, sim_batch, grid1):
+    # a symmetric Q averages the cell counts of R and -R, so sigma(A) = sigma(-A)
+    for batch, grid in ((scalar_batch, grid1), (sim_batch, kl.build_grid(2, 32))):
+        u = float(np.quantile(batch.norms(), 0.99))
+        sigma = kl.estimate_sigma(batch, u, grid, 1.0, True)
+        antipode = grid.cell_index(-grid.points)
+        assert sorted(antipode) == list(range(grid.n))
+        assert np.array_equal(sigma.mass[antipode], sigma.mass)
+        assert sigma.exceedances == int(np.sum(batch.norms() > u))
+
+
 def test_sigma_isotropic_is_uniform(sim_batch):
     # ~3000 exceedances: a 16-cell grid keeps per-cell counts near 200,
     # where the rotational invariance shows within the 20% band
