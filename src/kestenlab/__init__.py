@@ -47,7 +47,6 @@ from .stable_limit import (
     compute_stable_law,
     cos_tail_constant,
     empirical_cf,
-    limit_exponent,
     nondegeneracy,
     stable_fit_check,
     transposed_positivity_check,

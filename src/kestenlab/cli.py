@@ -432,10 +432,9 @@ def stage_sigma(ctx: RunContext) -> dict:
     sol = need_solution(ctx)
     block = ctx.config.mc.sigma
     u = float(np.quantile(batch.norms(), block.threshold_quantile))
-    # sigma carries the limit exponent to the limit and nondeg stages
-    sigma = tails.estimate_sigma(batch, u, ctx.grid(),
-                                 stable_limit.limit_exponent(sol.kappa),
-                                 ctx.env.q_symmetric)
+    # sigma carries kappa-hat to the limit and nondeg stages; near 1 a Q
+    # that is not symmetric is refused here, by the one near-integer rule
+    sigma = tails.estimate_sigma(batch, u, ctx.grid(), sol.kappa, ctx.env.q_symmetric)
     residual = tails.check_sigma_invariance(sigma, ctx.env, block.invariance_mc,
                                             ctx.stream("sigma", 0))
     _save(ctx, "sigma", sigma, invariance_residual=residual)
@@ -701,7 +700,7 @@ def main(argv=None) -> int:
     except (MissingArtifactError, StageCheckFailure, ConfigurationError,
             recursion.NonContractionError, recursion.TrajectoryOverflowError,
             spectral.SpectralError, spectral.SingularDrawError,
-            tails.RegularVariationError, tails.TailRegimeError) as exc:
+            tails.TailRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

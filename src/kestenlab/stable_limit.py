@@ -16,24 +16,10 @@ import numpy as np
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment
 from .recursion import SeriesConfig, _walk_products, quantiles
-from .tails import SpectralMeasure
+from .tails import SpectralMeasure, _require_regular_variation
 
 _EULER_GAMMA = 0.5772156649015329
 _SPAN_TOL = 1e-6      # Re C(v) below -_SPAN_TOL counts v as strictly damped
-
-
-def limit_exponent(kappa: float) -> float:
-    """The exponent the stable limit runs at: kappa, or 1 exactly when the
-    solved kappa is within 0.02 of 1.
-
-    The centered limit at 1 uses its own compensation and normalization,
-    and mixing it with a nearby exponent would shift the n^(-1/kappa) scale
-    by several percent.  The angular measure estimated at this exponent
-    carries it on to C(v), and the centering built at it to the sums.
-    """
-    if not 0.0 < kappa < 2.0:
-        raise ConfigurationError("stable regime needs kappa in (0, 2)")
-    return 1.0 if 0.98 <= kappa <= 1.02 else kappa
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +112,7 @@ def c_kappa(v, sigma: SpectralMeasure, env: Environment,
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ConfigurationError("c_kappa needs a unit direction v")
     kappa = sigma.kappa
-    if kappa == 1.0 and not env.q_symmetric:
-        raise ConfigurationError(
-            "kappa = 1 requires a symmetric Q law for the centered limit")
+    _require_regular_variation(kappa, env.q_symmetric)
     per_draw = np.zeros(cache.count, dtype=complex)
     for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
         if mass_j == 0.0:
@@ -159,21 +143,23 @@ def cos_tail_constant(kappa: float) -> float:
 
 @dataclass(eq=False)
 class CenteringResult:
-    kappa: float                    # the limit exponent the sums are scaled by
+    kappa: float                    # the tail index the sums are scaled by
     m: np.ndarray | None = None     # the stationary mean, or None: no centering
 
 
 def centering(env: Environment, kappa: float, samples) -> CenteringResult:
-    """The centering of S_n at the limit exponent kappa: n E R above 1 and
-    n xi(1/n) at 1, with xi(t) = E[tR / (1 + |tR|^2)], none below 1.
+    """The centering of S_n at the tail index kappa in (0, 2): n E R above 1
+    and n xi(1/n) at 1, with xi(t) = E[tR / (1 + |tR|^2)], none below 1.
 
     A symmetric Q makes R symmetric, so both centerings vanish exactly and
-    nothing is subtracted; the limit at 1 needs that symmetry.  Otherwise,
-    above 1, m is the stationary sample mean.
+    nothing is subtracted.  Near 1 a Q that is not symmetric would need a
+    log-corrected centering, so the near-integer rule of the angular
+    measure refuses it here too.  Otherwise, above 1, m is the stationary
+    sample mean.
     """
-    if kappa == 1.0 and not env.q_symmetric:
-        raise ConfigurationError(
-            "kappa = 1 centering requires a symmetric Q law")
+    if not 0.0 < kappa < 2.0:
+        raise ConfigurationError(f"the stable limit needs kappa in (0, 2), got {kappa}")
+    _require_regular_variation(kappa, env.q_symmetric)
     if env.q_symmetric or kappa < 1.0:
         return CenteringResult(kappa)
     return CenteringResult(kappa, m=data_of(samples).mean(axis=0))
@@ -295,7 +281,6 @@ class NondegeneracyVerdict:
     all_negative: bool
     span_rank: int
     dim: int
-    c_of_kappa: float
     offending_basis: np.ndarray | None
 
 
@@ -311,10 +296,8 @@ def nondegeneracy(law: StableLaw) -> NondegeneracyVerdict:
     if rank < dim:
         _, _, vt = np.linalg.svd(active if active.size else np.zeros((1, dim)))
         offending = vt[rank:]
-    c_const = cos_tail_constant(law.kappa)
-    ok = all_negative and rank == dim and c_const < 0.0
-    return NondegeneracyVerdict(nondegenerate=ok, all_negative=all_negative,
-                                span_rank=rank, dim=dim, c_of_kappa=float(c_const),
+    return NondegeneracyVerdict(nondegenerate=all_negative and rank == dim,
+                                all_negative=all_negative, span_rank=rank, dim=dim,
                                 offending_basis=offending)
 
 

@@ -27,13 +27,16 @@ class TailRegimeError(RuntimeError):
     """The requested statistic is outside the resolvable tail regime."""
 
 
-class RegularVariationError(ValueError):
+class RegularVariationError(ConfigurationError):
     """The exponent/symmetry combination does not guarantee a product tail."""
 
 
 def _require_regular_variation(kappa: float, q_symmetric: bool) -> None:
+    """The one rule for a kappa near an integer, closed at both ends of the
+    band: the angular measure, C(v) and the centering all refuse an even
+    integer, and an odd one without a symmetric Q."""
     nearest = round(kappa)
-    if nearest >= 1 and abs(kappa - nearest) <= _INTEGER_TOL:
+    if nearest >= 1 and nearest - _INTEGER_TOL <= kappa <= nearest + _INTEGER_TOL:
         if nearest % 2 == 0:
             raise RegularVariationError(
                 f"kappa ~ {nearest} is an even integer; the angular tail "
@@ -41,7 +44,7 @@ def _require_regular_variation(kappa: float, q_symmetric: bool) -> None:
         if not q_symmetric:
             raise RegularVariationError(
                 f"kappa ~ {nearest} is an odd integer; a symmetric Q law is "
-                "required for the product tail structure")
+                "required for the product tail structure and the centered limit")
 
 
 # ---------------------------------------------------------------------------

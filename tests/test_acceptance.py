@@ -63,19 +63,18 @@ def sim_1m(similarity_env):
 @pytest.fixture(scope="module")
 def scalar_sigma_acc(scalar_1m, scalar_solution_acc, grid1):
     u = float(np.quantile(scalar_1m.norms(), 0.99))
-    return kl.estimate_sigma(scalar_1m, u, grid1, kl.limit_exponent(scalar_solution_acc.kappa),
-                             True)
+    return kl.estimate_sigma(scalar_1m, u, grid1, scalar_solution_acc.kappa, True)
 
 
 @pytest.fixture(scope="module")
 def sim_sigma_acc(sim_1m, sim_solution_acc, grid2):
     u = float(np.quantile(sim_1m.norms(), 0.99))
-    return kl.estimate_sigma(sim_1m, u, grid2, kl.limit_exponent(sim_solution_acc.kappa), True)
+    return kl.estimate_sigma(sim_1m, u, grid2, sim_solution_acc.kappa, True)
 
 
 @pytest.fixture(scope="module")
 def scalar_centering_acc(scalar_env, scalar_1m, scalar_solution_acc):
-    return kl.centering(scalar_env, kl.limit_exponent(scalar_solution_acc.kappa), scalar_1m)
+    return kl.centering(scalar_env, scalar_solution_acc.kappa, scalar_1m)
 
 
 @pytest.fixture(scope="module")

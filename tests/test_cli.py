@@ -822,6 +822,40 @@ def test_scalar_limit_check_passes_off_the_snap(tmp_path):
     assert all(im == 0.0 for _, im in limit["result"]["c_values"])
 
 
+@pytest.mark.parametrize("seed, kappa_hat", [(1, 0.9984), (4, 1.0094)])
+def test_scalar_limit_runs_at_kappa_hat(tmp_path, seed, kappa_hat):
+    """At seeds 1 and 4 kappa-hat lies within 0.02 of 1: sigma and the stable
+    law carry kappa-hat itself, C(v) is real, and the limit check passes."""
+    config = ROOT / "scripts" / "configs" / "scalar_two_point.yaml"
+    for stage in ("simulate", "kappa", "sigma", "limit"):
+        assert cli.main([stage, "--config", str(config), "--seed", str(seed),
+                         "--out", str(tmp_path), "--threads", "1"]) == 0
+    kappa = json.loads((tmp_path / "stage_kappa.json").read_text())["result"]["kappa"]
+    limit = json.loads((tmp_path / "stage_limit.json").read_text())
+    assert kappa == pytest.approx(kappa_hat, abs=1e-4)
+    assert json.loads((tmp_path / "sigma.json").read_text())["kappa"] == kappa
+    assert json.loads((tmp_path / "stable_law.json").read_text())["kappa"] == kappa
+    assert limit["checks"]["limit_cf_deviation"] is True
+    assert all(im == 0.0 for _, im in limit["result"]["c_values"])
+
+
+def test_limit_refuses_kappa_outside_the_stable_regime(tmp_path, capsys):
+    """At kappa = 2.5 the angular measure exists, but the limit stage's
+    centering refuses the exponent before it draws anything."""
+    law = {"family": "scalar_two_point", "values": [2.0, 0.5],
+           "probs": [0.150221, 0.849779]}
+    path, outdir = write_config(tmp_path, **{"env.matrix_law": law})
+    for stage in ("simulate", "kappa", "sigma"):
+        assert cli.main([stage, "--config", str(path)]) == 0
+    assert json.loads((outdir / "sigma.json").read_text())["kappa"] > 2.0
+    capsys.readouterr()
+    assert cli.main(["limit", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the stable limit needs kappa in (0, 2)")
+    assert err.count("\n") == 1
+    assert not (outdir / "stable_law.json").exists()
+
+
 def test_root_seed_reproduces_draws(tmp_path):
     """report.json's root seed alone redraws a stage: the `simulate` stream
     gives the stationary samples, the `limit` stream the forward sums

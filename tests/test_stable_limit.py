@@ -16,7 +16,7 @@ from kestenlab.recursion import NonContractionError
 from kestenlab.rng import substream
 from kestenlab.stable_limit import (CenteringResult, StableLaw, normalized_sums,
                                     sample_w_matrices, self_similarity_check)
-from kestenlab.tails import SpectralMeasure
+from kestenlab.tails import RegularVariationError, SpectralMeasure
 
 
 @pytest.fixture(scope="module")
@@ -308,22 +308,33 @@ def test_c_kappa_requires_symmetry_at_one(grid1):
                    w_cache(env, 200, substream(82)))
 
 
-def test_limit_exponent_snap_boundary():
-    for kappa in (0.98, 0.99, 1.02):
-        assert kl.limit_exponent(kappa) == 1.0
-    for kappa in (0.9799, 1.0201, 1.4):
-        assert kl.limit_exponent(kappa) == kappa
-    for kappa in (0.0, 2.0):
-        with pytest.raises(ConfigurationError):
-            kl.limit_exponent(kappa)
-    # the centering is decided exactly at the exponent it is given: no band
+def test_near_integer_rule_boundary(grid1, scalar_batch):
+    """One closed band around 1 decides for the angular measure, C(v) and
+    the centering alike; off it, and with a symmetric Q, the limit runs at
+    the exponent it is given."""
     env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.5), (0.3, 0.7)),
                          vector_law=kl.ConstantVector((1.0,)))
     samples = np.ones((3, 1))
-    assert kl.centering(env, 0.99, samples).m is None
-    assert kl.centering(env, 1.01, samples).m is not None
-    with pytest.raises(ConfigurationError):
-        kl.centering(env, 1.0, samples)
+    cache = w_cache(env, 50, substream(82, 1))
+    for kappa in (0.95, 1.0, 1.05):
+        with pytest.raises(RegularVariationError):
+            kl.estimate_sigma(scalar_batch, 1.0, grid1, kappa, env.q_symmetric)
+        with pytest.raises(RegularVariationError):
+            kl.centering(env, kappa, samples)
+        with pytest.raises(RegularVariationError):
+            kl.c_kappa(np.array([1.0]), uniform_sigma(grid1, kappa), env, cache)
+    assert kl.centering(env, 0.9499, samples).m is None
+    np.testing.assert_array_equal(kl.centering(env, 1.0501, samples).m, [1.0])
+    for kappa in (0.0, 2.0):
+        with pytest.raises(ConfigurationError, match=r"\(0, 2\)"):
+            kl.centering(env, kappa, samples)
+    symmetric = replace(env, q_symmetric=True)
+    u = float(np.quantile(scalar_batch.norms(), 0.99))
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1, 0.99, True)
+    assert sigma.kappa == 0.99
+    assert kl.centering(symmetric, 0.99, samples).kappa == 0.99
+    law = kl.compute_stable_law(symmetric, sigma, np.array([[1.0]]), 200, substream(82, 2))
+    assert law.kappa == 0.99 and law.c_values[0].real < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +488,8 @@ def test_stability_functional_equation(kappa, c_re, c_im, power):
 def test_convergence_in_n(scalar_env, scalar_batch, scalar_solution, grid1):
     """Deviation from the fitted law does not grow along a doubling ladder."""
     u = float(np.quantile(scalar_batch.norms(), 0.99))
-    kappa = kl.limit_exponent(scalar_solution.kappa)
-    sigma = kl.estimate_sigma(scalar_batch, u, grid1, kappa, True)
-    cent = kl.centering(scalar_env, kappa, scalar_batch)
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1, scalar_solution.kappa, True)
+    cent = kl.centering(scalar_env, scalar_solution.kappa, scalar_batch)
     dirs = np.array([[1.0], [-1.0]])
     law = kl.compute_stable_law(scalar_env, sigma, dirs, 2000, substream(86))
     reps = 4000
@@ -493,7 +503,7 @@ def test_convergence_in_n(scalar_env, scalar_batch, scalar_solution, grid1):
 
 
 def test_self_similarity_scalar_smoke(scalar_env, scalar_batch, scalar_solution):
-    cent = kl.centering(scalar_env, kl.limit_exponent(scalar_solution.kappa), scalar_batch)
+    cent = kl.centering(scalar_env, scalar_solution.kappa, scalar_batch)
     a = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 11, start_x=(0.0,),
                                                    replicas=6000), substream(88))
     b = kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=2 ** 12, start_x=(0.0,),
@@ -532,7 +542,7 @@ def test_cosine_tail_constant_values():
         value = kl.cos_tail_constant(kappa)
         assert value < 0
         assert value == pytest.approx(closed, rel=1e-8)
-    # the kappa = 1 branch is taken at 1 exactly, not across the snap band
+    # the kappa = 1 branch is taken at 1 exactly, not across a band
     for kappa in (0.3, 0.5, 0.97, 0.99, 1.0, 1.03, 1.5, 1.9):
         assert kl.cos_tail_constant(kappa) == pytest.approx(cos_tail_series(kappa), rel=1e-9)
     for kappa in (0.0, 2.0):
@@ -574,8 +584,7 @@ def test_nondegeneracy_detects_collapsed_span():
 
 def test_transposed_positivity_scalar(scalar_env, scalar_batch, scalar_solution, grid1):
     u = float(np.quantile(scalar_batch.norms(), 0.99))
-    sigma = kl.estimate_sigma(scalar_batch, u, grid1,
-                              kl.limit_exponent(scalar_solution.kappa), True)
+    sigma = kl.estimate_sigma(scalar_batch, u, grid1, scalar_solution.kappa, True)
     check = kl.transposed_positivity_check(scalar_env, sigma, np.array([1.0]),
                                            2000, substream(92))
     assert check.positive
