@@ -10,6 +10,7 @@ numeric payloads.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -197,10 +198,10 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     if not mc.limit.s_values:
         _fail("mc.limit.s_values", "expected a non-empty list")
     sigma_q = mc.sigma.threshold_quantile
-    if mc.stationary.count * (1.0 - sigma_q) < 500:
+    if mc.stationary.count * (1.0 - sigma_q) < tails.MIN_EXCEEDANCES:
         _fail("mc.sigma.threshold_quantile",
               f"mc.stationary.count {mc.stationary.count} x (1 - {sigma_q!r}) leaves fewer "
-              "than the 500 exceedances the sigma stage needs")
+              f"than the {tails.MIN_EXCEEDANCES} exceedances the sigma stage needs")
     seen: set[str] = set()
     for i, stage in enumerate(config.pipeline):
         if stage not in STAGES:
@@ -502,52 +503,20 @@ STAGE_FUNCS = {
 # orchestration
 # ---------------------------------------------------------------------------
 
-class _Lock:
-    """Exclusive claim on an output directory: a file holding the owner's PID.
-
-    A lock whose process is gone (a crashed run) is replaced, and named on
-    stderr; a lock held by a live process refuses the run.
-    """
-
-    def __init__(self, outdir: Path):
-        self.path = outdir / LOCK_NAME
-
-    def _acquire(self) -> bool:
+@contextmanager
+def _locked(outdir: Path):
+    """Exclusive claim on an output directory: a kernel lock (`flock`) on
+    the file LOCK_NAME, which the kernel drops when its owner ends, however
+    it ends.  The empty file stays: deleting it while another process may
+    hold it open would let two runs own the directory."""
+    path = outdir / LOCK_NAME
+    with open(path, "a") as fh:
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return True
-
-    def _dead_owner(self) -> int | None:
-        """The PID recorded in the lock if that process no longer runs."""
-        try:
-            pid = int(self.path.read_text())
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return pid
-        except (OSError, ValueError):   # gone, unreadable, not a PID, or not ours
-            return None
-        return None
-
-    def __enter__(self):
-        if not self._acquire():
-            pid = self._dead_owner()
-            if pid is not None:
-                print(f"replacing stale lock {self.path}: process {pid} is not running",
-                      file=sys.stderr)
-                self.path.unlink(missing_ok=True)
-            if pid is None or not self._acquire():
-                raise StageCheckFailure(
-                    f"output directory is locked by {self.path}; another run owns it "
-                    "(delete the lock if that run crashed)")
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-        return False
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StageCheckFailure(
+                f"output directory is locked by {path}; another run owns it") from None
+        yield
 
 
 def _run_stage(ctx: RunContext, stage: str) -> dict:
@@ -595,7 +564,7 @@ def run(config_path, out_override: str | None = None,
         _fail("--out" if out_override else "output.directory",
               f"cannot make the directory '{outdir}' ({exc.strerror})")
     ctx = RunContext(config=config, outdir=outdir, threads=threads)
-    with _Lock(outdir):
+    with _locked(outdir):
         for stage in todo:
             _run_stage(ctx, stage)
         report = _assemble_report(ctx)
@@ -609,29 +578,30 @@ def aggregate_report(outdir: Path) -> dict:
     if not outdir.is_dir():
         problem = "is not a directory" if outdir.exists() else "does not exist"
         raise MissingArtifactError(f"output directory '{outdir}' {problem}")
-    fragments, checks = {}, {}
-    env_hashes = set()
-    for stage in STAGES:
-        path = outdir / f"stage_{stage}.json"
-        if path.exists():
-            with _reading(path):
-                doc = json.loads(path.read_text())
-                fragments[stage] = doc["result"]
-                checks.update(doc.get("checks", {}))
-                env_hashes.add(doc["env_hash"])
-    if not fragments:
-        raise MissingArtifactError(f"output directory '{outdir}' holds no stage_*.json")
-    if len(env_hashes) > 1:
-        raise StageCheckFailure(
-            f"stage fragments in {outdir} come from different environments: {env_hashes}")
-    report = {
-        "env_hash": env_hashes.pop(),
-        "stages": fragments,
-        "checks": checks,
-        "aggregated": True,
-    }
-    write_canonical_json(report, outdir / "report.json")
-    return report
+    with _locked(outdir):
+        fragments, checks = {}, {}
+        env_hashes = set()
+        for stage in STAGES:
+            path = outdir / f"stage_{stage}.json"
+            if path.exists():
+                with _reading(path):
+                    doc = json.loads(path.read_text())
+                    fragments[stage] = doc["result"]
+                    checks.update(doc.get("checks", {}))
+                    env_hashes.add(doc["env_hash"])
+        if not fragments:
+            raise MissingArtifactError(f"output directory '{outdir}' holds no stage_*.json")
+        if len(env_hashes) > 1:
+            raise StageCheckFailure(
+                f"stage fragments in {outdir} come from different environments: {env_hashes}")
+        report = {
+            "env_hash": env_hashes.pop(),
+            "stages": fragments,
+            "checks": checks,
+            "aggregated": True,
+        }
+        write_canonical_json(report, outdir / "report.json")
+        return report
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .env_models import ConfigurationError, Environment
 from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws
 
 _INTEGER_TOL = 0.05  # a kappa this close to an integer is treated as that integer
+MIN_EXCEEDANCES = 500  # fewest draws over the threshold that sigma is estimated from
 
 
 class TailRegimeError(RuntimeError):
@@ -175,12 +176,12 @@ class SpectralMeasure:
 def _exceedance_cells(data: np.ndarray, norms: np.ndarray, u: float,
                       grid: SphereGrid, symmetric: bool = False) -> np.ndarray:
     """Per grid cell, the number of draws with |R| > u whose direction lies
-    in it, averaged with the count of -R when symmetric; fewer than 500
-    exceedances in all are refused."""
+    in it, averaged with the count of -R when symmetric; fewer than
+    MIN_EXCEEDANCES in all are refused."""
     exceed = norms > u
     n_exc = int(exceed.sum())
-    if n_exc < 500:
-        suggestion = float(np.quantile(norms, max(0.0, 1.0 - 500.0 / norms.shape[0])))
+    if n_exc < MIN_EXCEEDANCES:
+        suggestion = float(np.quantile(norms, max(0.0, 1.0 - MIN_EXCEEDANCES / norms.shape[0])))
         raise TailRegimeError(
             f"only {n_exc} exceedances above u={u:.4g}; use u <= {suggestion:.4g}")
     dirs = data[exceed] / norms[exceed, None]

@@ -605,30 +605,67 @@ def test_simulate_fragment_reports_quantiles_not_mean(tmp_path):
     assert result["pairs_drawn"] >= round(result["mean_depth"] * result["count"])
 
 
+def _hold_lock(outdir: Path, first: str = "pass") -> subprocess.Popen:
+    """A child process that takes the directory's lock, runs `first`, says
+    so, and holds the lock until its stdin closes."""
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, os, sys; fh = open(sys.argv[1], 'a'); fcntl.flock(fh, fcntl.LOCK_EX); "
+         f"{first}; print('held', flush=True); sys.stdin.read()",
+         str(outdir / cli.LOCK_NAME)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
+def _release(child: subprocess.Popen) -> None:
+    child.stdin.close()
+    child.stdout.close()
+    child.wait()
+
+
 def test_lock_refuses_concurrent_runs(tmp_path, capsys):
     path, outdir = write_config(tmp_path, pipeline=["lyapunov"])
     outdir.mkdir(parents=True)
-    # the lock names a live process: this one
-    (outdir / cli.LOCK_NAME).write_text(str(os.getpid()))
-    rc = cli.main(["run", "--config", str(path)])
+    holder = _hold_lock(outdir)
+    try:
+        rc = cli.main(["run", "--config", str(path)])
+    finally:
+        _release(holder)
     assert rc == 1
     assert "lock" in capsys.readouterr().err
-    assert (outdir / cli.LOCK_NAME).read_text() == str(os.getpid())
+    assert not (outdir / "stage_lyapunov.json").exists()
+    # the kernel dropped the lock when its holder exited
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert (outdir / "stage_lyapunov.json").exists()
 
 
-def test_lock_of_dead_process_is_replaced(tmp_path, capsys):
+def test_lock_of_killed_run_does_not_block(tmp_path, capsys):
     path, outdir = write_config(tmp_path, pipeline=["lyapunov"])
     outdir.mkdir(parents=True)
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
     lock = outdir / cli.LOCK_NAME
-    lock.write_text(str(child.pid))
+    # the holder leaves its PID in the file, as a PID-file lock would, and dies
+    # by SIGKILL, so no exit handler of its own runs
+    child = _hold_lock(outdir, first="fh.write(str(os.getpid())); fh.flush()")
+    child.kill()
+    _release(child)
+    assert lock.read_text() == str(child.pid)
     rc = cli.main(["run", "--config", str(path)])
     assert rc == 0
-    err = capsys.readouterr().err
-    assert f"stale lock {lock}" in err and str(child.pid) in err
-    assert not lock.exists()
+    assert capsys.readouterr().err == ""
     assert (outdir / "stage_lyapunov.json").exists()
+
+
+def test_lock_refuses_a_second_claim_from_one_process(tmp_path):
+    # flock binds the open file description, not the process: two claims on
+    # one directory never both succeed, whatever order their steps run in
+    with cli._locked(tmp_path):
+        with pytest.raises(cli.StageCheckFailure, match="lock"):
+            with cli._locked(tmp_path):
+                pass
+    with cli._locked(tmp_path):     # the first claim ended with its block
+        pass
+    assert (tmp_path / cli.LOCK_NAME).read_text() == ""
 
 
 def test_mixture_law_lyapunov(tmp_path):
@@ -673,6 +710,23 @@ def test_report_missing_directory(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
     assert err.count("\n") == 1
     assert not missing.exists()
+
+
+def test_report_refuses_a_locked_directory(tmp_path, capsys):
+    path, outdir = write_config(tmp_path, pipeline=["lyapunov"])
+    assert cli.main(["run", "--config", str(path)]) == 0
+    before = (outdir / "report.json").read_bytes()
+    capsys.readouterr()
+    holder = _hold_lock(outdir)
+    try:
+        rc = cli.main(["report", "--out", str(outdir)])
+    finally:
+        _release(holder)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(outdir / cli.LOCK_NAME) in err
+    assert err.count("\n") == 1
+    assert (outdir / "report.json").read_bytes() == before
 
 
 @pytest.mark.parametrize("case", ["config-is-directory", "config-not-utf8",
