@@ -183,8 +183,12 @@ class Similarity:
         object.__setattr__(self, "scale_values", tuple(float(v) for v in self.scale_values))
         object.__setattr__(self, "scale_probs", _check_probs(self.scale_probs, "similarity"))
 
+    def scales(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The scale factors c of count draws, the first draw of ``sample``."""
+        return _choose(rng, self.scale_values, self.scale_probs, count)
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        c = _choose(rng, self.scale_values, self.scale_probs, count)
+        c = self.scales(rng, count)
         if self.dim != 2:
             return c[:, None, None] * random_rotations(rng, count, self.dim)
         # planar case: scale the entries before the fill, not the filled matrices

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batches import SampleBatch
-from .env_models import ConfigurationError, Environment, GaussianVector, sample_pairs
+from .env_models import (ConfigurationError, Environment, GaussianVector, Similarity,
+                         sample_pairs)
 
 _RENORM_EVERY = 50
 _OVERFLOW_LIMIT = 1e300
@@ -292,17 +293,24 @@ def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """Backward-series draws for one tile; returns (values, realized depths,
     pairs drawn).  A Gaussian Q is integrated out of the series, and pairs
-    then counts the matrix draws."""
-    law = env.vector_law
+    then counts the matrix draws (for a similarity, its scale draws)."""
+    law, m_law = env.vector_law, env.matrix_law
     if isinstance(law, GaussianVector):
         # given the M's, sum_n P_{n-1} Q_n with i.i.d. N(0, s^2 I) Q's is
         # N(0, s^2 G), G = sum_n P_{n-1} P_{n-1}^T, and a random sign keeps Q
         # Gaussian: count Q's for the stop rule, then one z per lane
         q = law.sample(rng, count)
-        gram, _, _, depths, pairs = _walk_products(
-            lambda rng, rows: (env.matrix_law.sample(rng, rows), None), count, cfg, rng, q)
+        draw = lambda rng, rows: (m_law.sample(rng, rows), None)
+        if isinstance(m_law, Similarity):
+            # P_{n-1} = (prod c) O gives G = g I: walk the scales alone at d = 1;
+            # the stop rule reads |P_n| = sqrt(d) prod c, so q99 takes the sqrt(d)
+            draw = lambda rng, rows: (m_law.scales(rng, rows)[:, None, None], None)
+            q = math.sqrt(env.dim) * q
+        gram, _, _, depths, pairs = _walk_products(draw, count, cfg, rng, q)
+        root = _gram_root(gram)
         z = rng.standard_normal((count, env.dim, 1))
-        return law.scale * np.matmul(_gram_root(gram), z)[:, :, 0], depths, pairs
+        # the root sqrt(g) of a scalar G scales every entry of z
+        return law.scale * (root * z if root.shape[1] == 1 else root @ z)[:, :, 0], depths, pairs
 
     def draw(rng, rows):
         m, q = sample_pairs(env, rng, rows)

@@ -283,6 +283,12 @@ def test_similarity_draws_match_choice_times_rotation(dim, values, probs):
     assert np.array_equal(law.sample(substream(100), 5000), expected)
 
 
+def test_similarity_scales_are_the_first_draw_of_sample():
+    law = kl.Similarity(3, (0.3, 0.9, 1.7), (0.2, 0.5, 0.3))
+    expected = substream(103).choice(np.asarray(law.scale_values), size=5000, p=law.scale_probs)
+    assert np.array_equal(law.scales(substream(103), 5000), expected)
+
+
 def test_atom_draws_match_choice():
     scalar = kl.ScalarTwoPoint((-2.0, -0.5), (1 / 3, 2 / 3))
     expected = substream(101).choice(np.array([-2.0, -0.5]), size=5000, p=scalar.probs)

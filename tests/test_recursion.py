@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import kestenlab as kl
+from kestenlab import recursion
 from kestenlab.env_models import ConfigurationError
-from kestenlab.env_models import sample_pairs
+from kestenlab.env_models import random_rotations, sample_pairs
 from kestenlab.recursion import (NonContractionError, TrajectoryOverflowError,
                                  _STATIONARY_CHUNK, _forward_steps, _gram_root,
                                  _stationary_chunk, _walk_products)
@@ -349,17 +350,35 @@ class PlainGaussian:
         return self.scale * rng.standard_normal((count, self.dim))
 
 
+def assert_isotropic_covariance(batch, var):
+    """The sample covariance of batch is var I, within 4 standard errors."""
+    count, dim = batch.data.shape
+    cov = np.cov(batch.data.T)
+    # sd of a sample variance is var sqrt(2 / count), of a covariance var / sqrt(count)
+    np.testing.assert_allclose(np.diag(cov), var, rtol=0.0, atol=4 * var * math.sqrt(2 / count))
+    assert np.all(np.abs(cov[~np.eye(dim, dtype=bool)]) <= 4 * var / math.sqrt(count))
+
+
+def assert_same_law(batch, reference):
+    """batch and reference agree in law: a KS test per coordinate, and the
+    mass of |R| beyond the 0.99 and 0.999 quantiles of the reference."""
+    count = len(reference.data)
+    for i in range(batch.data.shape[1]):
+        assert stats.ks_2samp(batch.data[:, i], reference.data[:, i]).pvalue > 1e-3
+    r, r_ref = np.linalg.norm(batch.data, axis=1), np.linalg.norm(reference.data, axis=1)
+    for level in (0.99, 0.999):
+        u = np.quantile(r_ref, level)
+        p, q = np.mean(r > u), 1.0 - level
+        assert abs(p - q) <= 4 * math.sqrt(2 * q * (1 - q) / count)
+
+
 def test_gram_path_closed_form_covariance():
     # M = I / 2 at depth n: R = sum_k 2^-k Q_k, so Cov R = s^2 (1 - 4^-n) / (3/4) I
     s, n, count = 1.5, 3, 200_000
     env = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5))),
                          vector_law=kl.GaussianVector(2, s))
     batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=n), count, substream(40))
-    var = s * s * (1.0 - 4.0 ** -n) / 0.75
-    cov = np.cov(batch.data.T)
-    # sd of a sample variance is var sqrt(2 / count), of a covariance var / sqrt(count)
-    np.testing.assert_allclose(np.diag(cov), var, rtol=0.0, atol=4 * var * math.sqrt(2 / count))
-    assert abs(cov[0, 1]) <= 4 * var / math.sqrt(count)
+    assert_isotropic_covariance(batch, s * s * (1.0 - 4.0 ** -n) / 0.75)
     assert (batch.info["truncation"], batch.info["pairs_drawn"]) == (n, n * count)
 
 
@@ -388,15 +407,73 @@ def test_gram_path_matches_general_walker_in_law():
     env, cfg = similarity_env(2), kl.SeriesConfig(tolerance=1e-9)
     plain = kl.Environment(dim=2, matrix_law=env.matrix_law,
                            vector_law=PlainGaussian(2), q_symmetric=True)
-    gram = kl.sample_stationary(env, cfg, 200_000, substream(43))
-    walked = kl.sample_stationary(plain, cfg, 200_000, substream(44))
-    for i in range(2):
-        assert stats.ks_2samp(gram.data[:, i], walked.data[:, i]).pvalue > 1e-3
-    r_gram, r_walked = np.linalg.norm(gram.data, axis=1), np.linalg.norm(walked.data, axis=1)
-    for level in (0.99, 0.999):
-        u = np.quantile(r_walked, level)
-        p, q = np.mean(r_gram > u), 1.0 - level
-        assert abs(p - q) <= 4 * math.sqrt(2 * q * (1 - q) / 200_000)
+    # a similarity walks its scales alone
+    assert_same_law(kl.sample_stationary(env, cfg, 200_000, substream(43)),
+                    kl.sample_stationary(plain, cfg, 200_000, substream(44)))
+
+
+def test_matrix_gram_path_matches_general_walker_in_law():
+    # a Ginibre M is not a similarity, so its Gaussian Q takes the matrix Gram path
+    m_law, cfg = kl.GaussianMatrix(2, 0.6), kl.SeriesConfig(tolerance=1e-9)
+    env, plain = (kl.Environment(dim=2, matrix_law=m_law, vector_law=q_law)
+                  for q_law in (kl.GaussianVector(2), PlainGaussian(2)))
+    assert_same_law(kl.sample_stationary(env, cfg, 200_000, substream(49)),
+                    kl.sample_stationary(plain, cfg, 200_000, substream(50)))
+
+
+def test_scales_walk_closed_form_covariance():
+    # M = O / 2 at depth n: R = sum_k 2^-k O_k Q_k, so Cov R = s^2 (1 - 4^-n) / (3/4) I
+    s, n, count = 1.5, 3, 200_000
+    env = kl.Environment(dim=3, matrix_law=kl.Similarity(3, (0.5,), (1.0,)),
+                         vector_law=kl.GaussianVector(3, s))
+    batch = kl.sample_stationary(env, kl.SeriesConfig(truncation=n), count, substream(51))
+    assert_isotropic_covariance(batch, s * s * (1.0 - 4.0 ** -n) / 0.75)
+    assert (batch.info["truncation"], batch.info["pairs_drawn"]) == (n, n * count)
+
+
+@dataclass(frozen=True)
+class RotatedScales:
+    """c O with the scales c of a similarity drawn from the series' stream
+    and the rotations O from a stream of their own: not a Similarity, so a
+    Gaussian Q takes the matrix Gram path on the scales the scales walk draws."""
+    law: kl.Similarity
+    rotations: np.random.Generator
+
+    @property
+    def dim(self):
+        return self.law.dim
+
+    def sample(self, rng, count):
+        c = self.law.scales(rng, count)
+        return c[:, None, None] * random_rotations(self.rotations, count, self.dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
+                                 kl.SeriesConfig(truncation=120)],
+                         ids=["adaptive", "fixed"])
+def test_scales_walk_matches_the_matrix_gram_walk(monkeypatch, dim, cfg):
+    # the same scales and the same first Q's: the stop rule reads
+    # |P_n|_F = sqrt(d) prod c on both walks, so every lane retires at the
+    # same term, and the matrix walk's G is the scales walk's g times I
+    walks = []
+
+    def recorded(*args, **kwargs):
+        walks.append(_walk_products(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(recursion, "_walk_products", recorded)
+    law = kl.Similarity(dim, (2.0, 0.5), (1 / 3, 2 / 3))
+    rotated = RotatedScales(law, substream(52, 1))
+    values = [_stationary_chunk(kl.Environment(dim=dim, matrix_law=m_law,
+                                               vector_law=kl.GaussianVector(dim)),
+                                3000, cfg, substream(52, 0))
+              for m_law in (rotated, law)]
+    (big_g, *_, matrix_depths, matrix_pairs), (g, *_, depths, pairs) = walks
+    assert g.shape == (3000, 1, 1) and (g >= 1.0).all()
+    assert np.array_equal(depths, matrix_depths) and pairs == matrix_pairs
+    assert np.all(np.abs(big_g - g * np.eye(dim)) <= 1e-12 * g)
+    np.testing.assert_allclose(values[1][0], values[0][0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
