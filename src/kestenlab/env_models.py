@@ -187,13 +187,22 @@ class Similarity:
         """The scale factors c of count draws, the first draw of ``sample``."""
         return _choose(rng, self.scale_values, self.scale_probs, count)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def planar(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count planar draws c (cos t + i sin t), the numbers by which each
+        M multiplies x + iy; ``sample`` at d = 2 fills its matrices from them."""
         c = self.scales(rng, count)
-        if self.dim != 2:
-            return c[:, None, None] * random_rotations(rng, count, self.dim)
-        # planar case: scale the entries before the fill, not the filled matrices
         cos, sin = _unit_circle(rng, count)
-        return _planar(c * cos, c * sin)
+        z = np.empty(count, dtype=complex)
+        np.multiply(c, cos, out=z.real)
+        np.multiply(c, sin, out=z.imag)
+        return z
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if self.dim == 2:
+            z = self.planar(rng, count)
+            return _planar(z.real, z.imag)
+        c = self.scales(rng, count)
+        return c[:, None, None] * random_rotations(rng, count, self.dim)
 
 
 @dataclass(frozen=True)

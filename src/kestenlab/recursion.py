@@ -74,17 +74,17 @@ class LyapunovEstimate:
         return self.beta < 0.0
 
 
-def _check_finite(r: np.ndarray, step: int) -> None:
+def _check_finite(r: np.ndarray, step: int, what: str = "|R_n|",
+                  at: str = "step") -> None:
     mx = float(np.max(np.abs(r))) if r.size else 0.0
     if not np.isfinite(mx) or mx > _OVERFLOW_LIMIT:
         raise TrajectoryOverflowError(
-            f"|R_n| left the floating range at step {step} (max {mx:.3g}); "
+            f"{what} left the floating range at {at} {step} (max {mx:.3g}); "
             "the chain looks non-contractive or the parameters are bad")
 
 
 def _forward_steps(env: Environment, cfg: PathConfig, rng: np.random.Generator):
-    """Yield (k, R_k, S_k) for k = 1..n_steps, all replicas at once, and
-    return the number of pairs drawn.
+    """Yield (k, R_k, S_k) for k = 1..n_steps, all replicas at once.
 
     The pairs come in blocks of max(1, _STATIONARY_CHUNK // replicas) steps,
     the last cut at n_steps, one sample_pairs call per block in step-major
@@ -101,13 +101,11 @@ def _forward_steps(env: Environment, cfg: PathConfig, rng: np.random.Generator):
     s = np.zeros((d, reps))
     nxt = np.empty((d, reps))
     block = max(1, _STATIONARY_CHUNK // reps)
-    pairs = 0
     # overflow (and the inf * 0 it leads to) is detected and raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, cfg.n_steps + 1, block):
             steps = min(block, cfg.n_steps + 1 - first)
             ms, qs = sample_pairs(env, rng, steps * reps)
-            pairs += steps * reps
             ms, qs = ms.reshape(steps, reps, d, d), qs.reshape(steps, reps, d)
             for k, m, q in zip(range(first, first + steps), ms, qs):
                 for i in range(d):
@@ -121,22 +119,65 @@ def _forward_steps(env: Environment, cfg: PathConfig, rng: np.random.Generator):
                 if k % 64 == 0:
                     _check_finite(r, k)
     _check_finite(r, cfg.n_steps)
-    return pairs
+
+
+def _integrated_sums(env: Environment, cfg: PathConfig,
+                     rng: np.random.Generator) -> np.ndarray:
+    """S_n per replica, shape (replicas, 2), for a planar similarity with a
+    Gaussian Q integrated out: M = c O multiplies x + iy by the complex
+    w = c (cos t + i sin t) of ``Similarity.planar``.
+
+    Given the M's, S_n = Phi x + sum_j A_j Q_j, with A_j = sum_{k=j}^n
+    M_k ... M_{j+1} and Phi = M_1 A_1; with i.i.d. N(0, s^2 I) Q's it is
+    N(Phi x, s^2 V I), V = sum_j |A_j|^2.  The w's commute and are i.i.d.,
+    so the t-th drawn may stand for M_{n+1-t}: then B = M_j A_j runs
+    B <- w (1 + B) from 0, each 1 + B is the next A_j, and B ends at Phi.
+    The w's come in the forward blocks, max(1, _STATIONARY_CHUNK //
+    replicas) steps per call, and one N(0, I_2) vector per replica is drawn
+    at the end.  V is checked for overflow after each block.  It holds
+    squares: it is refused past 1e300, the step loop's bound on |R_k|, so
+    once |A_j| passes about 1e150.  On a non-contractive law both grow
+    geometrically, and both paths refuse.
+    """
+    reps, n = cfg.replicas, cfg.n_steps
+    block = max(1, _STATIONARY_CHUNK // reps)
+    b = np.zeros(reps, dtype=complex)
+    a = np.empty((min(block, n), reps), dtype=complex)
+    # V by components: the squared real and imaginary parts of the A's,
+    # read through a float view, summed over each replica's two at the end
+    v_parts = np.zeros(2 * reps)
+    # overflow (and the inf * 0 it leads to) is detected and raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, block):
+            steps = min(block, n - first)
+            w = env.matrix_law.planar(rng, steps * reps).reshape(steps, reps)
+            for t in range(steps):
+                np.add(b, 1.0, out=a[t])
+                np.multiply(w[t], a[t], out=b)
+            parts = a[:steps].view(np.float64)
+            v_parts += np.einsum("ti,ti->i", parts, parts)
+            _check_finite(v_parts, first + steps, "V = sum_j |A_j|^2", at="reversed draw")
+    v = v_parts.reshape(reps, 2).sum(axis=1)
+    mean = (b * complex(*cfg.start_x)).view(np.float64).reshape(reps, 2)
+    return mean + env.vector_law.scale * np.sqrt(v)[:, None] * rng.standard_normal((reps, 2))
 
 
 def birkhoff_sums(env: Environment, cfg: PathConfig,
                   rng: np.random.Generator) -> SampleBatch:
     """Final partial sums S_n per replica, without storing the paths; `info`
-    records the pairs drawn, n_steps * replicas."""
-    steps = _forward_steps(env, cfg, rng)
-    try:
-        while True:
-            _, _, s = next(steps)
-    except StopIteration as done:
-        pairs = done.value
-    return SampleBatch(data=s.T.copy(), kind="birkhoff",
+    records the pairs drawn, one M per step and replica.  A Gaussian Q is
+    integrated out of a planar similarity's sums, which draw no Q; every
+    other law steps the paths."""
+    if (env.dim == 2 and isinstance(env.matrix_law, Similarity)
+            and isinstance(env.vector_law, GaussianVector)):
+        data = _integrated_sums(env, cfg, rng)
+    else:
+        for _, _, s in _forward_steps(env, cfg, rng):
+            pass
+        data = s.T.copy()
+    return SampleBatch(data=data, kind="birkhoff",
                        info={"n_steps": cfg.n_steps, "start_x": list(cfg.start_x),
-                             "pairs_drawn": pairs})
+                             "pairs_drawn": cfg.n_steps * cfg.replicas})
 
 
 def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator,

@@ -289,6 +289,15 @@ def test_similarity_scales_are_the_first_draw_of_sample():
     assert np.array_equal(law.scales(substream(103), 5000), expected)
 
 
+def test_similarity_planar_draws_fill_sample():
+    # M = c (cos, -sin; sin, cos) multiplies x + iy by z = c (cos + i sin)
+    law = kl.Similarity(2, (0.3, 0.9, 1.7), (0.2, 0.5, 0.3))
+    z = law.planar(substream(104), 5000)
+    m = law.sample(substream(104), 5000)
+    assert np.array_equal(m[:, :, 0], np.stack([z.real, z.imag], axis=1))
+    assert np.array_equal(m[:, :, 1], np.stack([-z.imag, z.real], axis=1))
+
+
 def test_atom_draws_match_choice():
     scalar = kl.ScalarTwoPoint((-2.0, -0.5), (1 / 3, 2 / 3))
     expected = substream(101).choice(np.array([-2.0, -0.5]), size=5000, p=scalar.probs)

@@ -705,7 +705,9 @@ def reference_birkhoff(env, cfg, rng):
 
 @pytest.mark.parametrize("dim, replicas", [(1, 3000), (2, 700), (3, 20_000)])
 def test_birkhoff_matches_reference_loop(scalar_env, dim, replicas):
-    env = scalar_env if dim == 1 else similarity_env(dim)
+    # a Gaussian Q at d = 2 would be integrated out of the sums, so the
+    # planar case keeps the step loop with a two-point Q
+    env = {1: scalar_env, 2: two_point_q_env(2), 3: similarity_env(3)}[dim]
     cfg = kl.PathConfig(n_steps=45, start_x=(0.5,) * dim, replicas=replicas)
     batch = kl.birkhoff_sums(env, cfg, substream(33))
     assert batch.info["pairs_drawn"] == 45 * replicas
@@ -737,6 +739,82 @@ def test_forward_steps_draw_blocks_of_steps(scalar_env, monkeypatch):
     kl.birkhoff_sums(scalar_env, kl.PathConfig(n_steps=10, start_x=(0.0,),
                                                replicas=4000), substream(36))
     assert calls == [16_000, 16_000, 8000]
+
+
+def assert_same_cf(sums, reference, z_max=4.0):
+    """The empirical characteristic functions of two samples of planar S_n
+    agree within z_max standard errors, at t = u / scale along four
+    directions, scale the median |S_n| of the reference."""
+    count = len(reference)
+    scale = float(np.median(np.linalg.norm(reference, axis=1)))
+    for angle in np.linspace(0.0, math.pi, 4, endpoint=False):
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        for u in (0.25, 0.5, 1.0, 2.0, 4.0):
+            t = u / scale * direction
+            for part in (np.cos, np.sin):
+                a, b = part(sums @ t), part(reference @ t)
+                se = math.sqrt((a.var() + b.var()) / count)
+                assert abs(a.mean() - b.mean()) <= z_max * se
+
+
+@pytest.mark.parametrize("m_law, start_x", [
+    (kl.Similarity(2, (2.0, 0.5), (1 / 3, 2 / 3)), (1.5, -0.5)),
+    (kl.Similarity(2, (0.9, 0.6), (0.5, 0.5)), (6.0, 2.5)),
+], ids=["heavy_tailed", "start_dominated"])
+def test_integrated_sums_match_the_step_loop_in_law(m_law, start_x):
+    env, plain = (kl.Environment(dim=2, matrix_law=m_law, vector_law=q_law)
+                  for q_law in (kl.GaussianVector(2, 0.7), PlainGaussian(2, 0.7)))
+    cfg = kl.PathConfig(n_steps=12, start_x=start_x, replicas=100_000)
+    sums = kl.birkhoff_sums(env, cfg, substream(53, 0))
+    # PlainGaussian is not a GaussianVector, so these sums step the paths
+    reference = kl.birkhoff_sums(plain, cfg, substream(53, 1))
+    assert sums.info == reference.info
+    assert_same_cf(sums.data, reference.data)
+
+
+def test_integrated_sums_closed_form_moments():
+    # |M| = m and a uniform angle: S_n = Phi x + sum_j A_j Q_j has mean 0,
+    # E|Phi|^2 = sum_{k=1}^n m^{2k} and E|A_j|^2 = sum_{i=0}^{n-j} m^{2i}
+    m, x, s, n, count = 0.8, (2.0, -1.0), 1.5, 10, 200_000
+    env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (m,), (1.0,)),
+                         vector_law=kl.GaussianVector(2, s))
+    sums = kl.birkhoff_sums(env, kl.PathConfig(n_steps=n, start_x=x, replicas=count),
+                            substream(54)).data
+    second = (sum(m ** (2 * k) for k in range(1, n + 1)) * (x[0] ** 2 + x[1] ** 2)
+              + 2 * s * s * sum(sum(m ** (2 * i) for i in range(n - j + 1))
+                                for j in range(1, n + 1)))
+    assert np.all(np.abs(sums.mean(axis=0)) <= 4 * sums.std(axis=0) / math.sqrt(count))
+    sq = (sums ** 2).sum(axis=1)
+    assert abs(sq.mean() - second) <= 4 * sq.std() / math.sqrt(count)
+
+
+@pytest.mark.parametrize("q_law", [kl.GaussianVector(2), PlainGaussian(2)],
+                         ids=["integrated", "step_loop"])
+def test_birkhoff_expanding_law_overflows(q_law):
+    env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (4.0, 2.0), (0.5, 0.5)),
+                         vector_law=q_law)
+    with pytest.raises(TrajectoryOverflowError):
+        kl.birkhoff_sums(env, kl.PathConfig(n_steps=1200, start_x=(1.0, 1.0), replicas=3),
+                         substream(55))
+
+
+def test_integrated_sums_draw_blocks_of_steps(monkeypatch):
+    calls = []
+    planar = kl.Similarity.planar
+
+    def recording(self, rng, count):
+        calls.append(count)
+        return planar(self, rng, count)
+
+    monkeypatch.setattr(kl.Similarity, "planar", recording)
+    env = similarity_env(2)
+    for n, replicas, blocks in ((5, 20_000, [20_000] * 5),
+                                (10, 4000, [16_000, 16_000, 8000])):
+        calls.clear()
+        batch = kl.birkhoff_sums(env, kl.PathConfig(n_steps=n, start_x=(0.0, 0.0),
+                                                    replicas=replicas), substream(56))
+        assert calls == blocks
+        assert batch.info["pairs_drawn"] == n * replicas
 
 
 def test_birkhoff_symmetric_sums_have_centered_median(scalar_env):
