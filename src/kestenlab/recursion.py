@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Backward-series truncation: either a fixed depth or a stop tolerance."""
+    """Backward-series truncation: a fixed depth or a tolerance on |M_1 ... M_n|_F."""
 
     truncation: int | None = None
     tolerance: float | None = None
@@ -180,29 +180,27 @@ def birkhoff_sums(env: Environment, cfg: PathConfig,
                              "pairs_drawn": cfg.n_steps * cfg.replicas})
 
 
-def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator,
-                   gram_q: np.ndarray | None = None):
+def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator):
     """The one random-product loop: count lanes of P_n = M_1 ... M_n, each
     summing sum_n P_{n-1} Q_n, with draw(rng, rows) -> (M, Q) of shapes
-    (rows, d, d) and (rows, d, c); c = 0 walks the products alone.  Given
-    gram_q, count draws of Q that serve the stop rule alone, draw returns
-    (M, None) and the lanes sum the Gram matrices
+    (rows, d, d) and (rows, d, c); c = 0 walks the products alone.  A draw
+    that returns (M, None) makes the lanes sum the Gram matrices
     e^{2 log_scale} P_{n-1} P_{n-1}^T instead (c = d).
 
-    A lane retires at cfg.truncation terms or, adaptively, once the
-    0.99-quantile bound |P_n| q99(|Q|) on its next term is under the
-    tolerance.  The state is packed component-major into one array whose
-    columns are the active lanes: rows sum and product (row-major),
-    log_scale, the term weight exp(log_scale) (exp(2 log_scale) for Gram
-    sums), the squared-norm threshold under which a lane retires, and the
-    lane index.  P Q and P M take one broadcast multiply-add per column of P
-    over a (d, c or d, lanes) block, reading the draws through views; the
-    weighted P P^T is one einsum.
+    A lane retires at cfg.truncation terms or, adaptively, once |P_n|_F is
+    under the tolerance, which bounds each term P_n M_{n+1} ... Q it leaves
+    out by the tolerance times |M_{n+1} ... Q|.  The state is packed
+    component-major into one array whose columns are the active lanes: rows
+    sum and product (row-major), log_scale, the term weight exp(log_scale)
+    (exp(2 log_scale) for Gram sums), the squared-norm threshold under which
+    a lane retires, and the lane index.  P Q and P M take one broadcast
+    multiply-add per column of P over a (d, c or d, lanes) block, reading
+    the draws through views; the weighted P P^T is one einsum.
 
-    The first call draws one term for every lane (its Q, or gram_q, gives
-    q99); each later call draws a block of k terms for the active lanes in
-    step-major order, k = _STATIONARY_CHUNK // lanes at least 1, and a block
-    never crosses a renormalization step, the truncation or max_terms.
+    The first call draws one term for every lane and fixes d and c; each
+    later call draws a block of k terms for the active lanes in step-major
+    order, k = _STATIONARY_CHUNK // lanes at least 1, and a block never
+    crosses a renormalization step, the truncation or max_terms.
     Terms are applied one at a time; a lane that retires inside a block is
     copied out at its term, and retired lanes are compacted out with one
     take at the block end, their remaining draws discarded.
@@ -211,7 +209,7 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     """
     m, q = draw(rng, count)
     pairs = count
-    gram = gram_q is not None
+    gram = q is None
     d = m.shape[1]
     c = d if gram else q.shape[2]
     dd, dc = d * d, d * c
@@ -228,16 +226,12 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     last_term = cfg.max_terms if adaptive else cfg.truncation
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
     weight = 2.0 if gram else 1.0          # a term's weight is exp(weight * log_scale)
-    q_first = (gram_q if gram else q).reshape(count, -1)
-    q99 = float(np.quantile(np.linalg.norm(q_first, axis=1), 0.99))
-    log_q99 = math.log(q99) if q99 > 0 else -math.inf
 
     def refresh_threshold(state):
-        # retire once log_scale + log|prod| + log_q99 < log_tol, that is
-        # |prod|^2 < exp(2 (log_tol - log_q99 - log_scale))
+        # retire once log_scale + log|prod| < log_tol: |prod|^2 < exp(2 (log_tol - log_scale))
         if adaptive:
             with np.errstate(over="ignore"):
-                np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
+                np.exp(2.0 * (log_tol - state[log_row]), out=state[thr_row])
 
     refresh_threshold(state)
     n, k = 0, 1
@@ -339,15 +333,15 @@ def _stationary_chunk(env: Environment, count: int, cfg: SeriesConfig,
     if isinstance(law, GaussianVector):
         # given the M's, sum_n P_{n-1} Q_n with i.i.d. N(0, s^2 I) Q's is
         # N(0, s^2 G), G = sum_n P_{n-1} P_{n-1}^T, and a random sign keeps Q
-        # Gaussian: count Q's for the stop rule, then one z per lane
-        q = law.sample(rng, count)
+        # Gaussian: one z per lane, no Q drawn
         draw = lambda rng, rows: (m_law.sample(rng, rows), None)
         if isinstance(m_law, Similarity):
-            # P_{n-1} = (prod c) O gives G = g I: walk the scales alone at d = 1;
-            # the stop rule reads |P_n| = sqrt(d) prod c, so q99 takes the sqrt(d)
+            # P_{n-1} = (prod c) O gives G = g I: walk the scales alone at d = 1, where
+            # |P_n| = prod c is |P_n|_F / sqrt(d), and so is the tolerance
             draw = lambda rng, rows: (m_law.scales(rng, rows)[:, None, None], None)
-            q = math.sqrt(env.dim) * q
-        gram, _, _, depths, pairs = _walk_products(draw, count, cfg, rng, q)
+            if cfg.tolerance is not None:
+                cfg = replace(cfg, tolerance=cfg.tolerance / math.sqrt(env.dim))
+        gram, _, _, depths, pairs = _walk_products(draw, count, cfg, rng)
         root = _gram_root(gram)
         z = rng.standard_normal((count, env.dim, 1))
         # the root sqrt(g) of a scalar G scales every entry of z

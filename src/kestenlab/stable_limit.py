@@ -20,6 +20,7 @@ from .tails import SpectralMeasure, _require_regular_variation
 
 _EULER_GAMMA = 0.5772156649015329
 _SPAN_TOL = 1e-6      # Re C(v) below -_SPAN_TOL counts v as strictly damped
+_W_TOLERANCE = 1e-10  # the stop tolerance of the W series behind C(v) and positivity
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
 
     With N_k = M_k^T and P_k = N_1 ... N_k, A^T = sum_{k>=1} P_{k-1} N_k is
     the product walker with M and Q both set to N; its adaptive rule bounds
-    the next term, and so the missing tail per unit |x|, by the tolerance.
+    the next term P_n N_{n+1} by the tolerance times |N_{n+1}|.
     """
     def draw(rng, rows):
         n = np.swapaxes(env.matrix_law.sample(rng, rows), 1, 2)
@@ -232,7 +233,7 @@ def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
     """C(v) at sigma's exponent on a direction set with one shared
     matrix-series cache."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    cache = sample_w_matrices(env, SeriesConfig(tolerance=1e-10), mc, rng)
+    cache = sample_w_matrices(env, SeriesConfig(tolerance=_W_TOLERANCE), mc, rng)
     c_vals = np.empty(directions.shape[0], dtype=complex)
     budget = 0.0
     for i, v in enumerate(directions):
@@ -310,8 +311,10 @@ class TransposedPositivity:
 
     @property
     def positive(self) -> bool:
-        return (self.plus_integral > 3.0 * self.plus_se
-                and self.minus_integral > 3.0 * self.minus_se)
+        # a mirror whose every draw is 0 meets no mass of sigma and is skipped
+        mirrors = ((self.plus_integral, self.plus_se), (self.minus_integral, self.minus_se))
+        charged = [(value, se) for value, se in mirrors if value or se]
+        return bool(charged) and all(value > 3.0 * se for value, se in charged)
 
 
 def transposed_positivity_check(env: Environment, sigma: SpectralMeasure, v,
@@ -321,13 +324,13 @@ def transposed_positivity_check(env: Environment, sigma: SpectralMeasure, v,
     With the transposed series acting on v (draws A^T v from the shared
     matrix cache), both
         integral of E[(<W*v + v, w>^+)^k - (<W*v, w>^+)^k] d sigma(w)
-    and its v -> -v mirror must be positive; a nonpositive value beyond
-    noise indicates a bad angular measure or exponent.
+    and its v -> -v mirror must be positive where sigma charges them; a
+    nonpositive value beyond noise indicates a bad angular measure or exponent.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ConfigurationError("transposed positivity check needs |v| = 1")
-    cache = sample_w_matrices(env, SeriesConfig(tolerance=1e-10), mc, rng)
+    cache = sample_w_matrices(env, SeriesConfig(tolerance=_W_TOLERANCE), mc, rng)
     wstar = cache.apply_transposed(v)            # (mc, d)
     pts = sigma.grid.points
     mass = sigma.mass

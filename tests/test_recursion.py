@@ -181,15 +181,11 @@ def per_lane_series(env, count, cfg, rng):
     idx = np.arange(count)
     adaptive = cfg.tolerance is not None
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
-    log_q99 = None
     n = 0
     while idx.size:
         lanes = idx.size
         k = 1 if n == 0 else block_terms(n, lanes, cfg)
         m_block, q_block = sample_pairs(env, rng, lanes * k)
-        if log_q99 is None:
-            q99 = float(np.quantile(np.linalg.norm(q_block, axis=1), 0.99))
-            log_q99 = math.log(q99) if q99 > 0 else -math.inf
         live = np.ones(lanes, dtype=bool)
         for t in range(k):
             n += 1
@@ -199,7 +195,7 @@ def per_lane_series(env, count, cfg, rng):
             if adaptive:
                 with np.errstate(divide="ignore"):
                     log_norm = np.log(np.linalg.norm(prod, axis=(1, 2)))
-                retire = live & (log_scale + log_norm + log_q99 < log_tol)
+                retire = live & (log_scale + log_norm < log_tol)
             else:
                 retire = live & (n >= cfg.truncation)
             out[idx[retire]] = r[retire]
@@ -256,23 +252,19 @@ def reference_tile(env, count, cfg, rng):
     acc_buf, tmp_buf = np.empty(count), np.empty(count)
     adaptive = cfg.tolerance is not None
     log_tol = math.log(cfg.tolerance) if adaptive else -math.inf
-    log_q99 = None
 
     def refresh_threshold(state):
         with np.errstate(over="ignore"):
-            np.exp(2.0 * (log_tol - log_q99 - state[log_row]), out=state[thr_row])
+            np.exp(2.0 * (log_tol - state[log_row]), out=state[thr_row])
 
+    if adaptive:
+        refresh_threshold(state)
     n = 0
     with np.errstate(under="ignore"):
         while state.shape[1]:
             lanes = state.shape[1]
             k = 1 if n == 0 else block_terms(n, lanes, cfg)
             m_block, q_block = sample_pairs(env, rng, lanes * k)
-            if log_q99 is None:
-                q99 = float(np.quantile(np.linalg.norm(q_block, axis=1), 0.99))
-                log_q99 = math.log(q99) if q99 > 0 else -math.inf
-                if adaptive:
-                    refresh_threshold(state)
             live = np.ones(lanes, dtype=bool)
             for t in range(k):
                 n += 1
@@ -453,9 +445,10 @@ class RotatedScales:
                                  kl.SeriesConfig(truncation=120)],
                          ids=["adaptive", "fixed"])
 def test_scales_walk_matches_the_matrix_gram_walk(monkeypatch, dim, cfg):
-    # the same scales and the same first Q's: the stop rule reads
-    # |P_n|_F = sqrt(d) prod c on both walks, so every lane retires at the
-    # same term, and the matrix walk's G is the scales walk's g times I
+    # the same scales: the matrix walk's |P_n|_F = sqrt(d) prod c meets the
+    # tolerance where the scales walk's prod c meets it over sqrt(d), so
+    # every lane retires at the same term, and the matrix walk's G is the
+    # scales walk's g times I
     walks = []
 
     def recorded(*args, **kwargs):
@@ -473,25 +466,26 @@ def test_scales_walk_matches_the_matrix_gram_walk(monkeypatch, dim, cfg):
     assert g.shape == (3000, 1, 1) and (g >= 1.0).all()
     assert np.array_equal(depths, matrix_depths) and pairs == matrix_pairs
     assert np.all(np.abs(big_g - g * np.eye(dim)) <= 1e-12 * g)
-    np.testing.assert_allclose(values[1][0], values[0][0], rtol=1e-12, atol=0.0)
+    # the Cholesky factor and sqrt(g) round apart by about 1e-16 of |R|,
+    # which an entry near 0 cannot absorb in a relative bound of its own
+    scale = np.linalg.norm(values[0][0], axis=1, keepdims=True)
+    assert np.all(np.abs(values[1][0] - values[0][0]) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("cfg", [kl.SeriesConfig(tolerance=1e-9),
                                  kl.SeriesConfig(truncation=120)],
                          ids=["adaptive", "fixed"])
 def test_gram_walk_keeps_the_stop_rule(cfg):
-    # the same M's and the same first Q's, which give q99: every lane
+    # the same M's: the stop rule reads the products alone, so every lane
     # retires at the same term on the Gram walk as on the general walk
     law = similarity_env(2).matrix_law
-    q_first = substream(47, 1).standard_normal((3000, 2, 1))
 
-    def draws():
-        stream, first = substream(47, 0), [q_first]
-        return lambda rng, rows: (law.sample(stream, rows),
-                                  first.pop() if first else np.zeros((rows, 2, 1)))
+    def draws(q):
+        stream = substream(47, 0)
+        return lambda rng, rows: (law.sample(stream, rows), q(rows))
 
-    walked = _walk_products(draws(), 3000, cfg, None)
-    gram = _walk_products(draws(), 3000, cfg, None, gram_q=q_first[:, :, 0])
+    walked = _walk_products(draws(lambda rows: np.zeros((rows, 2, 1))), 3000, cfg, None)
+    gram = _walk_products(draws(lambda rows: None), 3000, cfg, None)
     assert np.array_equal(gram[3], walked[3]) and gram[4] == walked[4]
     # P_{n-1} = c O gives P P^T = c^2 I, so G is a multiple of I, at least I
     g = gram[0]
@@ -555,12 +549,36 @@ def test_walker_draws_blocks_of_terms_between_renormalizations(scalar_env):
         assert (first + k - 2) // 50 == (first - 1) // 50
 
 
-def test_series_retires_every_lane_at_once_without_q():
-    env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (0.5, 0.5)),
+def test_series_of_a_zero_q_is_zero_and_stops_on_the_products():
+    # Q = 0 sums to R = 0 exactly, and the stop rule, which reads the
+    # products alone, still needs them to contract
+    env = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (1 / 3, 2 / 3)),
                          vector_law=kl.ConstantVector((0.0, 0.0)))
     batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 100, substream(25))
     assert np.array_equal(batch.data, np.zeros((100, 2)))
-    assert batch.info["truncation"] == 1
+    assert batch.info["truncation"] > 1
+    flat = kl.Environment(dim=2, matrix_law=kl.Similarity(2, (2.0, 0.5), (0.5, 0.5)),
+                          vector_law=env.vector_law)
+    with pytest.raises(NonContractionError):
+        kl.sample_stationary(flat, kl.SeriesConfig(tolerance=1e-9, max_terms=500), 100,
+                             substream(25))
+
+
+@pytest.mark.parametrize("law", ["matrix_gram", "scales", "general"])
+def test_series_depth_is_a_function_of_the_law(law):
+    # M = I / 2: |P_n|_F = sqrt(2) 2^-n is first under 1e-9 at n = 31, on every
+    # lane, every tile and every seed, whatever Q's draws
+    m_law = kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5)))
+    q_law = kl.GaussianVector(2)
+    if law == "scales":
+        m_law = kl.Similarity(2, (0.5,), (1.0,))
+    elif law == "general":
+        q_law = kl.TwoPointVector((1.0, -0.5), (0.3, 2.0), 0.4)
+    env = kl.Environment(dim=2, matrix_law=m_law, vector_law=q_law)
+    for seed in (1, 2):
+        batch = kl.sample_stationary(env, kl.SeriesConfig(tolerance=1e-9), 40_000,
+                                     substream(53, seed))
+        assert batch.info["truncation"] == 31 and batch.info["mean_depth"] == 31.0
 
 
 def test_series_depth_quantiles_recorded(scalar_env):

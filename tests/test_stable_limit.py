@@ -226,13 +226,13 @@ def test_w_fixed_truncation_matches_reference_loop(scalar_env, dim):
 
 
 def test_w_adaptive_stop_bounds_next_term():
-    # M = I/2: |P_n| = sqrt(2) 2^-n and the 0.99-quantile of |M| is sqrt(2)/2,
-    # so the bound on the next term, 2^-n, is first under 1e-6 at n = 20
+    # M = I/2: |P_n|_F = sqrt(2) 2^-n is first under 1e-6 at n = 21, which
+    # bounds the next term 2^-(n+1) I by 1e-6 |M|_F
     env = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((0.5, 0.0), (0.0, 0.5))),
                          vector_law=kl.ConstantVector((0.0, 0.0)))
     cache = sample_w_matrices(env, kl.SeriesConfig(tolerance=1e-6), 3, substream(77))
-    assert cache.max_depth == 20
-    assert np.array_equal(cache.matrices, np.broadcast_to((1.0 - 2.0 ** -20) * np.eye(2),
+    assert cache.max_depth == 21
+    assert np.array_equal(cache.matrices, np.broadcast_to((1.0 - 2.0 ** -21) * np.eye(2),
                                                           (3, 2, 2)))
 
 
@@ -599,6 +599,26 @@ def test_transposed_positivity_symmetric_matrix_law(grid1):
                                            20_000, substream(93))
     spread = abs(check.plus_integral - check.minus_integral)
     assert spread <= 3 * math.hypot(check.plus_se, check.minus_se)
+
+
+def test_transposed_positivity_one_sided_sigma(grid1):
+    # M in {2, 0.3} at kappa = 0.6 with Q = 1: R > 0, so sigma is one atom at
+    # +1, and the mirror at v = -1 meets none of it
+    p = (1.0 - 0.3 ** 0.6) / (2.0 ** 0.6 - 0.3 ** 0.6)
+    env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((2.0, 0.3), (p, 1.0 - p)),
+                         vector_law=kl.ConstantVector((1.0,)))
+    sigma = SpectralMeasure(grid=grid1, mass=np.where(grid1.points[:, 0] > 0, 1.0, 0.0),
+                            threshold_used=1.0, total_mass=1.0, kappa=0.6,
+                            sample_count=0, exceedances=0)
+    for v, uncharged in ((-1.0, "plus"), (1.0, "minus")):
+        check = kl.transposed_positivity_check(env, sigma, np.array([v]), 2000,
+                                               substream(95))
+        assert getattr(check, f"{uncharged}_integral") == getattr(check, f"{uncharged}_se") == 0
+        assert check.positive
+    zero = replace(sigma, mass=np.zeros(grid1.n), total_mass=0.0)
+    check = kl.transposed_positivity_check(env, zero, np.array([-1.0]), 2000, substream(95))
+    assert (check.plus_integral, check.plus_se, check.minus_integral, check.minus_se) == (0,) * 4
+    assert not check.positive
 
 
 def test_transposed_positivity_rejects_non_unit(scalar_env, grid1):
