@@ -28,7 +28,8 @@ def main() -> int:
                               grid, sol.kappa, True)
     cent = kl.centering(env, sol.kappa, batch)
     dirs = np.array([[1.0], [-1.0]])
-    law = kl.compute_stable_law(env, sigma, dirs, 4000, substream(1, 3))
+    cache = kl.sample_w_matrices(env, kl.W_SERIES, 4000, substream(1, 3))
+    law = kl.compute_stable_law(env, sigma, dirs, cache)
     print(f"kappa = {sol.kappa:.4f}, C(+1) = {law.c_values[0]:.4f}, "
           f"budget = {law.error_budget:.4f}\n")
     s_values = np.linspace(0.1, 2.0, 16)

@@ -41,6 +41,7 @@ from .spectral import (
     spectral_radius,
 )
 from .stable_limit import (
+    W_SERIES,
     StableLaw,
     c_kappa,
     centering,
@@ -48,6 +49,7 @@ from .stable_limit import (
     cos_tail_constant,
     empirical_cf,
     nondegeneracy,
+    sample_w_matrices,
     stable_fit_check,
     transposed_positivity_check,
 )

@@ -433,8 +433,8 @@ def stage_sigma(ctx: RunContext) -> dict:
     sol = need_solution(ctx)
     block = ctx.config.mc.sigma
     u = float(np.quantile(batch.norms(), block.threshold_quantile))
-    # sigma carries kappa-hat to the limit and nondeg stages; near 1 a Q
-    # that is not symmetric is refused here, by the one near-integer rule
+    # sigma carries kappa-hat to the limit stage; near 1 a Q that is not
+    # symmetric is refused here, by the one near-integer rule
     sigma = tails.estimate_sigma(batch, u, ctx.grid(), sol.kappa, ctx.env.q_symmetric)
     residual = tails.check_sigma_invariance(sigma, ctx.env, block.invariance_mc,
                                             ctx.stream("sigma", 0))
@@ -451,8 +451,10 @@ def stage_limit(ctx: RunContext) -> dict:
     n = 2 ** block.log2_n
     dirs = ctx.direction_set(block.n_directions)
     cent = stable_limit.centering(ctx.env, sigma.kappa, batch)
-    law = stable_limit.compute_stable_law(ctx.env, sigma, dirs, block.w_draws,
-                                          ctx.stream("limit", 0))
+    cache = stable_limit.sample_w_matrices(ctx.env, stable_limit.W_SERIES, block.w_draws,
+                                           ctx.stream("limit", 0))
+    law = stable_limit.compute_stable_law(ctx.env, sigma, dirs, cache)
+    tp = stable_limit.transposed_positivity_check(sigma, dirs[0], cache)
     sums = recursion.birkhoff_sums(ctx.env, recursion.PathConfig(
         n_steps=n, start_x=tuple(np.zeros(ctx.env.dim)), replicas=block.replicas),
         ctx.stream("limit", 1))
@@ -467,24 +469,17 @@ def stage_limit(ctx: RunContext) -> dict:
               "sup_deviation": deviation,
               "error_budget": law.error_budget,
               "c_values": [[z.real, z.imag] for z in law.c_values],
-              "w_depth_quantiles": law.provenance["w_depth_quantiles"]}
+              "w_depth_quantiles": law.provenance["w_depth_quantiles"], **asdict(tp)}
     ctx.checks["limit_cf_deviation"] = (
-        deviation <= ctx.config.checks.cf_deviation_max + law.error_budget)
+        deviation <= ctx.config.checks.cf_deviation_max + law.cf_budget(ecf.s_values))
+    ctx.checks["transposed_positivity"] = tp.positive
     return result
 
 
 def stage_nondeg(ctx: RunContext) -> dict:
-    law = need_stable_law(ctx)
-    sigma = need_sigma(ctx)
-    verdict = stable_limit.nondegeneracy(law)
-    tp = stable_limit.transposed_positivity_check(
-        ctx.env, sigma, law.directions[0], ctx.config.mc.limit.w_draws,
-        ctx.stream("nondeg", 0))
+    verdict = stable_limit.nondegeneracy(need_stable_law(ctx))
     ctx.checks["nondegenerate"] = verdict.nondegenerate
-    ctx.checks["transposed_positivity"] = tp.positive
-    return {"verdict": asdict(verdict),
-            "plus_integral": tp.plus_integral, "plus_se": tp.plus_se,
-            "minus_integral": tp.minus_integral, "minus_se": tp.minus_se}
+    return {"verdict": asdict(verdict)}
 
 
 STAGE_FUNCS = {

@@ -3,8 +3,8 @@
 The limit characteristic function has the form exp(s^kappa C(v)) where C is
 the integral of a corrected plane-wave increment against the product tail
 measure.  The correction function h_v(x) = E exp(i <v, W(x)>) involves the
-series W(x) = sum_k M_k ... M_1 x, which is linear in x: all draws of W
-come from one cache of random matrix-series draws A with W(x) = A x.
+series W(x) = sum_k M_k ... M_1 x, which is linear in x: C(v) and the
+transposed positivity read one cache of matrix-series draws A, W(x) = A x.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .tails import SpectralMeasure, _require_regular_variation
 
 _EULER_GAMMA = 0.5772156649015329
 _SPAN_TOL = 1e-6      # Re C(v) below -_SPAN_TOL counts v as strictly damped
-_W_TOLERANCE = 1e-10  # the stop tolerance of the W series behind C(v) and positivity
+W_SERIES = SeriesConfig(tolerance=1e-10)  # the W series behind C(v) and positivity
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +41,6 @@ class WMatrixCache:
     def count(self) -> int:
         return self.matrices.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrices @ np.asarray(x, dtype=float)
-
     def apply_transposed(self, v: np.ndarray) -> np.ndarray:
         return np.swapaxes(self.matrices, 1, 2) @ np.asarray(v, dtype=float)
 
@@ -63,6 +60,15 @@ def sample_w_matrices(env: Environment, cfg: SeriesConfig, count: int,
     sums, _, _, depths, _ = _walk_products(draw, count, cfg, rng)
     return WMatrixCache(matrices=np.swapaxes(sums, 1, 2).copy(), max_depth=int(depths.max()),
                         mean_depth=float(depths.mean()), depth_quantiles=quantiles(depths))
+
+
+def _phases(v, sigma: SpectralMeasure, cache: WMatrixCache) -> tuple[np.ndarray, np.ndarray]:
+    """a_j = <v, w_j> and phases[i, j] = <A_i^T v, w_j> over sigma's cells w_j."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        raise ConfigurationError("the limit functionals need a unit direction v")
+    points = sigma.grid.points
+    return points @ v, cache.apply_transposed(v) @ points.T
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +110,16 @@ def c_kappa(v, sigma: SpectralMeasure, env: Environment,
         (exp(i s <v,w>) - 1) h_v(s w) - centering(s, <v,w>)
     against s^(-kappa-1) ds.  Expanding h_v(s w) over the matrix-series
     draws of the cache turns each draw into a compensated plane-wave
-    integral with a closed form, so there is no radial discretization error
-    at all; the budget is three standard errors of the draw mean.  A
-    symmetric Q makes the limit law symmetric and C(v) real, so then each
-    draw keeps its real part alone.
+    integral with a closed form at the phase <v, W(w)>, so there is no
+    radial discretization error at all; one (draws, cells) array of phases
+    gives every draw, and the budget is three standard errors of their mean.
+    A symmetric Q makes C(v) real, so then each draw keeps its real part.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ConfigurationError("c_kappa needs a unit direction v")
     kappa = sigma.kappa
     _require_regular_variation(kappa, env.q_symmetric)
-    per_draw = np.zeros(cache.count, dtype=complex)
-    for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
-        if mass_j == 0.0:
-            continue
-        a = float(v @ w_j)
-        u = cache.apply(w_j) @ v            # (mc,) phases of W(w_j) along v
-        per_draw += mass_j * (_levy_radial_integral(a + u, kappa)
-                              - _levy_radial_integral(u, kappa))
+    a, phases = _phases(v, sigma, cache)
+    per_draw = (_levy_radial_integral(a + phases, kappa)
+                - _levy_radial_integral(phases, kappa)) @ sigma.mass
     if env.q_symmetric:
         per_draw = per_draw.real
     value = complex(np.mean(per_draw))
@@ -227,13 +225,20 @@ class StableLaw:
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
         return np.exp(s[:, None] ** self.kappa * self.c_values[None, :])
 
+    def cf_budget(self, s_values) -> float:
+        """error_budget carried from C(v) to the cf on the s values: an
+        error e in C moves exp(s^kappa C) by about s^kappa |cf| e, so by
+        f e with f the largest s^kappa |cf|, capped at 1."""
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        f = float(np.max(s[:, None] ** self.kappa * np.abs(self.cf(s))))
+        return min(f, 1.0) * self.error_budget
+
 
 def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
-                       mc: int, rng: np.random.Generator) -> StableLaw:
-    """C(v) at sigma's exponent on a direction set with one shared
-    matrix-series cache."""
+                       cache: WMatrixCache) -> StableLaw:
+    """C(v) at sigma's exponent on a direction set, every direction read
+    from the one matrix-series cache; the budget is the largest of theirs."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    cache = sample_w_matrices(env, SeriesConfig(tolerance=_W_TOLERANCE), mc, rng)
     c_vals = np.empty(directions.shape[0], dtype=complex)
     budget = 0.0
     for i, v in enumerate(directions):
@@ -241,7 +246,7 @@ def compute_stable_law(env: Environment, sigma: SpectralMeasure, directions,
         budget = max(budget, error_budget)
     return StableLaw(kappa=sigma.kappa, directions=directions, c_values=c_vals,
                      error_budget=budget,
-                     provenance={"w_draws": mc, "w_depth": cache.max_depth,
+                     provenance={"w_draws": cache.count, "w_depth": cache.max_depth,
                                  "w_depth_quantiles": cache.depth_quantiles,
                                  "sigma_threshold": sigma.threshold_used})
 
@@ -317,34 +322,21 @@ class TransposedPositivity:
         return bool(charged) and all(value > 3.0 * se for value, se in charged)
 
 
-def transposed_positivity_check(env: Environment, sigma: SpectralMeasure, v,
-                                mc: int, rng: np.random.Generator) -> TransposedPositivity:
+def transposed_positivity_check(sigma: SpectralMeasure, v,
+                                cache: WMatrixCache) -> TransposedPositivity:
     """Positivity of the transposed-series tail brackets at sigma's exponent.
 
-    With the transposed series acting on v (draws A^T v from the shared
-    matrix cache), both
+    With the transposed series acting on v (draws A^T v from the matrix
+    cache C(v) reads), both
         integral of E[(<W*v + v, w>^+)^k - (<W*v, w>^+)^k] d sigma(w)
     and its v -> -v mirror must be positive where sigma charges them; a
     nonpositive value beyond noise indicates a bad angular measure or exponent.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ConfigurationError("transposed positivity check needs |v| = 1")
-    cache = sample_w_matrices(env, SeriesConfig(tolerance=_W_TOLERANCE), mc, rng)
-    wstar = cache.apply_transposed(v)            # (mc, d)
-    pts = sigma.grid.points
-    mass = sigma.mass
-    kappa = sigma.kappa
+    a, phases = _phases(v, sigma, cache)
 
     def integral(sign: float) -> tuple[float, float]:
-        shifted = (sign * (wstar + v)) @ pts.T   # (mc, n_cells)
-        base = (sign * wstar) @ pts.T
-        g = np.maximum(shifted, 0.0) ** kappa - np.maximum(base, 0.0) ** kappa
-        per_draw = g @ mass
-        return (float(per_draw.mean()),
-                float(per_draw.std() / math.sqrt(per_draw.shape[0])))
+        per_draw = (np.maximum(sign * (phases + a), 0.0) ** sigma.kappa
+                    - np.maximum(sign * phases, 0.0) ** sigma.kappa) @ sigma.mass
+        return float(per_draw.mean()), float(per_draw.std() / math.sqrt(cache.count))
 
-    plus, plus_se = integral(1.0)
-    minus, minus_se = integral(-1.0)
-    return TransposedPositivity(plus_integral=plus, plus_se=plus_se,
-                                minus_integral=minus, minus_se=minus_se)
+    return TransposedPositivity(*integral(1.0), *integral(-1.0))

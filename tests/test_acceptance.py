@@ -79,8 +79,9 @@ def scalar_centering_acc(scalar_env, scalar_1m, scalar_solution_acc):
 
 @pytest.fixture(scope="module")
 def scalar_law_acc(scalar_env, scalar_sigma_acc):
+    cache = kl.sample_w_matrices(scalar_env, kl.W_SERIES, 4000, substream(SEED, 10))
     return kl.compute_stable_law(scalar_env, scalar_sigma_acc, np.array([[1.0], [-1.0]]),
-                                 4000, substream(SEED, 10))
+                                 cache)
 
 
 @pytest.fixture(scope="module")
@@ -212,15 +213,18 @@ def test_c10_cf_convergence(birkhoff_sums_acc, scalar_law_acc, scalar_centering_
 def test_c11_nondegeneracy(scalar_env, similarity_env, scalar_law_acc,
                            sim_solution_acc, sim_sigma_acc,
                            scalar_solution_acc, scalar_sigma_acc, grid2):
-    sim_law = kl.compute_stable_law(similarity_env, sim_sigma_acc, grid2.points[::4], 3000,
-                                    substream(SEED, 11))
+    sim_law = kl.compute_stable_law(
+        similarity_env, sim_sigma_acc, grid2.points[::4],
+        kl.sample_w_matrices(similarity_env, kl.W_SERIES, 3000, substream(SEED, 11)))
     verdict_scalar = kl.nondegeneracy(scalar_law_acc)
     verdict_sim = kl.nondegeneracy(sim_law)
     c1 = kl.cos_tail_constant(1.0)
     tp_scalar = kl.transposed_positivity_check(
-        scalar_env, scalar_sigma_acc, np.array([1.0]), 4000, substream(SEED, 12))
+        scalar_sigma_acc, np.array([1.0]),
+        kl.sample_w_matrices(scalar_env, kl.W_SERIES, 4000, substream(SEED, 12)))
     tp_sim = kl.transposed_positivity_check(
-        similarity_env, sim_sigma_acc, grid2.points[0], 4000, substream(SEED, 13))
+        sim_sigma_acc, grid2.points[0],
+        kl.sample_w_matrices(similarity_env, kl.W_SERIES, 4000, substream(SEED, 13)))
     ok = (verdict_scalar.all_negative and verdict_sim.all_negative
           and verdict_scalar.nondegenerate and verdict_sim.nondegenerate
           and abs(c1 + math.pi / 2) <= 1e-4

@@ -492,6 +492,38 @@ def test_stagewise_run_matches_full_run(tmp_path):
         assert staged == full, stage
 
 
+def test_staged_nondeg_reads_only_the_stable_law(tmp_path):
+    stages = ["simulate", "kappa", "sigma", "limit", "nondeg"]
+    path, outdir = write_config(tmp_path, pipeline=stages)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    outdir2 = tmp_path / "out2"
+    for stage in stages[:-1]:
+        assert cli.main([stage, "--config", str(path), "--out", str(outdir2)]) == 0
+    (outdir2 / "sigma.json").unlink()
+    (outdir2 / "stationary_samples.csv").unlink()
+    assert cli.main(["nondeg", "--config", str(path), "--out", str(outdir2)]) == 0
+    full, staged = (json.loads((out / "stage_nondeg.json").read_text())
+                    for out in (outdir, outdir2))
+    assert staged == full
+
+
+def test_full_run_draws_one_w_cache(tmp_path, monkeypatch):
+    calls = []
+    draw = stable_limit.sample_w_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(stable_limit, "sample_w_matrices", counted)
+    path, outdir = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert len(calls) == 1
+    limit = json.loads((outdir / "stage_limit.json").read_text())
+    assert limit["checks"]["transposed_positivity"] is True
+    assert limit["result"]["plus_integral"] > 3.0 * limit["result"]["plus_se"]
+
+
 def test_missing_upstream_artifact_names_file(tmp_path, capsys):
     path, outdir = write_config(tmp_path)
     rc = cli.main(["tail", "--config", str(path)])
@@ -762,11 +794,11 @@ def test_report_without_fragments_keeps_report(tmp_path, capsys):
     assert (tmp_path / "report.json").read_text() == '{"keep":1}'
 
 
-@pytest.mark.parametrize("argv, env_value, source", [
-    (["--threads", "0"], None, "--threads"),
-    (["--threads", "-2"], None, "--threads"),
+@pytest.mark.parametrize("argv, source", [
+    (["--threads", "0"], "--threads"),
+    (["--threads", "-2"], "--threads"),
 ])
-def test_bad_thread_count_is_refused(tmp_path, capsys, argv, env_value, source):
+def test_bad_thread_count_is_refused(tmp_path, capsys, argv, source):
     path, outdir = write_config(tmp_path, pipeline=["simulate"])
     assert cli.main(["run", "--config", str(path), *argv]) == 2
     err = capsys.readouterr().err

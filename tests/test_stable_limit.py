@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import kestenlab as kl
+from kestenlab import cli
 from kestenlab.batches import SampleBatch, canonical_json, from_json
 from kestenlab.env_models import ConfigurationError
 from kestenlab.recursion import NonContractionError
 from kestenlab.rng import substream
-from kestenlab.stable_limit import (CenteringResult, StableLaw, normalized_sums,
-                                    sample_w_matrices, self_similarity_check)
+from kestenlab.stable_limit import (CenteringResult, StableLaw, _levy_radial_integral,
+                                    normalized_sums, sample_w_matrices, self_similarity_check)
 from kestenlab.tails import RegularVariationError, SpectralMeasure
 
 
@@ -34,7 +35,7 @@ def uniform_sigma(grid, kappa, total=1.0):
 
 
 def w_cache(env, mc, rng):
-    return sample_w_matrices(env, kl.SeriesConfig(tolerance=1e-10), mc, rng)
+    return sample_w_matrices(env, kl.W_SERIES, mc, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def c_kappa_panels(v: np.ndarray, kappa: float, sigma: SpectralMeasure,
         if mass_j == 0.0:
             continue
         a = float(v @ w_j)
-        u = cache.apply(w_j) @ v
+        u = (cache.matrices @ w_j) @ v
         integral = 0.0 + 0.0j
         for lo in range(0, s.size, 256):
             hi = min(lo + 256, s.size)
@@ -144,9 +145,8 @@ def cos_tail_series(kappa: float) -> float:
 # ---------------------------------------------------------------------------
 
 def test_w_zero_start_is_zero(scalar_env):
-    cache = sample_w_matrices(scalar_env, kl.SeriesConfig(tolerance=1e-10), 64,
-                              substream(70))
-    assert np.array_equal(cache.apply(np.array([0.0])), np.zeros((64, 1)))
+    cache = w_cache(scalar_env, 64, substream(70))
+    assert np.array_equal(cache.matrices @ np.array([0.0]), np.zeros((64, 1)))
 
 
 def test_w_geometric_contraction():
@@ -155,7 +155,7 @@ def test_w_geometric_contraction():
     x = np.array([2.0, -1.0])
     for n in (3, 10):
         cache = sample_w_matrices(env, kl.SeriesConfig(truncation=n), 4, substream(71))
-        draws = cache.apply(x)
+        draws = cache.matrices @ x
         expected = (1.0 - 2.0 ** -n) * x
         assert cache.max_depth == n
         assert np.allclose(draws, expected, atol=1e-14)
@@ -163,14 +163,13 @@ def test_w_geometric_contraction():
 
 
 def test_w_linearity_exact_with_shared_cache(scalar_env):
-    cache = sample_w_matrices(scalar_env, kl.SeriesConfig(tolerance=1e-10), 128,
-                              substream(72))
+    cache = w_cache(scalar_env, 128, substream(72))
     x = np.array([0.37])
     # power-of-two scales commute with every float operation bit-exactly
-    a = cache.apply(2.0 * x)
-    b = cache.apply(x)
+    a = cache.matrices @ (2.0 * x)
+    b = cache.matrices @ x
     assert np.array_equal(a, 2.0 * b)
-    c = cache.apply(3.0 * x)
+    c = cache.matrices @ (3.0 * x)
     np.testing.assert_allclose(c, 3.0 * b, rtol=1e-15, atol=0.0)
 
 
@@ -180,7 +179,7 @@ def test_w_mean_stable_in_truncation(heavy_mean_env):
     for n in (200, 400):
         cache = sample_w_matrices(heavy_mean_env, kl.SeriesConfig(truncation=n),
                                   40_000, substream(73))
-        w = cache.apply(np.array([1.0]))[:, 0]
+        w = (cache.matrices @ np.array([1.0]))[:, 0]
         means.append(float(np.mean(np.abs(w))))
     se = 3.0 / math.sqrt(40_000) * np.std(np.abs(w))
     assert abs(means[0] - means[1]) <= max(se, 0.05 * means[1])
@@ -284,6 +283,55 @@ def test_c_kappa_panel_route_agrees_within_budget(scalar_env, grid1):
     assert abs(exact - panels) <= panels_budget + budget
 
 
+def c_kappa_per_cell(v, sigma, env, cache):
+    """(C(v), budget) by the per-cell loop that the one phase array
+    replaced: A w_j rebuilt for each cell, and zero-mass cells skipped."""
+    kappa = sigma.kappa
+    per_draw = np.zeros(cache.count, dtype=complex)
+    for mass_j, w_j in zip(sigma.mass, sigma.grid.points):
+        if mass_j == 0.0:
+            continue
+        a = float(v @ w_j)
+        u = (cache.matrices @ w_j) @ v
+        per_draw += mass_j * (_levy_radial_integral(a + u, kappa)
+                              - _levy_radial_integral(u, kappa))
+    if env.q_symmetric:
+        per_draw = per_draw.real
+    se = float(np.sqrt(np.var(per_draw.real) + np.var(per_draw.imag))
+               / math.sqrt(cache.count))
+    return complex(np.mean(per_draw)), 3.0 * se
+
+
+@pytest.mark.parametrize("case", ["scalar", "planar", "d3", "zero_mass_cells"])
+def test_c_kappa_matches_per_cell_loop(case, scalar_env, similarity_env, grid1, grid2):
+    rng = substream(96, len(case))
+    # the last two take the complex exponent of a Q that is not symmetric
+    if case == "scalar":
+        env, grid, kappa = scalar_env, grid1, 1.0
+    elif case == "planar":
+        env, grid, kappa = similarity_env, grid2, 1.0
+    elif case == "d3":
+        env = kl.Environment(dim=3, matrix_law=kl.Similarity(3, (2.0, 0.5), (1 / 3, 2 / 3)),
+                             vector_law=kl.GaussianVector(3))
+        grid, kappa = kl.build_grid(3, 16), 0.7
+    else:
+        env, grid, kappa = replace(similarity_env, q_symmetric=False), grid2, 1.4
+    mass = rng.uniform(0.0, 1.0, grid.n)
+    if case == "zero_mass_cells":
+        mass[::2] = 0.0
+    sigma = SpectralMeasure(grid=grid, mass=mass, threshold_used=1.0,
+                            total_mass=float(mass.sum()), kappa=kappa,
+                            sample_count=0, exceedances=0)
+    cache = w_cache(env, 300, rng)
+    directions = np.vstack([grid.points[:: max(1, grid.n // 4)],
+                            np.full(env.dim, 1.0 / math.sqrt(env.dim))])
+    for v in directions:
+        value, budget = kl.c_kappa(v, sigma, env, cache)
+        ref_value, ref_budget = c_kappa_per_cell(v, sigma, env, cache)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert abs(budget - ref_budget) <= 1e-12 * ref_budget
+
+
 def test_c_kappa_symmetric_sigma_gives_real_exponent(scalar_env, scalar_batch,
                                                      scalar_solution, grid1):
     u = float(np.quantile(scalar_batch.norms(), 0.99))
@@ -333,7 +381,8 @@ def test_near_integer_rule_boundary(grid1, scalar_batch):
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, 0.99, True)
     assert sigma.kappa == 0.99
     assert kl.centering(symmetric, 0.99, samples).kappa == 0.99
-    law = kl.compute_stable_law(symmetric, sigma, np.array([[1.0]]), 200, substream(82, 2))
+    law = kl.compute_stable_law(symmetric, sigma, np.array([[1.0]]),
+                                w_cache(symmetric, 200, substream(82, 2)))
     assert law.kappa == 0.99 and law.c_values[0].real < 0.0
 
 
@@ -451,6 +500,21 @@ def test_stable_law_validates_damping():
                   c_values=np.array([0.5 + 0.0j]))
 
 
+def test_cf_budget_carries_the_budget_to_the_cf():
+    """An error e in C(v) moves exp(s^kappa C) by about s^kappa |cf| e: a
+    heavy law's budget in exponent units no longer swamps the cf band."""
+    law = StableLaw(kappa=1.5, directions=np.array([[1.0]]),
+                    c_values=np.array([-40.0 + 0.0j]), error_budget=2.5)
+    s_values = cli.LimitConfig().s_values
+    f = max(s ** 1.5 * math.exp(-40.0 * s ** 1.5) for s in s_values)
+    assert law.cf_budget(s_values) == pytest.approx(f * 2.5, rel=1e-12)
+    assert cli.ChecksConfig().cf_deviation_max + law.cf_budget(s_values) < 1.0
+    # f is capped at 1, so no band is wider than the budget itself makes it
+    mild = StableLaw(kappa=1.0, directions=np.array([[1.0]]),
+                     c_values=np.array([-0.01 + 0.0j]), error_budget=0.3)
+    assert mild.cf_budget([0.1, 2.0, 50.0]) == 0.3
+
+
 @pytest.mark.parametrize("law", [
     StableLaw(kappa=0.7, directions=np.array([[1.0], [-1.0]]),
               c_values=np.array([-1.0 + 0.25j, -1.0 - 0.25j])),
@@ -491,7 +555,7 @@ def test_convergence_in_n(scalar_env, scalar_batch, scalar_solution, grid1):
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, scalar_solution.kappa, True)
     cent = kl.centering(scalar_env, scalar_solution.kappa, scalar_batch)
     dirs = np.array([[1.0], [-1.0]])
-    law = kl.compute_stable_law(scalar_env, sigma, dirs, 2000, substream(86))
+    law = kl.compute_stable_law(scalar_env, sigma, dirs, w_cache(scalar_env, 2000, substream(86)))
     reps = 4000
     devs = []
     for exp in (10, 12):
@@ -557,7 +621,8 @@ def test_nondegeneracy_isotropic(similarity_env, grid2):
     u = float(np.quantile(batch.norms(), 0.99))
     sigma = kl.estimate_sigma(batch, u, grid2, sol_kappa, True)
     dirs = grid2.points[::8]
-    law = kl.compute_stable_law(similarity_env, sigma, dirs, 1500, substream(91))
+    law = kl.compute_stable_law(similarity_env, sigma, dirs,
+                                w_cache(similarity_env, 1500, substream(91)))
     verdict = kl.nondegeneracy(law)
     assert verdict.nondegenerate
     assert verdict.span_rank == 2
@@ -585,8 +650,8 @@ def test_nondegeneracy_detects_collapsed_span():
 def test_transposed_positivity_scalar(scalar_env, scalar_batch, scalar_solution, grid1):
     u = float(np.quantile(scalar_batch.norms(), 0.99))
     sigma = kl.estimate_sigma(scalar_batch, u, grid1, scalar_solution.kappa, True)
-    check = kl.transposed_positivity_check(scalar_env, sigma, np.array([1.0]),
-                                           2000, substream(92))
+    check = kl.transposed_positivity_check(sigma, np.array([1.0]),
+                                           w_cache(scalar_env, 2000, substream(92)))
     assert check.positive
     assert check.plus_integral > 0 and check.minus_integral > 0
 
@@ -595,8 +660,8 @@ def test_transposed_positivity_symmetric_matrix_law(grid1):
     env = kl.Environment(dim=1, matrix_law=kl.ScalarTwoPoint((0.6, -0.6), (0.5, 0.5)),
                          vector_law=kl.ConstantVector((1.0,)), q_symmetric=True)
     sigma = uniform_sigma(grid1, 1.3)
-    check = kl.transposed_positivity_check(env, sigma, np.array([1.0]),
-                                           20_000, substream(93))
+    check = kl.transposed_positivity_check(sigma, np.array([1.0]),
+                                           w_cache(env, 20_000, substream(93)))
     spread = abs(check.plus_integral - check.minus_integral)
     assert spread <= 3 * math.hypot(check.plus_se, check.minus_se)
 
@@ -611,17 +676,18 @@ def test_transposed_positivity_one_sided_sigma(grid1):
                             threshold_used=1.0, total_mass=1.0, kappa=0.6,
                             sample_count=0, exceedances=0)
     for v, uncharged in ((-1.0, "plus"), (1.0, "minus")):
-        check = kl.transposed_positivity_check(env, sigma, np.array([v]), 2000,
-                                               substream(95))
+        check = kl.transposed_positivity_check(sigma, np.array([v]),
+                                               w_cache(env, 2000, substream(95)))
         assert getattr(check, f"{uncharged}_integral") == getattr(check, f"{uncharged}_se") == 0
         assert check.positive
     zero = replace(sigma, mass=np.zeros(grid1.n), total_mass=0.0)
-    check = kl.transposed_positivity_check(env, zero, np.array([-1.0]), 2000, substream(95))
+    check = kl.transposed_positivity_check(zero, np.array([-1.0]),
+                                           w_cache(env, 2000, substream(95)))
     assert (check.plus_integral, check.plus_se, check.minus_integral, check.minus_se) == (0,) * 4
     assert not check.positive
 
 
 def test_transposed_positivity_rejects_non_unit(scalar_env, grid1):
     with pytest.raises(ConfigurationError):
-        kl.transposed_positivity_check(scalar_env, uniform_sigma(grid1, 1.0),
-                                       np.array([0.0]), 200, substream(94))
+        kl.transposed_positivity_check(uniform_sigma(grid1, 1.0), np.array([0.0]),
+                                       w_cache(scalar_env, 200, substream(94)))
