@@ -432,6 +432,21 @@ def fixed_point_residuals(sol: SpectralSolution, env: Environment,
 # the directional tail constant
 # ---------------------------------------------------------------------------
 
+def positive_power(x: np.ndarray, kappa: float, mirrored: bool = False):
+    """np.maximum(x, 0.0) ** kappa bit for bit, a zero as +0, paired with
+    ((-x)^+)^kappa when mirrored.  The power runs once, in place, on |x|, as
+    numpy's SIMD pow turns scalar on an array that holds zeros; the sign then
+    goes back on and is clipped (a product with the mask x > 0 would turn an
+    |x|^kappa that overflows at a negative x into inf * 0 = NaN)."""
+    signed = np.abs(x)
+    signed **= kappa
+    np.copysign(signed, x, out=signed)
+    if not mirrored:
+        return np.maximum(signed, 0.0, out=signed)
+    minus = np.negative(signed)
+    return np.maximum(signed, 0.0, out=signed), np.maximum(minus, 0.0, out=minus)
+
+
 @dataclass(eq=False)
 class GoldieEstimate:
     """Directional tail constants K with the Monte-Carlo context attached."""
@@ -455,6 +470,7 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     through the one-step update leaves the summands bounded by a function
     of |Q| (for kappa <= 1) instead of a difference of two heavy-tailed
     terms, so the estimator has finite variance at every kappa in (0, 2).
+    Each bracket is one `positive_power` of its block of products.
     """
     kappa, alpha = sol.kappa, sol.alpha
     r_data = data_of(stationary_samples)
@@ -477,8 +493,8 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     for start in range(0, n_pairs, _GOLDIE_BLOCK):
         part = slice(start, start + _GOLDIE_BLOCK)
         # ((y R')^+)^kappa - ((y MR)^+)^kappa per row y and sample
-        diff = (np.maximum(points @ r_one_step[part].T, 0.0) ** kappa
-                - np.maximum(points @ mr[part].T, 0.0) ** kappa)
+        diff = (positive_power(points @ r_one_step[part].T, kappa)
+                - positive_power(points @ mr[part].T, kappa))
         if reducible:
             row_sums += diff.sum(axis=1)
             per_sample[part] = diff.mean(axis=0)

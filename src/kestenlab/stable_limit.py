@@ -16,6 +16,7 @@ import numpy as np
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment
 from .recursion import SeriesConfig, _walk_products, quantiles
+from .spectral import positive_power
 from .tails import SpectralMeasure, _require_regular_variation
 
 _EULER_GAMMA = 0.5772156649015329
@@ -333,10 +334,11 @@ def transposed_positivity_check(sigma: SpectralMeasure, v,
     nonpositive value beyond noise indicates a bad angular measure or exponent.
     """
     a, phases = _phases(v, sigma, cache)
+    shifted = positive_power(phases + a, sigma.kappa, mirrored=True)
+    unshifted = positive_power(phases, sigma.kappa, mirrored=True)
 
-    def integral(sign: float) -> tuple[float, float]:
-        per_draw = (np.maximum(sign * (phases + a), 0.0) ** sigma.kappa
-                    - np.maximum(sign * phases, 0.0) ** sigma.kappa) @ sigma.mass
+    def integral(side: int) -> tuple[float, float]:
+        per_draw = (shifted[side] - unshifted[side]) @ sigma.mass
         return float(per_draw.mean()), float(per_draw.std() / math.sqrt(cache.count))
 
-    return TransposedPositivity(*integral(1.0), *integral(-1.0))
+    return TransposedPositivity(*integral(0), *integral(1))

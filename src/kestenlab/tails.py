@@ -18,7 +18,7 @@ import numpy as np
 
 from .batches import data_of
 from .env_models import ConfigurationError, Environment
-from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws
+from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws, positive_power
 
 _INTEGER_TOL = 0.05  # a kappa this close to an integer is treated as that integer
 MIN_EXCEEDANCES = 500  # fewest draws over the threshold that sigma is estimated from
@@ -169,8 +169,8 @@ class SpectralMeasure:
     def tail_constant(self, v) -> float:
         """K(v) through the polar form of the tail measure:
         (1/kappa) sum_j m_j (<v, w_j>^+)^kappa over the cell points w_j."""
-        a = np.maximum(self.grid.points @ np.asarray(v, dtype=float), 0.0)
-        return float(np.sum(self.mass * a ** self.kappa) / self.kappa)
+        a = positive_power(self.grid.points @ np.asarray(v, dtype=float), self.kappa)
+        return float(np.sum(self.mass * a) / self.kappa)
 
 
 def _exceedance_cells(data: np.ndarray, norms: np.ndarray, u: float,

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 import kestenlab as kl
 from kestenlab.env_models import (MATRIX_FAMILIES, NOT_CHECKABLE, VECTOR_FAMILIES,
-                                  ConfigurationError, build_law, operator_norm,
-                                  random_rotations)
+                                  ConfigurationError, build_law, random_rotations)
 from kestenlab.rng import substream
 
 
@@ -22,7 +22,7 @@ def test_scalar_two_point_support(scalar_env):
 
 def test_similarity_norm_equals_scale(similarity_env):
     m = similarity_env.matrix_law.sample(substream(2), 500)
-    norms = operator_norm(m)
+    norms = np.linalg.norm(m, ord=2, axis=(-2, -1))
     # |vM| = c for every unit v: the operator norm must be an atom of c
     assert np.all(np.isin(np.round(norms, 10), (0.5, 2.0)))
     v = np.array([0.6, 0.8])
@@ -246,6 +246,34 @@ def test_assumptions_contractive_identity_fails_a7():
     a7 = report.entries["A7"]
     assert a7.verdict == "fail"
     assert abs(a7.estimate - 2.0 ** -1.5) < 1e-12
+
+
+def test_assumptions_a7_infimum_is_exact_off_any_grid():
+    # M = O diag(2, 1, 0.5) O^T: inf over unit v of |vM| is 0.5, at v = O e3.
+    # The 64-point direction grid A7 once minimised over read 0.534 here, a
+    # moment 10.4 % above the exact 0.5^1.5.
+    k = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    o = np.eye(3) + np.sin(0.7) * cross + (1.0 - np.cos(0.7)) * cross @ cross
+    m = o @ np.diag([2.0, 1.0, 0.5]) @ o.T
+    env = kl.Environment(dim=3, matrix_law=kl.ConstantMatrix(tuple(map(tuple, m))),
+                         vector_law=kl.GaussianVector(3), kappa0_hint=1.5)
+    a7 = kl.check_assumptions(env, 1000, substream(13)).entries["A7"]
+    assert abs(a7.estimate - 0.5 ** 1.5) <= 1e-12
+    assert a7.verdict == "fail"
+
+
+def test_assumptions_memory_stays_linear_in_draws(similarity_env):
+    # the draws, their singular values and norms peak at about 2.3 MB for
+    # 20 000 planar draws; A7's products of every draw with 64 grid
+    # directions once peaked at about 63 MB
+    tracemalloc.start()
+    try:
+        kl.check_assumptions(similarity_env, 20_000, substream(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_assumptions_zero_q_fails_a7(scalar_env):

@@ -10,7 +10,7 @@ from scipy import special, stats
 import kestenlab as kl
 from kestenlab import spectral
 from kestenlab.batches import canonical_json, from_json
-from kestenlab.env_models import ConfigurationError, operator_norm
+from kestenlab.env_models import ConfigurationError
 from kestenlab.rng import substream
 from kestenlab.spectral import (COLUMN_ACTION, ROW_ACTION, SpectralBracketError,
                                 SpectralSolution, SphereGrid, _perron,
@@ -327,7 +327,7 @@ def test_solve_kappa_similarity(similarity_env, grid2):
     assert abs(sol.kappa - 1.0) <= 0.05
     assert not sol.reducible_directions
     m = similarity_env.matrix_law.sample(substream(39), 50_000)
-    assert abs(float(np.mean(operator_norm(m) ** sol.kappa)) - 1.0) <= 0.02
+    assert abs(float(np.mean(np.linalg.norm(m, ord=2, axis=(-2, -1)) ** sol.kappa)) - 1.0) <= 0.02
     assert abs(sol.alpha - ALPHA_SCALAR) <= 0.1 * ALPHA_SCALAR
 
 
@@ -475,6 +475,44 @@ def test_solve_kappa_similarity_d4():
 # ---------------------------------------------------------------------------
 # the directional tail constant
 # ---------------------------------------------------------------------------
+
+# IEEE edge cases, subnormals, values whose power overflows, and a spread of
+# ordinary magnitudes that fills numpy's SIMD loops on both sides of zero
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                        -1e-310, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308,
+                        1.0, -1.0])
+SPREAD_VALUES = (np.random.default_rng(50).standard_normal(997)
+                 * np.logspace(-300, 300, 997))
+
+
+def assert_same_bits(new, old):
+    """Equal bit for bit, except that a NaN is compared as NaN only and a zero
+    must be +0: pow keeps no defined NaN sign, and np.maximum(-0.0, 0.0) is
+    -0.0 on some numpy versions and +0.0 on others."""
+    nan, zero = np.isnan(old), old == 0.0
+    assert np.array_equal(np.isnan(new), nan)
+    assert np.array_equal(new == 0.0, zero) and not np.signbit(new[zero]).any()
+    rest = ~nan & ~zero
+    assert np.array_equal(new[rest].view(np.uint64), old[rest].view(np.uint64))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5, 1.99])
+@pytest.mark.parametrize("values", [EDGE_VALUES, np.concatenate([EDGE_VALUES, SPREAD_VALUES]),
+                                    np.abs(SPREAD_VALUES), -np.abs(SPREAD_VALUES)],
+                         ids=["edge", "mixed", "positive", "negative"])
+def test_positive_power_equals_clipped_power(values, kappa):
+    x = np.tile(values, (3, 1))
+    before = x.copy()
+    with np.errstate(over="ignore"):
+        old_plus = np.maximum(x, 0.0) ** kappa
+        old_minus = np.maximum(-x, 0.0) ** kappa
+        plus = spectral.positive_power(x, kappa)
+        pair = spectral.positive_power(x, kappa, mirrored=True)
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+    assert_same_bits(plus, old_plus)
+    assert_same_bits(pair[0], old_plus)
+    assert_same_bits(pair[1], old_minus)
+
 
 def test_goldie_constant_positive_and_symmetric(scalar_env, scalar_solution,
                                                 scalar_batch):

@@ -687,6 +687,30 @@ def test_transposed_positivity_one_sided_sigma(grid1):
     assert not check.positive
 
 
+def four_pow_positivity(sigma, v, cache):
+    """The two bracket integrals and their SEs with four clipped powers, one
+    per term and mirror, as transposed_positivity_check first computed them."""
+    a = sigma.grid.points @ v
+    phases = cache.apply_transposed(v) @ sigma.grid.points.T
+
+    def integral(sign):
+        per_draw = (np.maximum(sign * (phases + a), 0.0) ** sigma.kappa
+                    - np.maximum(sign * phases, 0.0) ** sigma.kappa) @ sigma.mass
+        return float(per_draw.mean()), float(per_draw.std() / math.sqrt(cache.count))
+
+    return (*integral(1.0), *integral(-1.0))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5, 1.99])
+def test_transposed_positivity_equals_four_pow_formula(similarity_env, grid2, kappa):
+    sigma = replace(uniform_sigma(grid2, kappa), mass=np.linspace(0.5, 1.5, grid2.n) / grid2.n)
+    v = np.array([0.6, 0.8])
+    cache = w_cache(similarity_env, 2000, substream(96))
+    check = kl.transposed_positivity_check(sigma, v, cache)
+    assert (check.plus_integral, check.plus_se, check.minus_integral,
+            check.minus_se) == four_pow_positivity(sigma, v, cache)
+
+
 def test_transposed_positivity_rejects_non_unit(scalar_env, grid1):
     with pytest.raises(ConfigurationError):
         kl.transposed_positivity_check(uniform_sigma(grid1, 1.0), np.array([0.0]),
