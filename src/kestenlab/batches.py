@@ -18,8 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .env_models import ConfigurationError
+
 _HEADER_TAG = "kestenlab-batch "
 _CSV_BLOCK_ROWS = 4096
+_NORM_BLOCK_ROWS = 16_384
 
 
 @contextmanager
@@ -147,7 +150,7 @@ class SampleBatch:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
+        self.data = data_of(self.data)
 
     @property
     def count(self) -> int:
@@ -158,7 +161,7 @@ class SampleBatch:
         return self.data.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.data, axis=1)
+        return row_norms(self.data)
 
     def to_csv(self, path) -> None:
         """One row per draw, columns are vector components.
@@ -186,7 +189,24 @@ class SampleBatch:
 
 
 def data_of(samples) -> np.ndarray:
-    """Uniform access for APIs that take a SampleBatch or a raw array."""
+    """The (count, dim) draws of a SampleBatch or a raw array, where a raw
+    array of shape (count,) holds count scalar draws."""
     if isinstance(samples, SampleBatch):
         return samples.data
-    return np.atleast_2d(np.asarray(samples, dtype=float))
+    data = np.asarray(samples, dtype=float)
+    if data.ndim == 1:
+        return data[:, None]
+    if data.ndim != 2:
+        raise ConfigurationError(
+            f"sample data must have shape (count,) or (count, dim), not {data.shape}")
+    return data
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` bit for bit, a block of rows at a time,
+    so that no squared copy of all of x is made."""
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _NORM_BLOCK_ROWS):
+        part = slice(start, start + _NORM_BLOCK_ROWS)
+        out[part] = np.linalg.norm(x[part], axis=1)
+    return out

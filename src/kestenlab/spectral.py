@@ -18,10 +18,11 @@ import numpy as np
 
 from .batches import SampleBatch, data_of
 from .env_models import ConfigurationError, Environment, sample_pairs
+from .recursion import _STATIONARY_CHUNK
 
 ROW_ACTION = "T_kappa"        # direction of vM, weight |vM|^kappa
 COLUMN_ACTION = "T_kappa_star"  # direction of Mv, weight |Mv|^kappa
-_GOLDIE_BLOCK = 8192          # stationary samples per block of the K(v) brackets
+_GOLDIE_BLOCK = 4096          # stationary samples per block of the K(v) brackets
 _RHO_TOL = 1e-3               # the kappa bisection stops once |rho - 1| is this small
 _WIDTH_TOL = 1e-3             # ... or once its bracket is this narrow
 _ACCEPT_BAND = 0.01           # warn when rho at the solved kappa is further from 1
@@ -220,17 +221,17 @@ class OperatorDraws:
     grid: SphereGrid
     kind: str
     norms: np.ndarray                 # (n_rows, mc)
-    cells: np.ndarray                 # (n_rows, mc) int
+    cells: np.ndarray                 # (n_rows, mc) int32
     mc_count: int
     resampled_fraction: float
 
     def matrix(self, kappa: float) -> np.ndarray:
+        """The operator at exponent kappa, powered one row of draws at a time."""
         n = self.grid.n
         out = np.empty((n, n))
         with np.errstate(over="ignore"):
-            wk = self.norms ** kappa
-        for i in range(n):
-            out[i] = np.bincount(self.cells[i], weights=wk[i], minlength=n)
+            for i in range(n):
+                out[i] = np.bincount(self.cells[i], weights=self.norms[i] ** kappa, minlength=n)
         out /= self.mc_count
         if not np.all(np.isfinite(out)):
             raise SpectralError(f"operator matrix overflowed at kappa={kappa}")
@@ -257,7 +258,7 @@ def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
     row_streams = rng.spawn(grid.n)
     n = grid.n
     norms = np.empty((n, mc_n))
-    cells = np.empty((n, mc_n), dtype=np.int64)
+    cells = np.empty((n, mc_n), dtype=np.int32)
     resampled = 0
     for i in range(n):
         stream = row_streams[i]
@@ -409,10 +410,10 @@ def solve_kappa(env: Environment, grid: SphereGrid, bracket: tuple[float, float]
 
 def _alpha_from_draws(draws: OperatorDraws, kappa: float, r_vals: np.ndarray,
                       pi: np.ndarray) -> float:
+    contrib = np.empty(draws.grid.n)
     with np.errstate(over="ignore", divide="ignore"):
-        wk = draws.norms ** kappa
-        logs = np.log(draws.norms)
-    contrib = np.mean(logs * r_vals[draws.cells] * wk, axis=1)
+        for i, (norms, cells) in enumerate(zip(draws.norms, draws.cells)):
+            contrib[i] = np.mean(np.log(norms) * r_vals[cells] * norms ** kappa)
     return float(np.sum(pi / r_vals * contrib))
 
 
@@ -470,15 +471,13 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     through the one-step update leaves the summands bounded by a function
     of |Q| (for kappa <= 1) instead of a difference of two heavy-tailed
     terms, so the estimator has finite variance at every kappa in (0, 2).
-    Each bracket is one `positive_power` of its block of products.
+    Each bracket is one `positive_power` of its block of products.  The
+    pairs are drawn one tile of `_STATIONARY_CHUNK` rows at a time, so the
+    working set is a tile of pairs whatever n_pairs is.
     """
     kappa, alpha = sol.kappa, sol.alpha
     r_data = data_of(stationary_samples)
     n_pairs = min(r_data.shape[0], max_pairs)
-    r = r_data[:n_pairs]
-    m, q = sample_pairs(env, rng, n_pairs)
-    mr = np.einsum("nij,nj->ni", m, r)
-    r_one_step = mr + q
     v_dirs = np.atleast_2d(np.asarray(v_dirs, dtype=float))
 
     reducible = sol.reducible_directions
@@ -488,18 +487,23 @@ def goldie_constant(sol: SpectralSolution, env: Environment,
     coeff = None if reducible else sol.pi / sol.r
     per_sample = np.empty(n_pairs)
     row_sums = np.zeros(points.shape[0])
-    # one block of samples at a time, so the (rows, samples) brackets take
-    # rows x _GOLDIE_BLOCK floats whatever n_pairs is
-    for start in range(0, n_pairs, _GOLDIE_BLOCK):
-        part = slice(start, start + _GOLDIE_BLOCK)
-        # ((y R')^+)^kappa - ((y MR)^+)^kappa per row y and sample
-        diff = (positive_power(points @ r_one_step[part].T, kappa)
-                - positive_power(points @ mr[part].T, kappa))
-        if reducible:
-            row_sums += diff.sum(axis=1)
-            per_sample[part] = diff.mean(axis=0)
-        else:
-            per_sample[part] = coeff @ diff
+    for tile in range(0, n_pairs, _STATIONARY_CHUNK):
+        r = r_data[tile:min(tile + _STATIONARY_CHUNK, n_pairs)]
+        out = per_sample[tile:tile + r.shape[0]]
+        m, q = sample_pairs(env, rng, r.shape[0])
+        # one block of samples at a time, so the (rows, samples) brackets
+        # take rows x _GOLDIE_BLOCK floats
+        for start in range(0, r.shape[0], _GOLDIE_BLOCK):
+            part = slice(start, start + _GOLDIE_BLOCK)
+            mr = np.einsum("nij,nj->ni", m[part], r[part])
+            # ((y R')^+)^kappa - ((y MR)^+)^kappa per row y and sample
+            diff = positive_power(points @ (mr + q[part]).T, kappa)
+            diff -= positive_power(points @ mr.T, kappa)
+            if reducible:
+                row_sums += diff.sum(axis=1)
+                out[part] = diff.mean(axis=0)
+            else:
+                out[part] = coeff @ diff
     if reducible:
         values = row_sums / n_pairs / (alpha * kappa)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batches import data_of
+from .batches import data_of, row_norms
 from .env_models import ConfigurationError, Environment
 from .spectral import COLUMN_ACTION, SphereGrid, bisect, build_operator_draws, positive_power
 
@@ -68,7 +68,9 @@ def hill_tail_index(samples, top_fraction: float) -> HillEstimate:
         raise ConfigurationError("hill estimator: need at least 10^4 samples")
     if not 0.0 < top_fraction <= 0.05:
         raise ConfigurationError("hill estimator: top_fraction must be in (0, 0.05]")
-    norms = np.sort(np.linalg.norm(data, axis=1))[::-1]
+    norms = row_norms(data)
+    norms.sort()
+    norms = norms[::-1]
     k = max(2, int(top_fraction * norms.shape[0]))
     top = norms[:k]
     pivot = norms[k]
@@ -199,7 +201,7 @@ def estimate_sigma(samples, u: float, grid: SphereGrid, kappa: float,
     and of -R averaged, and sigma(A) = sigma(-A) holds on an antipodal grid."""
     _require_regular_variation(kappa, q_symmetric)
     data = data_of(samples)
-    counts = _exceedance_cells(data, np.linalg.norm(data, axis=1), u, grid, q_symmetric)
+    counts = _exceedance_cells(data, row_norms(data), u, grid, q_symmetric)
     mass = kappa * u ** kappa / data.shape[0] * counts
     return SpectralMeasure(grid=grid, mass=mass, threshold_used=float(u),
                            total_mass=float(mass.sum()), kappa=float(kappa),
@@ -238,7 +240,7 @@ def check_product_structure(samples, u1: float, u2: float,
     if not 0 < u1 < u2:
         raise ConfigurationError("need thresholds 0 < u1 < u2")
     data = data_of(samples)
-    norms = np.linalg.norm(data, axis=1)
+    norms = row_norms(data)
     low, high = (_exceedance_cells(data, norms, u, grid) for u in (u1, u2))
     tv = 0.5 * float(np.sum(np.abs(low / low.sum() - high / high.sum())))
     tail = norms[norms > u1]
@@ -277,7 +279,7 @@ def summarize_tails(samples, kappa: float, directions, thresholds,
     """The exceedance curve of |R| and, keyed "(v_1,...,v_d)", that of
     <v, R> for each direction v, plus the Hill index, packaged for the report."""
     data = data_of(samples)
-    radial = exceedance_curve(np.linalg.norm(data, axis=1), kappa, thresholds)
+    radial = exceedance_curve(row_norms(data), kappa, thresholds)
     directional = {"(" + ",".join(f"{c:.6g}" for c in v) + ")":
                    exceedance_curve(data @ v, kappa, radial.thresholds)
                    for v in np.atleast_2d(np.asarray(directions, dtype=float))}

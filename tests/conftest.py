@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,16 @@ def scalar_solution(scalar_env, grid1):
 
 def three_se(values: np.ndarray) -> float:
     return 3.0 * float(np.std(values) / np.sqrt(len(values)))
+
+
+@pytest.fixture
+def traced_peak():
+    """The peak of the memory tracemalloc sees while call() runs, in bytes."""
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

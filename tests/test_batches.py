@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kestenlab import batches
-from kestenlab.batches import SampleBatch
+from kestenlab.batches import SampleBatch, data_of, row_norms
+from kestenlab.env_models import ConfigurationError
 
 
 def test_csv_round_trip(tmp_path):
@@ -34,6 +37,39 @@ def test_csv_round_trip_exact_floats(tmp_path_factory, values):
 def test_norms_are_euclidean():
     batch = SampleBatch(data=np.array([[3.0, 4.0], [0.0, -2.0]]), kind="x")
     assert np.array_equal(batch.norms(), np.array([5.0, 2.0]))
+
+
+def test_one_dimensional_data_are_scalar_draws():
+    x = np.random.default_rng(5).standard_normal(20_000)
+    batch = SampleBatch(data=x, kind="x")
+    assert (batch.count, batch.dim) == (20_000, 1)
+    assert np.array_equal(data_of(x), x[:, None])
+    assert np.array_equal(batch.data, data_of(x[:, None]))
+    for bad in (np.ones((2, 3, 4)), np.float64(1.0)):
+        message = re.escape(f"not {np.shape(bad)}")
+        with pytest.raises(ConfigurationError, match=message):
+            data_of(bad)
+        with pytest.raises(ConfigurationError, match=message):
+            SampleBatch(data=bad, kind="x")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_row_norms_equal_linalg_norm(dim):
+    rng = np.random.default_rng(10 + dim)
+    # more rows than one block, so the block seams are covered
+    x = rng.standard_normal((2 * batches._NORM_BLOCK_ROWS + 7, dim))
+    x *= 10.0 ** rng.integers(-160, 160, size=x.shape)
+    x[:5] = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, np.inf])[:, None]
+    x[5, 0] = np.nan
+    with np.errstate(over="ignore"):
+        assert np.array_equal(row_norms(x).view(np.uint64),
+                              np.linalg.norm(x, axis=1).view(np.uint64))
+
+
+def test_row_norms_working_set_is_its_output_plus_a_block(traced_peak):
+    # np.linalg.norm(x, axis=1) squares a copy of all of x: 16.0 MB here
+    x = np.random.default_rng(6).standard_normal((500_000, 2))
+    assert traced_peak(lambda: row_norms(x)) <= x.shape[0] * 8 + 2 * 2 ** 20
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,16 +262,11 @@ def test_assumptions_a7_infimum_is_exact_off_any_grid():
     assert a7.verdict == "fail"
 
 
-def test_assumptions_memory_stays_linear_in_draws(similarity_env):
+def test_assumptions_memory_stays_linear_in_draws(similarity_env, traced_peak):
     # the draws, their singular values and norms peak at about 2.3 MB for
     # 20 000 planar draws; A7's products of every draw with 64 grid
     # directions once peaked at about 63 MB
-    tracemalloc.start()
-    try:
-        kl.check_assumptions(similarity_env, 20_000, substream(14))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: kl.check_assumptions(similarity_env, 20_000, substream(14)))
     assert peak < 10 * 2 ** 20
 
 

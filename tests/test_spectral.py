@@ -236,6 +236,60 @@ def test_operator_matrix_reproduces_indicator_estimate(scalar_env, grid1):
     assert np.allclose(a @ indicator, manual, atol=0.0)
 
 
+def matrix_full_array(draws, kappa):
+    """`OperatorDraws.matrix` with every cached draw powered in one array:
+    the reference for the row-by-row build."""
+    n = draws.grid.n
+    out = np.empty((n, n))
+    with np.errstate(over="ignore"):
+        wk = draws.norms ** kappa
+    for i in range(n):
+        out[i] = np.bincount(draws.cells[i], weights=wk[i], minlength=n)
+    out /= draws.mc_count
+    return out
+
+
+def alpha_full_array(draws, kappa, r_vals, pi):
+    """`_alpha_from_draws` over full-size copies of the cache: the reference
+    for the row-by-row sum."""
+    with np.errstate(over="ignore", divide="ignore"):
+        wk = draws.norms ** kappa
+        logs = np.log(draws.norms)
+    contrib = np.mean(logs * r_vals[draws.cells] * wk, axis=1)
+    return float(np.sum(pi / r_vals * contrib))
+
+
+@pytest.mark.parametrize("case", ["scalar", "planar", "d3"])
+def test_row_by_row_operator_equals_full_array_formulas(case, scalar_env, similarity_env,
+                                                        grid1, grid2):
+    if case == "scalar":
+        env, grid = scalar_env, grid1
+    elif case == "planar":
+        env, grid = similarity_env, grid2
+    else:
+        env = kl.Environment(dim=3, matrix_law=kl.GaussianMatrix(3, 0.6),
+                             vector_law=kl.GaussianVector(3), kappa0_hint=1.5)
+        grid = kl.build_grid(3, 24)
+    draws = build_operator_draws(env, grid, ROW_ACTION, 3000, substream(35))
+    assert draws.cells.dtype == np.int32
+    weights = substream(36).random((2, grid.n)) + 0.1
+    r_vals, pi = weights[0], weights[1] / weights[1].sum()
+    for kappa in (0.0, 0.37, 1.0, 1.5, 2.9):
+        assert np.array_equal(draws.matrix(kappa), matrix_full_array(draws, kappa))
+        assert spectral._alpha_from_draws(draws, kappa, r_vals, pi) \
+            == alpha_full_array(draws, kappa, r_vals, pi)
+
+
+def test_solve_kappa_working_set_is_its_cache_plus_a_row(similarity_env, grid2, traced_peak):
+    # the cache takes 12 bytes a draw (a float norm, an int32 cell), 3.84 MB
+    # at the planar config's 32 rows x 10 000; powering it a row at a time
+    # adds a row's worth, where three full copies once peaked at 12.8 MB
+    mc = 10_000
+    peak = traced_peak(lambda: kl.solve_kappa(similarity_env, grid2, (0.2, 3.0), mc,
+                                              substream(37)))
+    assert peak <= grid2.n * mc * 12 + 2 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # spectral radius
 # ---------------------------------------------------------------------------
@@ -555,3 +609,70 @@ def test_goldie_constant_blocks_do_not_change_estimate(case, scalar_env, scalar_
     np.testing.assert_allclose(blocked.values, whole.values, rtol=1e-12, atol=0.0)
     assert blocked.aggregate == pytest.approx(whole.aggregate, rel=1e-12, abs=0.0)
     assert blocked.aggregate_se == pytest.approx(whole.aggregate_se, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def planar_goldie_case(similarity_env, grid2):
+    sol = kl.solve_kappa(similarity_env, grid2, (0.2, 3.0), 10_000, substream(60))
+    batch = kl.sample_stationary(similarity_env, kl.SeriesConfig(tolerance=1e-9),
+                                 200_000, substream(61))
+    return sol, batch
+
+
+def goldie_single_draw(sol, env, batch, v_dirs, rng, max_pairs=200_000):
+    """`goldie_constant` with all of its (M, Q) pairs drawn in one call, as
+    before they were drawn per tile: the reference for the tile stream.
+    Returns K(v), each with its standard error, and the aggregate with its."""
+    r = batch.data[:max_pairs]
+    n = r.shape[0]
+    m, q = kl.sample_pairs(env, rng, n)
+    mr = np.einsum("nij,nj->ni", m, r)
+    r_one_step = mr + q
+    reducible = sol.reducible_directions
+    points = v_dirs if reducible else sol.grid.points
+    per_sample = np.empty(n)
+    rows = np.empty((points.shape[0], n))
+    for start in range(0, n, 8192):
+        part = slice(start, start + 8192)
+        diff = (spectral.positive_power(points @ r_one_step[part].T, sol.kappa)
+                - spectral.positive_power(points @ mr[part].T, sol.kappa))
+        if reducible:
+            rows[:, part] = diff
+            per_sample[part] = diff.mean(axis=0)
+        else:
+            per_sample[part] = (sol.pi / sol.r) @ diff
+    scale = sol.alpha * sol.kappa
+    agg, agg_se = per_sample.mean(), per_sample.std() / math.sqrt(n)
+    if reducible:
+        return rows.mean(axis=1) / scale, rows.std(axis=1) / math.sqrt(n) / scale, agg, agg_se
+    r_at_v = sol.r[sol.grid.cell_index(v_dirs)]
+    return r_at_v * agg / scale, r_at_v * agg_se / scale, agg, agg_se
+
+
+@pytest.mark.parametrize("case", ["scalar", "planar"])
+def test_goldie_tile_stream_agrees_with_one_draw(case, scalar_env, scalar_solution,
+                                                 scalar_batch, similarity_env,
+                                                 planar_goldie_case):
+    if case == "scalar":
+        env, sol, batch = scalar_env, scalar_solution, scalar_batch
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        env, (sol, batch) = similarity_env, planar_goldie_case
+        dirs = sol.grid.points[::8]
+    est = kl.goldie_constant(sol, env, batch, dirs, substream(62))
+    values, values_se, agg, agg_se = goldie_single_draw(sol, env, batch, dirs, substream(62))
+    assert abs(est.aggregate - agg) <= 4.0 * agg_se
+    assert np.all(np.abs(est.values - values) <= 4.0 * values_se)
+    assert est.aggregate_se == pytest.approx(agg_se, rel=0.05)
+
+
+def test_goldie_working_set_is_one_tile(similarity_env, planar_goldie_case, traced_peak):
+    # the per-sample brackets (8 bytes a pair, 1.6 MB at 200 000 pairs), one
+    # tile of pairs and one block of brackets; drawing all pairs at once
+    # and holding M R and R' for all of them once peaked at 26.0 MB
+    sol, batch = planar_goldie_case
+    n_pairs = 200_000
+    assert batch.count >= n_pairs and sol.grid.n == 32
+    peak = traced_peak(lambda: kl.goldie_constant(sol, similarity_env, batch, sol.grid.points[:4],
+                                                  substream(63), max_pairs=n_pairs))
+    assert peak <= n_pairs * 8 + 6 * 2 ** 20

@@ -59,6 +59,23 @@ def test_hill_rejects_massive_ties():
         kl.hill_tail_index(SampleBatch(data=data, kind="synthetic"), 0.05)
 
 
+def test_hill_reads_one_dimensional_draws_as_scalars():
+    x = pareto_batch(1.0, 20_000, 55).data[:, 0]
+    assert SampleBatch(data=x, kind="synthetic").count == 20_000
+    assert kl.hill_tail_index(x, 0.01) == kl.hill_tail_index(x[:, None], 0.01)
+
+
+def test_hill_index_matches_sorted_copy(sim_batch):
+    """The in-place sort of the norms gives the bits of the sorted copy of
+    np.linalg.norm that the estimator once read."""
+    norms = np.sort(np.linalg.norm(sim_batch.data, axis=1))[::-1]
+    k = int(0.01 * norms.shape[0])
+    index = 1.0 / float(np.mean(np.log(norms[:k])) - math.log(norms[k]))
+    est = kl.hill_tail_index(sim_batch, 0.01)
+    assert est.k_used == k
+    assert est.index == index
+
+
 def test_hill_preconditions():
     small = pareto_batch(1.0, 5000, 53)
     with pytest.raises(ConfigurationError):
@@ -373,3 +390,14 @@ def test_extrapolate_matches_brentq():
         assert abs(gamma - want_gamma) <= 1e-9
         assert abs(limit - want_limit) <= 1e-9 * max(1.0, abs(want_limit))
     assert fitted >= 100
+
+
+def test_sigma_and_summary_working_sets_are_the_norms_plus_a_block(grid2, traced_peak):
+    # the norms take 8 bytes a draw, 4 MB here, and a projection <v, R> as
+    # much; np.linalg.norm(x, axis=1) once squared a copy of all of x, and
+    # the Hill estimator sorted a copy of the norms: 16.0 MB each
+    x = substream(56).standard_cauchy((500_000, 2))
+    bound = x.shape[0] * 8 + 2 * 2 ** 20
+    assert traced_peak(lambda: kl.estimate_sigma(x, 50.0, grid2, 1.5, True)) <= bound
+    assert traced_peak(lambda: summarize_tails(x, 1.0, grid2.points[:4],
+                                               [10.0, 20.0, 40.0])) <= bound
