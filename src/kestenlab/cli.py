@@ -172,8 +172,7 @@ def _fail(path: str, message: str):
 
 
 def validate_config(raw: dict, *, seed_override: int | None = None,
-                    out_override: str | None = None,
-                    count_override: int | None = None) -> RunConfig:
+                    out_override: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise CliConfigError("config: expected a mapping at the top level")
     try:
@@ -182,8 +181,6 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
                             env_hash=env_hash(raw["env"]))
         seed = config.seed if seed_override is None else check_field(
             McConfig, "seed", seed_override, "--seed")
-        count = config.mc.stationary.count if count_override is None else check_field(
-            StationaryConfig, "count", count_override, "--n")
     except ConfigurationError as exc:
         raise CliConfigError(str(exc)) from exc
 
@@ -215,8 +212,7 @@ def validate_config(raw: dict, *, seed_override: int | None = None,
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big") >> 1
     output = replace(config.output, directory=out_override) if out_override else config.output
-    return replace(config, output=output, mc=replace(
-        mc, seed=seed, stationary=replace(mc.stationary, count=count)))
+    return replace(config, output=output, mc=replace(mc, seed=seed))
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -405,7 +401,9 @@ def stage_tail(ctx: RunContext) -> dict:
     batch = need_stationary(ctx)
     sol = need_solution(ctx)
     block = ctx.config.mc.tails
-    thresholds = np.quantile(batch.norms(), np.asarray(block.threshold_quantiles))
+    # norms() is a fresh array, so np.quantile may partition it in place
+    thresholds = np.quantile(batch.norms(), np.asarray(block.threshold_quantiles),
+                             overwrite_input=True)
     dirs = ctx.direction_set(block.n_directions)
     estimate = tails.summarize_tails(batch, sol.kappa, dirs, thresholds,
                                      top_fraction=block.top_fraction)
@@ -432,7 +430,7 @@ def stage_sigma(ctx: RunContext) -> dict:
     batch = need_stationary(ctx)
     sol = need_solution(ctx)
     block = ctx.config.mc.sigma
-    u = float(np.quantile(batch.norms(), block.threshold_quantile))
+    u = float(np.quantile(batch.norms(), block.threshold_quantile, overwrite_input=True))
     # sigma carries kappa-hat to the limit stage; near 1 a Q that is not
     # symmetric is refused here, by the one near-integer rule
     sigma = tails.estimate_sigma(batch, u, ctx.grid(), sol.kappa, ctx.env.q_symmetric)
@@ -543,11 +541,11 @@ def _assemble_report(ctx: RunContext) -> dict:
 
 def run(config_path, out_override: str | None = None,
         seed_override: int | None = None, threads: int = 1,
-        stages: list | None = None, count_override: int | None = None) -> dict:
+        stages: list | None = None) -> dict:
     """Execute the configured pipeline (or the given stages) and write the
     report; returns it."""
     config = load_config(config_path, seed_override=seed_override,
-                         out_override=out_override, count_override=count_override)
+                         out_override=out_override)
     todo = stages if stages is not None else config.pipeline
     if not todo:
         _fail("pipeline", "expected a non-empty list of stages to run; "
@@ -630,11 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("run", help="execute the configured pipeline"))
     for name in STAGES:
-        stage = sub.add_parser(name, help=f"run the {name} stage")
-        add_common(stage)
-        if name == "simulate":
-            stage.add_argument("--n", type=int, default=None,
-                               help="override the stationary sample count")
+        add_common(sub.add_parser(name, help=f"run the {name} stage"))
     sub.add_parser("report", help="aggregate stage outputs from disk").add_argument(
         "--out", required=True)
     return parser
@@ -648,8 +642,7 @@ def main(argv=None) -> int:
         else:
             report = run(args.config, out_override=args.out, seed_override=args.seed,
                          threads=_threads_from(args),
-                         stages=None if args.command == "run" else [args.command],
-                         count_override=getattr(args, "n", None))
+                         stages=None if args.command == "run" else [args.command])
         failed = [name for name, ok in report["checks"].items() if not ok]
         for stage, frag in report["stages"].items():
             summary = {k: v for k, v in frag.items()

@@ -120,6 +120,33 @@ def _choose(rng: np.random.Generator, values, probs, count: int) -> np.ndarray:
     return values.take(index)
 
 
+def bounded(default, interval: str):
+    """A field whose value, or each item of a tuple value, must lie in
+    `interval`, written as "(0, 0.05]" or "[2, inf)"; default MISSING makes it required."""
+    return field(default=default, metadata={"range": interval})
+
+
+def _check_range(f, value, path: str) -> None:
+    """Refuse, with its path, a value of field f, or an item of a tuple
+    value, outside the field's range."""
+    interval = f.metadata.get("range")
+    if interval is None or value is None:
+        return
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    for i, x in enumerate(value) if isinstance(value, tuple) else [(None, value)]:
+        if not ((lo < x or (interval[0] == "[" and x == lo))
+                and (x < hi or (interval[-1] == "]" and x == hi))):
+            where = path if i is None else f"{path}[{i}]"
+            raise ConfigurationError(f"{where}: expected a value in {interval}, got {x!r}")
+
+
+def check_bounds(obj) -> None:
+    """Hold each bounded field of the dataclass obj to its range, as
+    `check_field` holds a config block's: for a law built in Python."""
+    for f in fields(obj):
+        _check_range(f, getattr(obj, f.name), f"{type(obj).__name__}.{f.name}")
+
+
 def _check_probs(probs: Sequence[float], what: str) -> tuple[float, ...]:
     p = tuple(float(x) for x in probs)
     if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
@@ -161,18 +188,15 @@ class Similarity:
     exactly the scale factor.
     """
 
-    dim: int
-    scale_values: tuple[float, ...]
+    dim: int = bounded(MISSING, "[1, inf)")
+    scale_values: tuple[float, ...] = bounded(MISSING, "(0, inf)")
     scale_probs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError("similarity: dim must be >= 1")
+        object.__setattr__(self, "scale_values", tuple(float(v) for v in self.scale_values))
+        check_bounds(self)
         if len(self.scale_values) != len(self.scale_probs) or not self.scale_values:
             raise ConfigurationError("similarity: scale atoms and probs must match")
-        if any(v <= 0 for v in self.scale_values):
-            raise ConfigurationError("similarity: scales must be positive")
-        object.__setattr__(self, "scale_values", tuple(float(v) for v in self.scale_values))
         object.__setattr__(self, "scale_probs", _check_probs(self.scale_probs, "similarity"))
 
     def scales(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -201,14 +225,11 @@ class Similarity:
 class GaussianMatrix:
     """i.i.d. N(0, scale^2) entries (Ginibre); a singular draw has probability 0."""
 
-    dim: int
-    scale: float = 1.0
+    dim: int = bounded(MISSING, "[1, inf)")
+    scale: float = bounded(1.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigurationError("gaussian matrix: scale must be positive")
-        if self.dim < 1:
-            raise ConfigurationError("gaussian matrix: dim must be >= 1")
+        check_bounds(self)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.scale * rng.standard_normal((count, self.dim, self.dim))
@@ -218,13 +239,12 @@ class GaussianMatrix:
 class DiagonalTimesRotation:
     """M = diag(exp(N(log_mean, log_sigma^2))) @ O with O a uniform rotation."""
 
-    dim: int
+    dim: int = bounded(MISSING, "[1, inf)")
     log_mean: float = 0.0
-    log_sigma: float = 0.5
+    log_sigma: float = bounded(0.5, "[0, inf)")
 
     def __post_init__(self):
-        if self.log_sigma < 0:
-            raise ConfigurationError("diag_rotation: log_sigma must be nonnegative")
+        check_bounds(self)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         diags = np.exp(self.log_mean + self.log_sigma * rng.standard_normal((count, self.dim)))
@@ -306,12 +326,11 @@ class ConstantVector:
 
 @dataclass(frozen=True)
 class GaussianVector:
-    dim: int
-    scale: float = 1.0
+    dim: int = bounded(MISSING, "[1, inf)")
+    scale: float = bounded(1.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigurationError("gaussian vector: scale must be positive")
+        check_bounds(self)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = rng.standard_normal((count, self.dim))
@@ -323,15 +342,14 @@ class GaussianVector:
 class TwoPointVector:
     first: tuple[float, ...]
     second: tuple[float, ...]
-    prob_first: float = 0.5
+    prob_first: float = bounded(0.5, "[0, 1]")
 
     def __post_init__(self):
+        check_bounds(self)
         a = np.atleast_1d(np.asarray(self.first, dtype=float))
         b = np.atleast_1d(np.asarray(self.second, dtype=float))
         if a.shape != b.shape:
             raise ConfigurationError("two_point vector: atoms must share a dimension")
-        if not 0.0 <= self.prob_first <= 1.0:
-            raise ConfigurationError("two_point vector: prob_first outside [0, 1]")
         object.__setattr__(self, "first", tuple(a))
         object.__setattr__(self, "second", tuple(b))
 
@@ -354,21 +372,18 @@ class TwoPointVector:
 class Environment:
     """Joint description of the i.i.d. driving sequence (M_n, Q_n)."""
 
-    dim: int = field(metadata={"range": "[1, inf)"})
+    dim: int = bounded(MISSING, "[1, inf)")
     matrix_law: object
     vector_law: object
     q_symmetric: bool = False
-    kappa0_hint: float = 1.0
+    kappa0_hint: float = bounded(1.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError("dim must be >= 1")
+        check_bounds(self)
         if self.matrix_law.dim != self.dim:
             raise ConfigurationError("matrix law dimension does not match env dim")
         if self.vector_law.dim != self.dim:
             raise ConfigurationError("vector law dimension does not match env dim")
-        if self.kappa0_hint <= 0:
-            raise ConfigurationError("kappa0_hint must be positive")
 
 
 def sample_q(env: Environment, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -407,18 +422,6 @@ VECTOR_FAMILIES = {"constant": ConstantVector, "gaussian": GaussianVector,
                    "two_point": TwoPointVector}
 
 
-def bounded(default, interval: str):
-    """A field whose value, or each item of a tuple value, must lie in
-    `interval`, written as "(0, 0.05]" or "[2, inf)"."""
-    return field(default=default, metadata={"range": interval})
-
-
-def _within(x, interval: str) -> bool:
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
-    return ((lo < x or (interval[0] == "[" and x == lo))
-            and (x < hi or (interval[-1] == "]" and x == hi)))
-
-
 def _coerce(value, annotation: str, path: str):
     """A config value checked against its field's annotation: a number is
     never read from a string or a bool, an int never from a float, a float
@@ -448,13 +451,7 @@ def check_field(cls, name: str, value, path: str):
     if is_dataclass(f.default):
         return from_block(type(f.default), value, path)
     value = _coerce(value, f.type, path)
-    interval = f.metadata.get("range")
-    if interval and value is not None:
-        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
-        for i, x in items:
-            if not _within(x, interval):
-                where = path if i is None else f"{path}[{i}]"
-                raise ConfigurationError(f"{where}: expected a value in {interval}, got {x!r}")
+    _check_range(f, value, path)
     return value
 
 
@@ -578,7 +575,8 @@ def check_assumptions(env: Environment, mc_n: int,
     Support/density conditions cannot be certified from draws alone, so
     those entries are always reported as not-checkable.  Inconclusive
     moment checks come back as "fail" with the estimate attached.  One batched
-    SVD gives ||M|| (the largest singular value) and inf_v |vM| (the least).
+    SVD gives ||M|| (the largest singular value), inf_v |vM| (the least) and
+    invertibility (their ratio).
     """
     if mc_n < 1000:
         raise ConfigurationError("check_assumptions: need mc_n >= 1000")
@@ -595,9 +593,9 @@ def check_assumptions(env: Environment, mc_n: int,
         mean, se, ok = _moment_diagnostic(logplus)
         entries[name] = AssumptionEntry(name, "pass" if ok else "fail", mean, se)
 
-    # A3: invertibility is a per-family construction property
-    det = np.linalg.det(m)
-    frac_singular = float(np.mean(np.abs(det) < 1e-12))
+    # A3: invertibility from the same singular values, by the rank rule of
+    # np.linalg.matrix_rank: a draw is singular when sigma_min <= sigma_max d eps
+    frac_singular = float(np.mean(singular[:, -1] <= m_norms * env.dim * np.finfo(float).eps))
     entries["A3"] = AssumptionEntry("A3", "pass" if frac_singular == 0.0 else "fail",
                                     frac_singular, None,
                                     {"singular_fraction": frac_singular})

@@ -205,7 +205,7 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     copied out at its term, and retired lanes are compacted out with one
     take at the block end, their remaining draws discarded.
     Returns per lane the sum (count, d, c), the final product P / e^log_scale
-    (count, d, d), log_scale and the depth, and the number of pairs drawn.
+    (count, d, d), log_scale and the int32 depth, and the number of pairs drawn.
     """
     m, q = draw(rng, count)
     pairs = count
@@ -219,7 +219,7 @@ def _walk_products(draw, count: int, cfg: SeriesConfig, rng: np.random.Generator
     state[scale_row] = 1.0
     state[lane_row] = np.arange(count)
     out = np.empty_like(state)
-    depths = np.zeros(count, dtype=np.int64)
+    depths = np.zeros(count, dtype=np.int32)
     # c <= d; the sum is done with its buffers before the product needs them
     nxt, tmp = np.empty((d, d, count)), np.empty((d, d, count))
     adaptive = cfg.tolerance is not None
@@ -368,7 +368,7 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
     chunks = range(-(-count // _STATIONARY_CHUNK))
     tile_streams = rng.spawn(len(chunks))
     data = np.empty((count, env.dim))
-    depths = np.empty(count, dtype=np.int64)
+    depths = np.empty(count, dtype=np.int32)   # under the max_terms cap
 
     def run_chunk(chunk_idx):
         start = chunk_idx * _STATIONARY_CHUNK
@@ -394,9 +394,11 @@ def sample_stationary(env: Environment, cfg: SeriesConfig, count: int,
 
 
 def quantiles(x: np.ndarray) -> dict:
-    """The 0.5, 0.9 and 0.99 quantiles of x, keyed by level."""
+    """The 0.5, 0.9 and 0.99 quantiles of x, keyed by level.  x is a
+    temporary of the caller's, which np.quantile partitions in place."""
     levels = (0.5, 0.9, 0.99)
-    return {str(p): float(v) for p, v in zip(levels, np.quantile(x, levels))}
+    values = np.quantile(x, levels, overwrite_input=True)
+    return {str(p): float(v) for p, v in zip(levels, values)}
 
 
 def lyapunov(env: Environment, n_steps: int, replicas: int,

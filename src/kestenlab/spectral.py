@@ -37,7 +37,7 @@ class SpectralError(RuntimeError):
 
 
 class SingularDrawError(RuntimeError):
-    """Too many draws mapped a direction to zero or a non-finite vector."""
+    """A draw mapped a grid direction to zero or to a non-finite vector."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,6 @@ class OperatorDraws:
     norms: np.ndarray                 # (n_rows, mc)
     cells: np.ndarray                 # (n_rows, mc) int32
     mc_count: int
-    resampled_fraction: float
 
     def matrix(self, kappa: float) -> np.ndarray:
         """The operator at exponent kappa, powered one row of draws at a time."""
@@ -250,40 +249,27 @@ def build_operator_draws(env: Environment, grid: SphereGrid, kind: str,
                          mc_n: int, rng: np.random.Generator) -> OperatorDraws:
     """Sample mc_n matrices per grid row and cache the mapped directions.
 
-    Draws whose image is zero or non-finite are resampled and counted; more
-    than 0.1% of them aborts the build.
+    A draw that maps its row's point to zero or to a non-finite vector is
+    refused with SingularDrawError, not redrawn: a zero image has weight
+    0^kappa = 0 in the operator, so redrawing it would inflate rho.
     """
     if mc_n < 100:
         raise ConfigurationError("operator draws: need mc_n >= 100")
-    row_streams = rng.spawn(grid.n)
     n = grid.n
     norms = np.empty((n, mc_n))
     cells = np.empty((n, mc_n), dtype=np.int32)
-    resampled = 0
-    for i in range(n):
-        stream = row_streams[i]
+    for i, stream in enumerate(rng.spawn(n)):
         m = env.matrix_law.sample(stream, mc_n)
         w = _mapped(kind, grid.points[i:i + 1], m)[0]
         nm = np.linalg.norm(w, axis=1)
-        for _ in range(100):
-            bad = ~np.isfinite(nm) | (nm == 0.0)
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                break
-            resampled += n_bad
-            m_new = env.matrix_law.sample(stream, n_bad)
-            w[bad] = _mapped(kind, grid.points[i:i + 1], m_new)[0]
-            nm[bad] = np.linalg.norm(w[bad], axis=1)
-        else:
-            raise SingularDrawError("resampling of singular draws did not terminate")
+        bad = mc_n - np.count_nonzero((nm > 0.0) & (nm < np.inf))
+        if bad:
+            raise SingularDrawError(
+                f"{bad} of {mc_n} draws of grid row {i} map its direction to zero or "
+                "to a non-finite vector; the matrix law must be invertible (A3)")
         norms[i] = nm
         cells[i] = grid.cell_index(w / nm[:, None])
-    frac = resampled / (n * mc_n)
-    if frac > 1e-3:
-        raise SingularDrawError(
-            f"{100 * frac:.3f}% of draws were singular or non-finite")
-    return OperatorDraws(grid=grid, kind=kind, norms=norms, cells=cells,
-                         mc_count=mc_n, resampled_fraction=frac)
+    return OperatorDraws(grid=grid, kind=kind, norms=norms, cells=cells, mc_count=mc_n)
 
 
 # ---------------------------------------------------------------------------

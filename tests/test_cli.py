@@ -222,6 +222,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys, path, value):
     ("mc.stationary.tolerance", "1e-9"),
     ("mc.spectral.bracket", ["a", 1.0]),
     ("mc.stationary.truncation", 0),
+    ("mc.stationary.count", 0),
     ("mc.stationary.tolerance", -1.0),
     ("mc.seed", True),                       # a bool is not seed 1
     ("mc.sigma.threshold_quantile", 0.995),   # 60000 draws leave 300 exceedances
@@ -236,6 +237,38 @@ def test_config_rejects_bad_value(tmp_path, capsys, path, value):
     for command in ("run", "tail"):
         assert cli.main([command, "--config", str(config)]) == 2
         assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# every bounded field of an env family and of `env`, out of range; the same
+# values given to the classes in Python are refused in tests/test_env_models.py
+@pytest.mark.parametrize("path, value", [
+    ("env.dim", 0),
+    ("env.kappa0_hint", 0.0),
+    ("env.matrix_law.scale_values[1]", Block("env.matrix_law", {
+        "family": "similarity", "scale_values": [2.0, -0.5], "scale_probs": [0.5, 0.5]})),
+    ("env.matrix_law.scale", Block("env.matrix_law", {"family": "gaussian", "scale": -2.0})),
+    ("env.matrix_law.log_sigma", Block("env.matrix_law", {
+        "family": "diag_rotation", "log_sigma": -0.1})),
+    ("env.vector_law.scale", Block("env.vector_law", {"family": "gaussian", "scale": 0.0})),
+    ("env.vector_law.prob_first", Block("env.vector_law", {
+        "family": "two_point", "first": [1.0], "second": [-1.0], "prob_first": 1.5})),
+    ("env.matrix_law.components[0].scale", Block("env.matrix_law", {
+        "family": "mixture", "weights": [0.5, 0.5],
+        "components": [{"family": "gaussian", "scale": -2.0},
+                       {"family": "constant", "scale": 0.5}]})),
+    ("env.matrix_law.components[1].scale_values[0]", Block("env.matrix_law", {
+        "family": "mixture", "weights": [0.5, 0.5],
+        "components": [{"family": "constant", "scale": 0.5},
+                       {"family": "similarity", "scale_values": [0.0], "scale_probs": [1.0]}]})),
+])
+def test_env_bound_is_refused_with_its_path(tmp_path, capsys, path, value):
+    config = config_setting(tmp_path, path, value)
+    with pytest.raises(CliConfigError, match=f"^{re.escape(path)}: expected a value in "):
+        load_config(config)
+    assert cli.main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: expected a value in ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -592,26 +625,19 @@ def test_env_hash_mismatch_refused(tmp_path, capsys):
     assert "hash" in capsys.readouterr().err
 
 
-def test_simulate_count_override_and_validation(tmp_path, capsys):
-    path, outdir = write_config(tmp_path)
-    rc = cli.main(["simulate", "--config", str(path), "--n", "0"])
-    assert rc == 2
-    assert "--n" in capsys.readouterr().err
-    assert not outdir.exists()
-    rc = cli.main(["simulate", "--config", str(path), "--n", "2000"])
-    assert rc == 0
-    assert SampleBatch.from_csv(outdir / "stationary_samples.csv").count == 2000
-    # the override runs through the same path as every stage command
-    report = json.loads((outdir / "report.json").read_text())
-    assert list(report["stages"]) == ["simulate"]
-    assert report["stages"]["simulate"]["count"] == 2000
+def write_small_sample_config(tmp_path):
+    """The mini config with 4000 stationary draws, beside the first: its env
+    is the same, so its artifacts serve the first config's stages.  Its sigma
+    quantile is lowered only so that 4000 draws pass validation."""
+    return write_config(tmp_path, name="small.yaml", **{
+        "mc.stationary.count": 4000, "mc.sigma.threshold_quantile": 0.5})
 
 
-def test_count_override_leaves_defaults_alone(tmp_path):
+def test_omitted_block_reads_its_defaults(tmp_path):
     cfg = mini_config(tmp_path / "out")
     del cfg["mc"]["stationary"]
-    assert validate_config(cfg, count_override=7).mc.stationary.count == 7
-    assert validate_config(cfg).mc.stationary.count == 200_000
+    assert validate_config(cfg).mc.stationary == cli.StationaryConfig()
+    assert cli.StationaryConfig().count == 200_000
 
 
 def test_assumptions_subcommand(tmp_path):
@@ -623,9 +649,57 @@ def test_assumptions_subcommand(tmp_path):
     assert doc["checks"] == {"assumptions_checkable_pass": True}
 
 
+def test_assumptions_pass_on_a_similarity_with_a_tiny_scale(tmp_path):
+    # c O at d = 3 with c = 1e-5 has det 1e-15 but is invertible: A3 reads
+    # the ratio of its singular values, which is 1
+    path, outdir = write_config(tmp_path, **{"env.dim": 3, "env.matrix_law": {
+        "family": "similarity", "scale_values": [4.0, 1e-5], "scale_probs": [0.2, 0.8]},
+        "env.vector_law": {"family": "gaussian"}})
+    assert cli.main(["assumptions", "--config", str(path)]) == 0
+    entries = json.loads((outdir / "stage_assumptions.json").read_text())["result"]["entries"]
+    assert entries["A3"]["detail"] == {"singular_fraction": 0.0}
+
+
+def test_kappa_refuses_a_law_with_zero_matrices(tmp_path, capsys):
+    # 0.05 % of the draws are the zero matrix, whose image has weight 0 in
+    # the operator: redrawing those draws under a budget would bias rho up
+    # and kappa-hat down, so the operator build refuses the law
+    path, outdir = write_config(tmp_path, **{"env.matrix_law": {
+        "family": "mixture", "weights": [0.9995, 0.0005],
+        "components": [{"family": "scalar_two_point", "values": [2.0, 0.5],
+                        "probs": [1 / 3, 2 / 3]},
+                       {"family": "constant", "scale": 0.0}]}})
+    assert cli.main(["kappa", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: \d+ of 20000 draws of grid row 0 map", err) and err.count("\n") == 1
+    assert not (outdir / "spectral_solution.json").exists()
+
+
+def test_simulate_refuses_an_expanding_law(tmp_path, capsys):
+    path, outdir = write_config(tmp_path, **{"env.dim": 2,
+                                             "env.matrix_law": {"family": "constant", "scale": 2.0},
+                                             "env.vector_law": {"family": "gaussian"}})
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Lyapunov precheck beta = 0.6931") and err.count("\n") == 1
+    assert not (outdir / "stationary_samples.csv").exists()
+
+
+def test_direction_set_of_the_planar_config(tmp_path):
+    config = load_config(ROOT / "scripts" / "configs" / "similarity_2d.yaml")
+    ctx = cli.RunContext(config=config, outdir=tmp_path)
+    assert ctx.grid().n == 32 and config.mc.limit.n_directions == 8
+    dirs = ctx.direction_set(8)
+    angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
+    np.testing.assert_allclose(angles, np.pi / 4 * np.arange(8), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(dirs[4:], -dirs[:4], rtol=0.0, atol=1e-15)   # antipodal pairs
+    for n in (32, 40):
+        assert np.array_equal(ctx.direction_set(n), ctx.grid().points)
+
+
 def test_simulate_fragment_reports_quantiles_not_mean(tmp_path):
-    path, outdir = write_config(tmp_path)
-    assert cli.main(["simulate", "--config", str(path), "--n", "4000"]) == 0
+    small, outdir = write_small_sample_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(small)]) == 0
     result = json.loads((outdir / "stage_simulate.json").read_text())["result"]
     # kappa = 1 here: the law of R has no mean to report
     assert "mean" not in result
@@ -814,10 +888,12 @@ def test_threads_default_to_available_cores(tmp_path):
 
 
 def test_too_few_exceedances_is_a_named_error(tmp_path, capsys):
-    # the configured count passes validation; a 4000-draw artifact leaves
-    # 40 exceedances at the 0.99 quantile, under the 500 sigma needs
+    # the configured count passes validation; a 4000-draw artifact from a
+    # config with the same env leaves 40 exceedances at the 0.99 quantile,
+    # under the 500 sigma needs
     path, outdir = write_config(tmp_path)
-    assert cli.main(["simulate", "--config", str(path), "--n", "4000"]) == 0
+    small, _ = write_small_sample_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(small)]) == 0
     assert cli.main(["kappa", "--config", str(path)]) == 0
     capsys.readouterr()
     assert cli.main(["sigma", "--config", str(path)]) == 1

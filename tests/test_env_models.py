@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,47 @@ def test_assumptions_require_enough_samples(scalar_env):
         kl.check_assumptions(scalar_env, 10, substream(12))
 
 
+def test_a3_reads_invertibility_from_the_singular_values():
+    # every draw c O has all its singular values equal to c; at d = 3 the
+    # scale 1e-5 gives det 1e-15, which an absolute rule |det M| < 1e-12
+    # called singular on 80 % of the draws
+    tiny = kl.Environment(dim=3, matrix_law=kl.Similarity(3, (4.0, 1e-5), (0.2, 0.8)),
+                          vector_law=kl.GaussianVector(3), kappa0_hint=1.5)
+    a3 = kl.check_assumptions(tiny, 2000, substream(15)).entries["A3"]
+    assert a3.verdict == "pass" and a3.estimate == 0.0
+    rank_one = kl.Environment(dim=2, matrix_law=kl.ConstantMatrix(((1.0, 0.0), (0.0, 0.0))),
+                              vector_law=kl.GaussianVector(2))
+    a3 = kl.check_assumptions(rank_one, 1000, substream(16)).entries["A3"]
+    assert a3.verdict == "fail" and a3.estimate == 1.0
+
+
+# every bounded field of a family and of Environment, out of range; the same
+# values set in a config block are refused in tests/test_cli.py
+SCALAR = {"matrix_law": kl.ScalarTwoPoint(), "vector_law": kl.ConstantVector((1.0,))}
+OUT_OF_RANGE = [
+    (kl.Similarity, {"dim": 0, "scale_values": (2.0,), "scale_probs": (1.0,)}, "dim"),
+    (kl.Similarity, {"dim": 2, "scale_values": (2.0, -0.5), "scale_probs": (0.5, 0.5)},
+     "scale_values[1]"),
+    (kl.GaussianMatrix, {"dim": 0}, "dim"),
+    (kl.GaussianMatrix, {"dim": 2, "scale": -2.0}, "scale"),
+    (kl.DiagonalTimesRotation, {"dim": 0}, "dim"),
+    (kl.DiagonalTimesRotation, {"dim": 2, "log_sigma": -0.1}, "log_sigma"),
+    (kl.GaussianVector, {"dim": 0}, "dim"),
+    (kl.GaussianVector, {"dim": 2, "scale": 0.0}, "scale"),
+    (kl.TwoPointVector, {"first": (1.0,), "second": (-1.0,), "prob_first": 1.5}, "prob_first"),
+    (kl.Environment, {"dim": 0, **SCALAR}, "dim"),
+    (kl.Environment, {"dim": 1, **SCALAR, "kappa0_hint": 0.0}, "kappa0_hint"),
+]
+
+
+@pytest.mark.parametrize("cls, args, where", OUT_OF_RANGE,
+                         ids=[f"{c.__name__}.{w}" for c, _, w in OUT_OF_RANGE])
+def test_construction_refuses_a_field_out_of_range(cls, args, where):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{cls.__name__}\.{re.escape(where)}: expected a value in "):
+        cls(**args)
+
+
 @pytest.mark.parametrize("dim, values, probs", [
     (2, (2.0, 0.5), (1 / 3, 2 / 3)),
     (3, (2.0, 0.5), (1 / 3, 2 / 3)),
@@ -318,6 +360,14 @@ def test_similarity_planar_draws_fill_sample():
     m = law.sample(substream(104), 5000)
     assert np.array_equal(m[:, :, 0], np.stack([z.real, z.imag], axis=1))
     assert np.array_equal(m[:, :, 1], np.stack([-z.imag, z.real], axis=1))
+
+
+def test_one_dimensional_similarity_draws_its_scales():
+    # random_rotations at d = 1 is the identity and draws nothing
+    law = kl.Similarity(1, (0.3, 0.9, 1.7), (0.2, 0.5, 0.3))
+    m = law.sample(substream(105), 5000)
+    assert m.shape == (5000, 1, 1)
+    assert np.array_equal(m[:, 0, 0], law.scales(substream(105), 5000))
 
 
 def test_atom_draws_match_choice():

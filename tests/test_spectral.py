@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 import kestenlab as kl
 from kestenlab import spectral
@@ -294,6 +294,20 @@ def test_solve_kappa_working_set_is_its_cache_plus_a_row(similarity_env, grid2, 
 # spectral radius
 # ---------------------------------------------------------------------------
 
+def test_operator_build_refuses_zero_and_non_finite_images(grid1, grid2):
+    # a zero image has weight 0^kappa = 0, so a redrawn one would bias rho;
+    # the build names the count and the row instead
+    zero = kl.Environment(dim=2, matrix_law=kl.MatrixMixture(
+        (kl.Similarity(2, (2.0,), (1.0,)), kl.ConstantMatrix(((0.0, 0.0), (0.0, 0.0)))),
+        (0.5, 0.5)), vector_law=kl.GaussianVector(2))
+    with pytest.raises(spectral.SingularDrawError, match=r"^\d+ of 500 draws of grid row 0 map"):
+        build_operator_draws(zero, grid2, COLUMN_ACTION, 500, substream(50))
+    infinite = kl.Environment(dim=1, matrix_law=kl.ConstantMatrix(((np.inf,),)),
+                              vector_law=kl.ConstantVector((1.0,)))
+    with pytest.raises(spectral.SingularDrawError, match="^500 of 500 draws of grid row 0 map"):
+        build_operator_draws(infinite, grid1, ROW_ACTION, 500, substream(51))
+
+
 def test_rho_scalar_benchmark(scalar_env, grid1):
     rho1, _ = kl.spectral_radius(
         build_operator_draws(scalar_env, grid1, ROW_ACTION, 20_000, substream(35)), 1.0)
@@ -383,6 +397,19 @@ def test_solve_kappa_similarity(similarity_env, grid2):
     m = similarity_env.matrix_law.sample(substream(39), 50_000)
     assert abs(float(np.mean(np.linalg.norm(m, ord=2, axis=(-2, -1)) ** sol.kappa)) - 1.0) <= 0.02
     assert abs(sol.alpha - ALPHA_SCALAR) <= 0.1 * ALPHA_SCALAR
+
+
+def test_solve_kappa_width_stop(scalar_env, grid1, monkeypatch):
+    # with the rho stop off, the bisection halves [0.2, 3.0] until it is at
+    # most _WIDTH_TOL wide: 2.8 / 2^12 <= 1e-3 < 2.8 / 2^11
+    monkeypatch.setattr(spectral, "_RHO_TOL", 0.0)
+    sol = kl.solve_kappa(scalar_env, grid1, (0.2, 3.0), 5000, substream(49))
+    assert len(sol.rho_history) == 2 + 12
+    # the root of the same cache's rho-hat lies in the last bracket
+    draws = build_operator_draws(scalar_env, grid1, ROW_ACTION, 5000, substream(49))
+    root = optimize.brentq(lambda k: kl.spectral_radius(draws, k)[0] - 1.0, 0.2, 3.0,
+                           xtol=1e-12)
+    assert abs(sol.kappa - root) <= 0.5 * spectral._WIDTH_TOL
 
 
 def test_solve_kappa_rejects_bad_bracket(scalar_env, grid1):
